@@ -14,7 +14,9 @@
 //     pre-refactor containers they replaced: >= 2x on the pool entry walk
 //     (std::map vs sorted flat vector) and the scheduler node scan
 //     (per-node maps vs indexed vectors), >= 1.25x on the record store
-//     (unordered_map vs DenseIdMap, bounded by per-record cache traffic).
+//     (unordered_map vs DenseIdMap, bounded by per-record cache traffic);
+//   * the §5m profiler serving path: a histogram-mode prediction over 4000
+//     retained samples costs <= 2x one over 30.
 //
 // With --json-out PATH (stripped before google-benchmark parses argv) the
 // gate measurements are merged into a BenchArtifact JSON file —
@@ -25,6 +27,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -205,21 +208,55 @@ void BM_EngineRunControllers(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineRunControllers)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
+// SeBS catalog functions the profiler serves in each mode: DH's demand
+// follows its input size (ML mode), VP's does not (histogram mode).
+constexpr sim::FunctionId kMlFunc = 4;
+constexpr sim::FunctionId kHistogramFunc = 5;
+
+/// A profiler trained on the SeBS catalog whose histograms each hold
+/// `depth` prewarm observations, plus one invocation of `func` to predict.
+struct PredictionFixture {
+  std::shared_ptr<const sim::FunctionCatalog> catalog =
+      std::make_shared<const sim::FunctionCatalog>(workload::sebs_catalog());
+  core::Profiler profiler{core::ProfilerConfig{}, catalog};
+  sim::Invocation inv;
+
+  PredictionFixture(int depth, sim::FunctionId func) {
+    // Seed 1234 classifies all ten SeBS functions correctly (ProfilerTest).
+    profiler.prewarm(*catalog, 1234, depth);
+    if (profiler.train_metrics(func)->classified_size_related !=
+        (func == kMlFunc)) {
+      std::fprintf(stderr, "profiler put function %d in the wrong mode\n",
+                   static_cast<int>(func));
+      std::exit(1);
+    }
+    util::Rng rng(3);
+    inv = workload::make_invocation(*catalog, 0, func,
+                                    catalog->at(func).sample_input(rng), 0.0);
+  }
+};
+
 void BM_ProfilerPrediction(benchmark::State& state) {
-  auto catalog = std::make_shared<const sim::FunctionCatalog>(
-      workload::sebs_catalog());
-  core::Profiler profiler(core::ProfilerConfig{}, catalog);
-  profiler.prewarm(*catalog, 1, 20);
-  util::Rng rng(3);
-  auto inv = workload::make_invocation(*catalog, 0, 4,
-                                       catalog->at(4).sample_input(rng), 0.0);
+  // Histogram mode at a histogram depth of range(0) observations: the
+  // exact-sample percentiles must not grow with it.
+  PredictionFixture fx(static_cast<int>(state.range(0)), kHistogramFunc);
   for (auto _ : state) {
-    profiler.predict(inv);
-    benchmark::DoNotOptimize(inv.pred_demand);
+    fx.profiler.predict(fx.inv);
+    benchmark::DoNotOptimize(fx.inv.pred_demand);
   }
   // Paper: prediction overhead < 2 ms. Ours must be far below that.
 }
-BENCHMARK(BM_ProfilerPrediction);
+BENCHMARK(BM_ProfilerPrediction)->Arg(30)->Arg(1000)->Arg(4000);
+
+void BM_ProfilerPredictionMl(benchmark::State& state) {
+  // ML mode: one binary search in the function's breakpoint table.
+  PredictionFixture fx(30, kMlFunc);
+  for (auto _ : state) {
+    fx.profiler.predict(fx.inv);
+    benchmark::DoNotOptimize(fx.inv.pred_demand);
+  }
+}
+BENCHMARK(BM_ProfilerPredictionMl);
 
 void BM_OfflineTraining(benchmark::State& state) {
   // One full duplicator + train cycle (paper: < 120 ms offline).
@@ -677,6 +714,57 @@ bool check_flat_entry_walk_speedup(exp::BenchArtifact* artifact) {
   return false;
 }
 
+/// Seconds per histogram-mode prediction on a fixture `reps` times over.
+double best_prediction_time(PredictionFixture& fx, int predictions,
+                            int reps) {
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < predictions; ++i) {
+      fx.profiler.predict(fx.inv);
+      benchmark::DoNotOptimize(fx.inv.pred_demand);
+    }
+    const auto stop = std::chrono::steady_clock::now();
+    best = std::min(
+        best, std::chrono::duration<double>(stop - start).count() / predictions);
+  }
+  return best;
+}
+
+/// §5m serving-path gate: a histogram-mode prediction over 4000 retained
+/// samples (near the 4096 exact-sample cap) costs at most 2x one over 30.
+/// Percentiles read the sorted samples in place; a path that sorts a copy
+/// per prediction grows as n log n and fails this by orders of magnitude
+/// (~1000x), so the prediction count is kept small enough that a failing
+/// run still ends within minutes.
+bool check_profiler_hist_depth_cost(exp::BenchArtifact* artifact) {
+  constexpr int kPredictions = 20000;
+  constexpr int kReps = 5;
+  constexpr double kMaxRatio = 2.0;
+  PredictionFixture shallow(30, kHistogramFunc);
+  PredictionFixture deep(4000, kHistogramFunc);
+  for (int attempt = 1; attempt <= 3; ++attempt) {
+    const double best_shallow =
+        best_prediction_time(shallow, kPredictions, kReps);
+    const double best_deep = best_prediction_time(deep, kPredictions, kReps);
+    const double ratio = best_deep / best_shallow;
+    std::printf(
+        "profiler histogram-depth gate (attempt %d): 30 samples %.1f "
+        "ns/prediction, 4000 samples %.1f ns/prediction, ratio %.2fx\n",
+        attempt, best_shallow * 1e9, best_deep * 1e9, ratio);
+    if (ratio <= kMaxRatio) {
+      std::printf("profiler histogram-depth gate: PASS (<= 2x)\n");
+      artifact->add("profiler_hist_predict_30_ns", best_shallow * 1e9, "ns");
+      artifact->add("profiler_hist_predict_4000_ns", best_deep * 1e9, "ns");
+      artifact->add("profiler_hist_depth_cost_x", ratio, "ratio", "lower");
+      return true;
+    }
+  }
+  std::printf("profiler histogram-depth gate: FAIL (4000-sample prediction "
+              "> 2x the 30-sample one)\n");
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -706,6 +794,7 @@ int main(int argc, char** argv) {
   const bool store_ok = check_flat_record_store_speedup(&artifact);
   const bool walk_ok = check_flat_entry_walk_speedup(&artifact);
   const bool scan_ok = check_flat_node_scan_speedup(&artifact);
+  const bool depth_ok = check_profiler_hist_depth_cost(&artifact);
   if (!json_out.empty()) {
     std::string error;
     if (!exp::merge_bench_artifact(json_out, artifact, &error)) {
@@ -716,5 +805,6 @@ int main(int argc, char** argv) {
     std::printf("merged %zu perf rows into %s\n", artifact.rows.size(),
                 json_out.c_str());
   }
-  return obs_ok && ref_ok && store_ok && walk_ok && scan_ok ? 0 : 1;
+  return obs_ok && ref_ok && store_ok && walk_ok && scan_ok && depth_ok ? 0
+                                                                       : 1;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -115,19 +116,19 @@ void Profiler::train_function(FunctionId func, const InputSpec& first_input,
   // the forest from memorizing pilot noise.
   fopt.tree.min_samples_leaf = 3;
   fopt.tree.max_depth = 10;
-  state.cpu_clf = ml::RandomForestClassifier(fopt);
-  state.cpu_clf.fit(cpu_split.train);
-  state.mem_clf = ml::RandomForestClassifier(fopt);
-  state.mem_clf.fit(mem_split.train);
-  state.dur_reg = ml::RandomForestRegressor(fopt);
-  state.dur_reg.fit(dur_split.train);
+  SizeModels models{ml::RandomForestClassifier(fopt),
+                    ml::RandomForestClassifier(fopt),
+                    ml::RandomForestRegressor(fopt)};
+  models.cpu_clf.fit(cpu_split.train);
+  models.mem_clf.fit(mem_split.train);
+  models.dur_reg.fit(dur_split.train);
 
   state.metrics.cpu_accuracy = ml::accuracy(
-      cpu_split.test.labels, state.cpu_clf.predict_all(cpu_split.test.x));
+      cpu_split.test.labels, models.cpu_clf.predict_all(cpu_split.test.x));
   state.metrics.mem_accuracy = ml::accuracy(
-      mem_split.test.labels, state.mem_clf.predict_all(mem_split.test.x));
+      mem_split.test.labels, models.mem_clf.predict_all(mem_split.test.x));
   state.metrics.duration_r2 = ml::r2_score(
-      dur_split.test.targets, state.dur_reg.predict_all(dur_split.test.x));
+      dur_split.test.targets, models.dur_reg.predict_all(dur_split.test.x));
 
   bool related = state.metrics.cpu_accuracy >= cfg_.accuracy_threshold &&
                  state.metrics.mem_accuracy >= cfg_.accuracy_threshold &&
@@ -136,6 +137,7 @@ void Profiler::train_function(FunctionId func, const InputSpec& first_input,
   if (cfg_.force_histogram) related = false;
   state.metrics.classified_size_related = related;
   state.mode = related ? Mode::kMl : Mode::kHistogram;
+  if (related) state.ml_table = BreakpointTable(models, cfg_.mem_class_mb);
   LIBRA_INFO() << "profiler trained func " << func << " ("
                << model.name() << "): acc_cpu=" << state.metrics.cpu_accuracy
                << " acc_mem=" << state.metrics.mem_accuracy
@@ -143,20 +145,48 @@ void Profiler::train_function(FunctionId func, const InputSpec& first_input,
                << (related ? " -> ML" : " -> histogram");
 }
 
-sim::PredictionMemo Profiler::memo_ml(const FuncState& state,
-                                      const Invocation& inv) const {
-  const ml::FeatureRow row = {inv.input.size};
-  const double cpu = std::max(1, state.cpu_clf.predict(row));
+sim::PredictionMemo SizeModels::predict(double size,
+                                        double mem_class_mb) const {
+  const ml::FeatureRow row = {size};
+  const double cpu = std::max(1, cpu_clf.predict(row));
   // Memory classes map back to the bucket's upper edge: a conservative
   // choice that avoids harvesting into the predicted band.
   const double mem =
-      (static_cast<double>(state.mem_clf.predict(row)) + 1.0) *
-      cfg_.mem_class_mb;
+      (static_cast<double>(mem_clf.predict(row)) + 1.0) * mem_class_mb;
   sim::PredictionMemo memo;
   memo.pred_demand = {cpu, mem};
-  memo.pred_duration = std::max(0.01, state.dur_reg.predict(row));
+  memo.pred_duration = std::max(0.01, dur_reg.predict(row));
   memo.pred_size_related = true;
   return memo;
+}
+
+BreakpointTable::BreakpointTable(const SizeModels& models,
+                                 double mem_class_mb) {
+  models.cpu_clf.append_thresholds(thresholds_);
+  models.mem_clf.append_thresholds(thresholds_);
+  models.dur_reg.append_thresholds(thresholds_);
+  std::sort(thresholds_.begin(), thresholds_.end());
+  thresholds_.erase(std::unique(thresholds_.begin(), thresholds_.end()),
+                    thresholds_.end());
+  thresholds_.shrink_to_fit();
+  memos_.reserve(thresholds_.size() + 1);
+  // Every split tests `size <= t`. A size in (t[k-1], t[k]] answers each
+  // test as t[k] does, so t[k] stands for its interval; above the last
+  // threshold every test fails, as it does at +inf.
+  for (const double t : thresholds_)
+    memos_.push_back(models.predict(t, mem_class_mb));
+  memos_.push_back(
+      models.predict(std::numeric_limits<double>::infinity(), mem_class_mb));
+}
+
+const sim::PredictionMemo& BreakpointTable::lookup(double size) const {
+  if (memos_.empty()) throw std::logic_error("BreakpointTable: empty table");
+  // The first threshold with `size <= t`, using the trees' own test: NaN
+  // fails it everywhere and lands in the last interval, as in the trees.
+  const auto it =
+      std::partition_point(thresholds_.begin(), thresholds_.end(),
+                           [size](double t) { return !(size <= t); });
+  return memos_[static_cast<size_t>(it - thresholds_.begin())];
 }
 
 sim::PredictionMemo Profiler::memo_histogram(const FuncState& state,
@@ -208,7 +238,7 @@ void Profiler::predict(Invocation& inv) {
     inv.pred_size_related = state.mode == Mode::kMl;
     return;
   }
-  apply_memo(state.mode == Mode::kMl ? memo_ml(state, inv)
+  apply_memo(state.mode == Mode::kMl ? state.ml_table.lookup(inv.input.size)
                                      : memo_histogram(state, inv),
              inv);
 }
@@ -218,8 +248,9 @@ std::optional<sim::PredictionMemo> Profiler::speculate_predict(
   const auto it = functions_.find(inv.func);
   if (it == functions_.end() || it->second.mode == Mode::kUntrained)
     return std::nullopt;  // first-seen: predict() trains, must run serially
-  return it->second.mode == Mode::kMl ? memo_ml(it->second, inv)
-                                      : memo_histogram(it->second, inv);
+  return it->second.mode == Mode::kMl
+             ? it->second.ml_table.lookup(inv.input.size)
+             : memo_histogram(it->second, inv);
 }
 
 void Profiler::predict_fallback(Invocation& inv) {

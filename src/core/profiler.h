@@ -60,6 +60,37 @@ struct ProfilerConfig {
   void validate() const;
 };
 
+/// The three size-related models of one function (§4.3.1): RF classifiers
+/// for the CPU and memory peak classes, an RF regressor for execution time.
+struct SizeModels {
+  ml::RandomForestClassifier cpu_clf;
+  ml::RandomForestClassifier mem_clf;
+  ml::RandomForestRegressor dur_reg;
+
+  /// The serving memo the forests give for an input of `size`; memory
+  /// classes are `mem_class_mb` wide.
+  sim::PredictionMemo predict(double size, double mem_class_mb) const;
+};
+
+/// SizeModels compiled for serving (DESIGN.md §5m). Input size is the only
+/// feature, so every tree sends all sizes in one interval (t[k-1], t[k]]
+/// between adjacent split thresholds to the same leaf. The table keeps the
+/// sorted unique thresholds of all trees and one memo per interval, and
+/// lookup() returns exactly what SizeModels::predict would, for any size.
+class BreakpointTable {
+ public:
+  BreakpointTable() = default;
+  BreakpointTable(const SizeModels& models, double mem_class_mb);
+
+  /// One binary search. Throws std::logic_error on an empty table.
+  const sim::PredictionMemo& lookup(double size) const;
+  size_t intervals() const { return memos_.size(); }
+
+ private:
+  std::vector<double> thresholds_;          // ascending, unique
+  std::vector<sim::PredictionMemo> memos_;  // thresholds_.size() + 1 entries
+};
+
 class Profiler final : public DemandPredictor {
  public:
   /// `catalog` is the profiler's pilot-run oracle: the workload duplicator
@@ -111,9 +142,9 @@ class Profiler final : public DemandPredictor {
 
   struct FuncState {
     Mode mode = Mode::kUntrained;
-    ml::RandomForestClassifier cpu_clf;
-    ml::RandomForestClassifier mem_clf;
-    ml::RandomForestRegressor dur_reg;
+    /// Filled in ML mode only; the forests it was compiled from are freed
+    /// after training, since serving never reads them.
+    BreakpointTable ml_table;
     TrainMetrics metrics;
     ml::HistogramModel hist_cpu{0.0, 64.0, 128};
     ml::HistogramModel hist_mem{0.0, 8192.0, 256};
@@ -125,10 +156,8 @@ class Profiler final : public DemandPredictor {
 
   void train_function(sim::FunctionId func, const sim::InputSpec& first_input,
                       FuncState& state);
-  /// Pure serving paths, shared by predict(), predict_fallback() and
-  /// speculate_predict(): build the memo, never touch state.
-  sim::PredictionMemo memo_ml(const FuncState& state,
-                              const sim::Invocation& inv) const;
+  /// Pure histogram serving path, shared by predict(), predict_fallback()
+  /// and speculate_predict(): builds the memo, never touches state.
   sim::PredictionMemo memo_histogram(const FuncState& state,
                                      const sim::Invocation& inv) const;
 

@@ -21,6 +21,10 @@ class RandomForestClassifier : public Classifier {
   void fit(const Dataset& data) override;
   int predict(const FeatureRow& row) const override;  // majority vote
   size_t tree_count() const { return trees_.size(); }
+  /// Appends every split threshold of every tree (Cart::append_thresholds).
+  void append_thresholds(std::vector<double>& out) const {
+    for (const auto& tree : trees_) tree.append_thresholds(out);
+  }
 
  private:
   ForestOptions opt_;
@@ -34,6 +38,10 @@ class RandomForestRegressor : public Regressor {
   void fit(const Dataset& data) override;
   double predict(const FeatureRow& row) const override;  // mean of trees
   size_t tree_count() const { return trees_.size(); }
+  /// Appends every split threshold of every tree (Cart::append_thresholds).
+  void append_thresholds(std::vector<double>& out) const {
+    for (const auto& tree : trees_) tree.append_thresholds(out);
+  }
 
  private:
   ForestOptions opt_;

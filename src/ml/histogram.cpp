@@ -22,6 +22,10 @@ double HistogramModel::bucket_lo(size_t b) const {
 }
 
 void HistogramModel::observe(double value) {
+  // A NaN bucket index is undefined behaviour, and an infinity would turn
+  // every later interpolation into NaN.
+  if (!std::isfinite(value))
+    throw std::invalid_argument("HistogramModel: non-finite observation");
   if (count_ == 0) {
     observed_min_ = observed_max_ = value;
   } else {
@@ -34,7 +38,11 @@ void HistogramModel::observe(double value) {
   size_t b = static_cast<size_t>((clamped - lo_) / bucket_width());
   if (b >= counts_.size()) b = counts_.size() - 1;
   ++counts_[b];
-  if (exact_.size() < max_exact_) exact_.push_back(value);
+  // Sorted on arrival (equal values after their earlier copies), so the
+  // exact path indexes order statistics without sorting a copy.
+  if (exact_.size() < max_exact_)
+    exact_.insert(std::upper_bound(exact_.begin(), exact_.end(), value),
+                  value);
 }
 
 double HistogramModel::percentile(double p) const {
@@ -42,14 +50,11 @@ double HistogramModel::percentile(double p) const {
   if (p < 0 || p > 100) throw std::invalid_argument("percentile range");
   if (exact_.size() == count_) {
     // Small-sample path: exact order statistics.
-    std::vector<double> sorted(exact_);
-    std::sort(sorted.begin(), sorted.end());
-    const double rank =
-        p / 100.0 * static_cast<double>(sorted.size() - 1);
+    const double rank = p / 100.0 * static_cast<double>(exact_.size() - 1);
     const size_t lo = static_cast<size_t>(rank);
-    const size_t hi = std::min(lo + 1, sorted.size() - 1);
+    const size_t hi = std::min(lo + 1, exact_.size() - 1);
     const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+    return exact_[lo] + frac * (exact_[hi] - exact_[lo]);
   }
   // Bucket path with linear interpolation inside the target bucket.
   const double target = p / 100.0 * static_cast<double>(count_);

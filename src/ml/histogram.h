@@ -16,10 +16,13 @@ class HistogramModel {
   /// `max_exact` for precise small-sample percentiles.
   HistogramModel(double lo, double hi, size_t bins, size_t max_exact = 4096);
 
+  /// Throws std::invalid_argument on NaN or infinite values. Retaining an
+  /// exact sample moves at most `max_exact` doubles (sorted insert).
   void observe(double value);
 
   /// Percentile estimate, p in [0, 100]. Uses exact retained samples while
   /// available, afterwards interpolates within buckets. Throws when empty.
+  /// O(1) on the exact path, O(bins) on the bucket path.
   double percentile(double p) const;
 
   size_t count() const { return count_; }
@@ -36,7 +39,7 @@ class HistogramModel {
 
   double lo_, hi_;
   std::vector<size_t> counts_;
-  std::vector<double> exact_;
+  std::vector<double> exact_;  // ascending
   size_t max_exact_;
   size_t count_ = 0;
   double sum_ = 0.0;

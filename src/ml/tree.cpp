@@ -101,10 +101,20 @@ int Cart::build(const Dataset& data, std::vector<size_t>& indices,
   SplitCandidate best;
   std::vector<size_t> work(indices.begin() + static_cast<long>(begin),
                            indices.begin() + static_cast<long>(end));
+  // Class counts of work[0, moved) and work[moved, end), advanced with the
+  // split position instead of recounted at each one.
+  std::vector<size_t> left_counts, right_counts;
   for (size_t f : features) {
     std::sort(work.begin(), work.end(), [&](size_t a, size_t b) {
       return data.x[a][f] < data.x[b][f];
     });
+    size_t moved = 0;
+    if (classification) {
+      left_counts.assign(static_cast<size_t>(num_classes), 0);
+      right_counts.assign(static_cast<size_t>(num_classes), 0);
+      for (size_t row : work)
+        ++right_counts[static_cast<size_t>(data.labels[row])];
+    }
     // Evaluate splits between consecutive distinct values.
     for (size_t pos = opt.min_samples_leaf;
          pos + opt.min_samples_leaf <= work.size(); ++pos) {
@@ -114,12 +124,11 @@ int Cart::build(const Dataset& data, std::vector<size_t>& indices,
       if (hi <= lo) continue;
       double child_impurity;
       if (classification) {
-        std::vector<size_t> left_counts(static_cast<size_t>(num_classes), 0);
-        std::vector<size_t> right_counts(static_cast<size_t>(num_classes), 0);
-        for (size_t i = 0; i < pos; ++i)
-          ++left_counts[static_cast<size_t>(data.labels[work[i]])];
-        for (size_t i = pos; i < work.size(); ++i)
-          ++right_counts[static_cast<size_t>(data.labels[work[i]])];
+        for (; moved < pos; ++moved) {
+          const auto label = static_cast<size_t>(data.labels[work[moved]]);
+          --right_counts[label];
+          ++left_counts[label];
+        }
         auto gini_of = [](const std::vector<size_t>& counts, size_t total) {
           double g = 1.0;
           for (size_t c : counts) {
@@ -135,8 +144,9 @@ int Cart::build(const Dataset& data, std::vector<size_t>& indices,
                           nr * gini_of(right_counts, work.size() - pos)) /
                          static_cast<double>(work.size());
       } else {
-        // Incremental variance would be faster; n is small in our profiler
-        // datasets so direct evaluation keeps the code simple.
+        // Unlike the integer class counts above, an incremental variance
+        // would round differently and so change the fitted regressors; n is
+        // small in our profiler datasets, so direct evaluation stays.
         auto var_range = [&](size_t b2, size_t e2) {
           const double cnt = static_cast<double>(e2 - b2);
           double m = 0.0;
@@ -197,6 +207,11 @@ double Cart::predict(const FeatureRow& row) const {
     cur = row[n.feature] <= n.threshold ? n.left : n.right;
   }
   return nodes_[static_cast<size_t>(cur)].value;
+}
+
+void Cart::append_thresholds(std::vector<double>& out) const {
+  for (const auto& n : nodes_)
+    if (!n.is_leaf) out.push_back(n.threshold);
 }
 
 int Cart::depth() const {

@@ -38,6 +38,8 @@ class Cart {
   void fit(const Dataset& data, const std::vector<size_t>& sample_indices,
            bool classification, int num_classes, const TreeOptions& opt);
   double predict(const FeatureRow& row) const;
+  /// Appends the threshold of every split node, whatever its feature.
+  void append_thresholds(std::vector<double>& out) const;
   size_t node_count() const { return nodes_.size(); }
   int depth() const;
 

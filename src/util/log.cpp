@@ -42,7 +42,7 @@ LogLevel log_level() {
 }
 
 void log_line(LogLevel level, const std::string& msg) {
-  if (static_cast<int>(level) < g_level.load(std::memory_order_relaxed)) return;
+  if (!log_enabled(level)) return;
   MutexLock lock(g_io_mutex);
   std::cerr << "[" << level_name(level) << "] " << msg << "\n";
   ++g_lines_written;

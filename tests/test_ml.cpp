@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "ml/dataset.h"
 #include "ml/forest.h"
@@ -258,6 +261,56 @@ TEST(Histogram, EmptyThrows) {
   HistogramModel h(0, 10, 10);
   EXPECT_THROW(h.percentile(50), std::logic_error);
   EXPECT_THROW(h.mean(), std::logic_error);
+}
+
+TEST(Histogram, RejectsNonFiniteObservations) {
+  HistogramModel h(0, 10, 10);
+  h.observe(3.0);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()})
+    EXPECT_THROW(h.observe(bad), std::invalid_argument) << bad;
+  // A rejected value leaves no trace.
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_EQ(h.max(), 3.0);
+  EXPECT_EQ(h.percentile(100), 3.0);
+}
+
+/// The exact-path order statistic as it is defined: sort a copy of every
+/// sample seen, interpolate between the two ranks around p.
+double sorted_copy_percentile(std::vector<double> samples, double p) {
+  std::sort(samples.begin(), samples.end());
+  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, samples.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return samples[lo] + frac * (samples[hi] - samples[lo]);
+}
+
+TEST(Histogram, PercentilesMatchSortedCopyAfterEveryObservation) {
+  // Few distinct values, so most inserts land among equal samples; a twin
+  // that retains no exact samples is the bucket-path reference past
+  // max_exact.
+  constexpr size_t kMaxExact = 96;
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    util::Rng rng(seed);
+    HistogramModel h(0, 20, 40, kMaxExact);
+    HistogramModel buckets_only(0, 20, 40, /*max_exact=*/0);
+    std::vector<double> seen;
+    for (size_t i = 0; i < kMaxExact + 64; ++i) {
+      const double v = 0.5 * static_cast<double>(rng.uniform_int(-4, 44));
+      h.observe(v);
+      buckets_only.observe(v);
+      seen.push_back(v);
+      for (double p : {0.0, 5.0, 50.0, 95.0, 99.0, 100.0}) {
+        const double want = seen.size() <= kMaxExact
+                                 ? sorted_copy_percentile(seen, p)
+                                 : buckets_only.percentile(p);
+        EXPECT_EQ(h.percentile(p), want)
+            << "seed " << seed << " after " << seen.size() << " p" << p;
+      }
+    }
+  }
 }
 
 // Property sweep: RF classification accuracy is robust across seeds.

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <optional>
+#include <thread>
+#include <vector>
 
 #include "core/profiler.h"
 #include "core/window_predictors.h"
+#include "ml/dataset.h"
 #include "workload/function_catalog.h"
 #include "workload/trace.h"
 
@@ -200,6 +206,114 @@ TEST_F(ProfilerTest, TrainMetricsShowTableTwoShape) {
     const auto m = *profiler_->train_metrics(f);
     EXPECT_TRUE(m.cpu_accuracy < 0.8 || m.duration_r2 < 0.5) << f;
   }
+}
+
+void expect_same_memo(const sim::PredictionMemo& got,
+                      const sim::PredictionMemo& want, double size) {
+  EXPECT_EQ(got.pred_demand.cpu, want.pred_demand.cpu) << "size " << size;
+  EXPECT_EQ(got.pred_demand.mem, want.pred_demand.mem) << "size " << size;
+  EXPECT_EQ(got.pred_duration, want.pred_duration) << "size " << size;
+  EXPECT_EQ(got.pred_size_related, want.pred_size_related) << "size " << size;
+  EXPECT_EQ(got.first_seen, want.first_seen) << "size " << size;
+  EXPECT_EQ(got.profiling_probe, want.profiling_probe) << "size " << size;
+}
+
+TEST_F(ProfilerTest, ConcurrentSpeculatePredictMatchesSerial) {
+  // The prediction barrier's pattern (§5l): worker threads read the trained
+  // models — breakpoint tables and sorted histogram samples — at once, each
+  // filling its own pre-sized memo slots.
+  profiler_->prewarm(*catalog_, 1234, 40);
+  util::Rng rng(11);
+  std::vector<Invocation> invs;
+  for (int i = 0; i < 400; ++i) {
+    const int func = i % 10;
+    invs.push_back(workload::make_invocation(
+        *catalog_, i, func, catalog_->at(func).sample_input(rng), 0.0));
+  }
+  std::vector<sim::PredictionMemo> serial;
+  for (const auto& inv : invs) {
+    const auto memo = profiler_->speculate_predict(inv);
+    ASSERT_TRUE(memo.has_value());
+    serial.push_back(*memo);
+  }
+  constexpr size_t kThreads = 4;
+  std::vector<std::optional<sim::PredictionMemo>> parallel(invs.size());
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (size_t i = t; i < invs.size(); i += kThreads)
+        parallel[i] = profiler_->speculate_predict(invs[i]);
+    });
+  for (auto& thread : threads) thread.join();
+  for (size_t i = 0; i < invs.size(); ++i) {
+    ASSERT_TRUE(parallel[i].has_value()) << i;
+    expect_same_memo(*parallel[i], serial[i], invs[i].input.size);
+  }
+}
+
+/// Profiler-shaped training data: one feature (input size, log-uniform over
+/// the duplicator's range), CPU and memory classes that step with size plus
+/// noise, and a duration that grows with size.
+SizeModels fit_size_models(uint64_t seed, double mem_class_mb) {
+  util::Rng rng(seed);
+  ml::Dataset cpu, mem, dur;
+  for (int i = 0; i < 70; ++i) {
+    const double size = 4.0 * std::exp(rng.uniform(std::log(0.2),
+                                                   std::log(100.0)));
+    const ml::FeatureRow row = {size};
+    cpu.add_classification(
+        row, static_cast<int>(std::lround(1.0 + std::log2(size) / 2.0 +
+                                          rng.normal(0.0, 0.4))) +
+                 2);
+    mem.add_classification(
+        row, static_cast<int>((64.0 + 6.0 * size + rng.normal(0.0, 40.0)) /
+                              mem_class_mb) +
+                 1);
+    dur.add_regression(row, 0.5 + 0.05 * size + rng.normal(0.0, 0.1));
+  }
+  ml::ForestOptions opt;
+  opt.seed = seed * 7 + 1;
+  opt.tree.min_samples_leaf = 3;
+  opt.tree.max_depth = 10;
+  SizeModels models{ml::RandomForestClassifier(opt),
+                    ml::RandomForestClassifier(opt),
+                    ml::RandomForestRegressor(opt)};
+  models.cpu_clf.fit(cpu);
+  models.mem_clf.fit(mem);
+  models.dur_reg.fit(dur);
+  return models;
+}
+
+TEST(BreakpointTable, LookupEqualsTheForestsEverywhere) {
+  constexpr double kMemClassMb = 256.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (uint64_t seed : {1, 2, 3}) {
+    const SizeModels models = fit_size_models(seed, kMemClassMb);
+    const BreakpointTable table(models, kMemClassMb);
+    std::vector<double> thresholds;
+    models.cpu_clf.append_thresholds(thresholds);
+    models.mem_clf.append_thresholds(thresholds);
+    models.dur_reg.append_thresholds(thresholds);
+    ASSERT_GT(table.intervals(), 20u) << "the forests should split often";
+
+    std::vector<double> sizes = {0.0, inf, -inf,
+                                 std::numeric_limits<double>::quiet_NaN()};
+    for (double t : thresholds) {
+      sizes.push_back(t);
+      sizes.push_back(std::nextafter(t, -inf));
+      sizes.push_back(std::nextafter(t, inf));
+    }
+    util::Rng rng(seed + 100);
+    for (int i = 0; i < 1000; ++i)
+      sizes.push_back(std::exp(rng.uniform(std::log(0.1), std::log(2000.0))));
+    for (double size : sizes)
+      expect_same_memo(table.lookup(size), models.predict(size, kMemClassMb),
+                       size);
+  }
+}
+
+TEST(BreakpointTable, EmptyTableThrows) {
+  EXPECT_THROW(BreakpointTable().lookup(1.0), std::logic_error);
 }
 
 }  // namespace
