@@ -4,10 +4,11 @@
 // with 1 worker and with 4 workers, across baselines, Libra and Libra+Trust
 // platforms and the order-dependent baseline schedulers.
 //
-// The pinned constants were captured from the monolithic engine (commit
-// 54422fc, before the decomposition) with tools/golden_capture.cpp at the
-// default RelWithDebInfo build; the capture was repeated at -O3 with the same
-// result, so they are stable across optimization levels on this toolchain.
+// The pinned constants (tests/golden_cases.h) were captured from the
+// monolithic engine (commit 54422fc, before the decomposition) with
+// tools/golden_capture.cpp at the default RelWithDebInfo build; the capture
+// was repeated at -O3 with the same result, so they are stable across
+// optimization levels on this toolchain.
 // If a deliberate semantic change moves them, re-run the capture tool and
 // update the table — never update it to paper over an unexplained diff.
 //
@@ -28,23 +29,12 @@
 #include "workload/function_catalog.h"
 #include "workload/trace.h"
 
+#include "golden_cases.h"
+
 namespace libra {
 namespace {
 
-struct GoldenCase {
-  const char* name;
-  uint64_t digest;  // captured from the pre-refactor engine
-};
-
-constexpr GoldenCase kGolden[] = {
-    {"default", 0xf87d77ec968fee23ull},
-    {"freyr", 0xb9ecae76596e2c0eull},
-    {"libra", 0xbdec2ebdc6363975ull},
-    {"libra_trust", 0x7892a708f69cac46ull},
-    {"sched_rr", 0x59f634a72cbb53b6ull},
-    {"sched_jsq", 0x9369a98c5da485c1ull},
-    {"sched_mws", 0x4904b0ebd4f07e4aull},
-};
+using golden::GoldenCase;
 
 std::shared_ptr<const sim::FunctionCatalog> catalog() {
   static auto cat =
@@ -127,7 +117,7 @@ TEST_P(GoldenReplay, FourControllersFourWorkersMatchPreRefactorEngine) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllScenarios, GoldenReplay,
-                         ::testing::ValuesIn(kGolden),
+                         ::testing::ValuesIn(golden::kGoldenCases),
                          [](const auto& info) {
                            return std::string(info.param.name);
                          });

@@ -1,10 +1,11 @@
 // Streaming-equivalence guard for the pull-based TraceSource path: a
 // materialized trace pulled through Engine::run(gen::TraceSource&) must
-// reproduce the pre-refactor golden replay digests BIT-FOR-BIT (same pinned
-// constants as tests/test_golden_replay.cpp), with 1 and 4 scheduler
-// workers, with and without invocation-record recycling. Also checks the
-// sketch-backed sink mode (retain_records off): its aggregates must match
-// the retained records, and live memory must track the in-flight count.
+// reproduce the pre-refactor golden replay digests BIT-FOR-BIT (the pinned
+// constants of tests/test_golden_replay.cpp, shared via tests/golden_cases.h),
+// with 1 and 4 scheduler workers, with and without invocation-record
+// recycling. Also checks the sketch-backed sink mode (retain_records off):
+// its aggregates must match the retained records, and live memory must track
+// the in-flight count.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -22,25 +23,10 @@
 #include "workload/materialized_source.h"
 #include "workload/trace.h"
 
+#include "golden_cases.h"
+
 namespace libra {
 namespace {
-
-struct StreamCase {
-  const char* name;
-  uint64_t digest;  // pinned in tests/test_golden_replay.cpp
-};
-
-// Same constants as the materialized golden-replay table: the streaming
-// admission path must be event-for-event identical, not merely similar.
-constexpr StreamCase kGolden[] = {
-    {"default", 0xf87d77ec968fee23ull},
-    {"freyr", 0xb9ecae76596e2c0eull},
-    {"libra", 0xbdec2ebdc6363975ull},
-    {"libra_trust", 0x7892a708f69cac46ull},
-    {"sched_rr", 0x59f634a72cbb53b6ull},
-    {"sched_jsq", 0x9369a98c5da485c1ull},
-    {"sched_mws", 0x4904b0ebd4f07e4aull},
-};
 
 std::shared_ptr<const sim::FunctionCatalog> catalog() {
   static auto cat =
@@ -86,7 +72,7 @@ uint64_t run_streamed(const std::string& name, int sched_workers,
   return exp::run_metrics_digest(metrics);
 }
 
-class StreamingGolden : public ::testing::TestWithParam<StreamCase> {};
+class StreamingGolden : public ::testing::TestWithParam<golden::GoldenCase> {};
 
 TEST_P(StreamingGolden, OneWorkerMatchesGoldenDigest) {
   const auto& c = GetParam();
@@ -123,7 +109,7 @@ TEST_P(StreamingGolden, RecyclingWithFourWorkersPreservesGoldenDigest) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllScenarios, StreamingGolden,
-                         ::testing::ValuesIn(kGolden),
+                         ::testing::ValuesIn(golden::kGoldenCases),
                          [](const auto& info) {
                            return std::string(info.param.name);
                          });
