@@ -16,7 +16,10 @@
 //     (per-node maps vs indexed vectors), >= 1.25x on the record store
 //     (unordered_map vs DenseIdMap, bounded by per-record cache traffic);
 //   * the §5m profiler serving path: a histogram-mode prediction over 4000
-//     retained samples costs <= 2x one over 30.
+//     retained samples costs <= 2x one over 30;
+//   * the §5d auditor sweep: after one warm-up sweep over backlog-burst's
+//     shape, 1000 more sweeps make zero heap allocations (counted by the
+//     replaced global operator new below).
 //
 // With --json-out PATH (stripped before google-benchmark parses argv) the
 // gate measurements are merged into a BenchArtifact JSON file —
@@ -31,13 +34,18 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <new>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "analysis/invariant_auditor.h"
+#include "baselines/schedulers.h"
 #include "core/coverage.h"
 #include "core/harvest_pool.h"
+#include "core/libra_policy.h"
 #include "core/pool_status.h"
+#include "core/predictor.h"
 #include "core/profiler.h"
 #include "exp/bench_artifact.h"
 #include "exp/platforms.h"
@@ -54,6 +62,26 @@
 #include "workload/trace.h"
 
 using namespace libra;
+
+namespace {
+/// Global operator new calls made by this thread; the auditor-sweep
+/// zero-allocation gate reads the main thread's count around its sweeps.
+thread_local long t_heap_allocs = 0;
+}  // namespace
+
+// Counting replacements for the global allocation functions. The array and
+// nothrow forms forward to these by default, so every heap allocation made
+// through new is counted. Kept out of line so the compiler never pairs an
+// inlined malloc with an inlined free at a new/delete call site.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  ++t_heap_allocs;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -257,6 +285,108 @@ void BM_ProfilerPredictionMl(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProfilerPredictionMl);
+
+/// EngineApi over a frozen cluster, for driving the auditor's sweep without
+/// an engine: nodes, their placed lists and a vector of records indexed by
+/// id (alive = present and not done, as in the engine).
+class SweepApi final : public sim::EngineApi {
+ public:
+  sim::SimTime now() const override { return 50.0; }
+  const std::vector<sim::Node>& nodes() const override { return nodes_; }
+  sim::Node& node(sim::NodeId id) override {
+    return nodes_[static_cast<size_t>(id)];
+  }
+  sim::Invocation& invocation(sim::InvocationId id) override {
+    return invocations_[static_cast<size_t>(id)];
+  }
+  bool invocation_alive(sim::InvocationId id) const override {
+    return id >= 0 && static_cast<size_t>(id) < invocations_.size() &&
+           !invocations_[static_cast<size_t>(id)].done;
+  }
+  const sim::ExecutionModel& exec_model() const override { return exec_; }
+  void update_effective(sim::InvocationId, const sim::Resources&) override {}
+  void sync_accounting(sim::InvocationId) override {}
+  sim::Resources observed_usage(sim::InvocationId) const override {
+    return {};
+  }
+  sim::Resources observed_peak(sim::InvocationId) const override {
+    return {};
+  }
+  const std::vector<sim::InvocationId>& placed_on(
+      sim::NodeId node) const override {
+    return placed_[static_cast<size_t>(node)];
+  }
+
+  std::vector<sim::Node> nodes_;
+  std::vector<std::vector<sim::InvocationId>> placed_;
+  std::vector<sim::Invocation> invocations_;
+  sim::ExecutionModel exec_;
+};
+
+constexpr int kSweepNodes = 10;
+constexpr int kSweepPlaced = 90;
+constexpr int kSweepBacklog = 400;
+
+/// backlog-burst's shape mid-run: 10 nodes (4 shards each) running 9
+/// invocations apiece out of a 400-invocation backlog. Every node's pool
+/// holds 3 sources lending to 3 co-located borrowers, and the trust layer
+/// stashes a raw prediction for all 400 invocations.
+struct AuditorSweepFixture {
+  SweepApi api;
+  std::shared_ptr<core::LibraPolicy> policy;
+  analysis::InvariantAuditor auditor;
+
+  AuditorSweepFixture() {
+    core::LibraPolicyConfig cfg;
+    cfg.trust_enabled = true;
+    policy = std::make_shared<core::LibraPolicy>(
+        cfg, std::make_shared<core::UserConfigPredictor>(),
+        std::make_shared<baselines::HashScheduler>());
+    auditor.attach_policy(policy.get());
+    for (int n = 0; n < kSweepNodes; ++n)
+      api.nodes_.emplace_back(n, sim::Resources{24.0, 24576.0}, 4);
+    api.placed_.resize(kSweepNodes);
+    api.invocations_.resize(kSweepBacklog);
+    for (int i = 0; i < kSweepBacklog; ++i) {
+      sim::Invocation& inv = api.invocations_[static_cast<size_t>(i)];
+      inv.id = i;
+      inv.func = i % 8;
+      inv.user_alloc = {1.0, 512.0};
+      policy->predict(inv);
+    }
+    for (int i = 0; i < kSweepPlaced; ++i) {
+      sim::Invocation& inv = api.invocations_[static_cast<size_t>(i)];
+      inv.node = i % kSweepNodes;
+      inv.shard = (i / kSweepNodes) % 4;
+      if (!api.node(inv.node).try_reserve(inv.shard, inv.user_alloc)) {
+        std::fprintf(stderr, "auditor sweep fixture: node %d is full\n",
+                     static_cast<int>(inv.node));
+        std::exit(1);
+      }
+      api.placed_[static_cast<size_t>(inv.node)].push_back(i);
+    }
+    for (int n = 0; n < kSweepNodes; ++n) {
+      core::HarvestResourcePool& pool = policy->pool(n);
+      const auto& ids = api.placed_[static_cast<size_t>(n)];
+      for (size_t k = 0; k < 3; ++k)
+        pool.put(ids[k], {0.5, 128.0}, 100.0 + static_cast<double>(k), 1.0);
+      for (size_t k = 3; k < 6; ++k) pool.get({0.4, 96.0}, ids[k], 2.0);
+    }
+  }
+
+  /// One sampled engine event: the full cluster sweep.
+  void sweep() { auditor.on_engine_event(api, sim::EngineEvent{"test", 0}); }
+};
+
+void BM_AuditorSweep(benchmark::State& state) {
+  // The invariant auditor's per-event sweep (DESIGN.md §5d) — on
+  // backlog-burst it runs after each of ~120-240 engine events per
+  // invocation, so its cost is the benchmark's largest layer.
+  AuditorSweepFixture fx;
+  for (auto _ : state) fx.sweep();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AuditorSweep);
 
 void BM_OfflineTraining(benchmark::State& state) {
   // One full duplicator + train cycle (paper: < 120 ms offline).
@@ -765,6 +895,42 @@ bool check_profiler_hist_depth_cost(exp::BenchArtifact* artifact) {
   return false;
 }
 
+/// §5d zero-allocation gate: one warm-up sweep grows the auditor's scratch
+/// (one pool snapshot, one per-entry lent vector) to the largest pool; after
+/// that, 1000 sweeps over backlog-burst's shape must not touch the heap. A
+/// sweep that sorts a copy of the placed set, builds a hash map or copies a
+/// pool fails this by thousands of allocations. The sweep's ns is exported
+/// for same-machine comparison and is not gated (bench/baselines/README.md).
+bool check_auditor_sweep_allocations(exp::BenchArtifact* artifact) {
+  constexpr int kSweeps = 1000;
+  constexpr int kReps = 5;
+  AuditorSweepFixture fx;
+  fx.sweep();
+  const long before = t_heap_allocs;
+  for (int i = 0; i < kSweeps; ++i) fx.sweep();
+  const long allocs = t_heap_allocs - before;
+  double best = 1e300;
+  for (int r = 0; r < kReps; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kSweeps; ++i) fx.sweep();
+    const auto stop = std::chrono::steady_clock::now();
+    best = std::min(
+        best, std::chrono::duration<double>(stop - start).count() / kSweeps);
+  }
+  std::printf(
+      "auditor sweep gate: %ld heap allocations over %d warmed sweeps (%d "
+      "nodes, %d placed, %d pools, %d stashed predictions), %.1f ns/sweep\n",
+      allocs, kSweeps, kSweepNodes, kSweepPlaced, kSweepNodes, kSweepBacklog,
+      best * 1e9);
+  artifact->add("audit_sweep_ns", best * 1e9, "ns");
+  if (allocs == 0) {
+    std::printf("auditor sweep gate: PASS (zero allocations)\n");
+    return true;
+  }
+  std::printf("auditor sweep gate: FAIL (a warmed sweep allocates)\n");
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -795,6 +961,7 @@ int main(int argc, char** argv) {
   const bool walk_ok = check_flat_entry_walk_speedup(&artifact);
   const bool scan_ok = check_flat_node_scan_speedup(&artifact);
   const bool depth_ok = check_profiler_hist_depth_cost(&artifact);
+  const bool sweep_ok = check_auditor_sweep_allocations(&artifact);
   if (!json_out.empty()) {
     std::string error;
     if (!exp::merge_bench_artifact(json_out, artifact, &error)) {
@@ -805,6 +972,8 @@ int main(int argc, char** argv) {
     std::printf("merged %zu perf rows into %s\n", artifact.rows.size(),
                 json_out.c_str());
   }
-  return obs_ok && ref_ok && store_ok && walk_ok && scan_ok && depth_ok ? 0
-                                                                       : 1;
+  return obs_ok && ref_ok && store_ok && walk_ok && scan_ok && depth_ok &&
+                 sweep_ok
+             ? 0
+             : 1;
 }

@@ -1,8 +1,8 @@
 #include "analysis/invariant_auditor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <unordered_map>
 
 #include "util/audit.h"
 
@@ -21,6 +21,12 @@ bool near(double a, double b) {
   return std::abs(a - b) <= 1e-6 + 1e-9 * std::max(std::abs(a), std::abs(b));
 }
 
+/// Live and not terminal: the state every pool source and borrower must be
+/// in.
+bool in_flight(sim::EngineApi& api, InvocationId id) {
+  return api.invocation_alive(id) && !api.invocation(id).done;
+}
+
 }  // namespace
 
 InvariantAuditor::InvariantAuditor(InvariantAuditorConfig cfg) : cfg_(cfg) {
@@ -32,34 +38,43 @@ void InvariantAuditor::attach_policy(core::LibraPolicy* policy) {
   if (policy_) policy_->set_pool_listener(this);
 }
 
-void InvariantAuditor::check_pool_conservation(const HarvestResourcePool& pool,
-                                               const char* origin) const {
-  const auto st = pool.debug_state();
-  // Outstanding grants aggregated per source; every grant must trace back to
-  // a tracked source entry.
-  std::unordered_map<InvocationId, Resources> borrowed;
-  for (const auto& b : st.borrows) {
+void InvariantAuditor::check_conservation(const char* origin) {
+  const auto& entries = snap_.entries;
+  // Binary search below relies on the entry vector's ascending source order.
+  for (size_t i = 1; i < entries.size(); ++i) {
+    const bool ascending = entries[i - 1].source < entries[i].source;
+    LIBRA_AUDIT_CHECK(ascending, origin << ": pool entries out of order: "
+                                        << "source " << entries[i].source
+                                        << " follows source "
+                                        << entries[i - 1].source);
+    if (!ascending) return;
+  }
+  // Outstanding grants aggregated per source entry, in grant order (the
+  // same per-source summation order as a keyed accumulation); every grant
+  // must trace back to a tracked source entry.
+  lent_.assign(entries.size(), Resources{});
+  for (const auto& b : snap_.borrows) {
     LIBRA_AUDIT_CHECK(b.amount.cpu >= 0.0 && b.amount.mem >= 0.0,
                       origin << ": negative grant from source " << b.source
                              << " to borrower " << b.borrower << " (cpu "
                              << b.amount.cpu << ", mem " << b.amount.mem
                              << ")");
-    borrowed[b.source] += b.amount;
-  }
-  std::unordered_map<InvocationId, const core::HarvestResourcePool::DebugEntry*>
-      by_source;
-  for (const auto& e : st.entries) by_source[e.source] = &e;
-  // LIBRA_LINT_ALLOW(unordered-iteration): audit-only sweep — every element gets the same order-independent check, and a violation aborts
-  for (const auto& [source, amount] : borrowed) {
-    LIBRA_AUDIT_CHECK(by_source.count(source) != 0,
+    const auto it = std::lower_bound(
+        entries.begin(), entries.end(), b.source,
+        [](const HarvestResourcePool::DebugEntry& e, InvocationId id) {
+          return e.source < id;
+        });
+    const bool tracked = it != entries.end() && it->source == b.source;
+    LIBRA_AUDIT_CHECK(tracked,
                       origin << ": outstanding grant references source "
-                             << source
+                             << b.source
                              << " with no pool entry (completed or revoked)");
+    if (tracked) lent_[static_cast<size_t>(it - entries.begin())] += b.amount;
   }
   // Conservation law: per source, idle + lent-out == cumulative harvested.
-  for (const auto& e : st.entries) {
-    const Resources lent =
-        borrowed.count(e.source) ? borrowed[e.source] : Resources{};
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const auto& e = entries[i];
+    const Resources& lent = lent_[i];
     LIBRA_AUDIT_CHECK(
         near(e.idle.cpu + lent.cpu, e.harvested.cpu) &&
             near(e.idle.mem + lent.mem, e.harvested.mem),
@@ -73,7 +88,9 @@ void InvariantAuditor::check_pool_conservation(const HarvestResourcePool& pool,
 
 void InvariantAuditor::on_pool_event(const core::PoolEvent& ev) {
   ++stats_.pool_events;
-  if (ev.pool) check_pool_conservation(*ev.pool, "pool-event");
+  if (!ev.pool) return;
+  ev.pool->debug_state(snap_);
+  check_conservation("pool-event");
 }
 
 void InvariantAuditor::on_engine_event(sim::EngineApi& api,
@@ -98,10 +115,12 @@ void InvariantAuditor::check_recycle(sim::EngineApi& api, InvocationId id,
                     "recycle: invocation "
                         << id << " is not a terminal record (still alive)");
   if (!sampled) return;
-  for (const InvocationId p : api.placed_invocations()) {
-    LIBRA_AUDIT_CHECK(p != id, "recycle: invocation "
-                                   << id
-                                   << " still holds a node reservation");
+  for (const auto& node : api.nodes()) {
+    const auto& placed = api.placed_on(node.id());
+    LIBRA_AUDIT_CHECK(!std::binary_search(placed.begin(), placed.end(), id),
+                      "recycle: invocation "
+                          << id << " still holds a node reservation on node "
+                          << node.id());
   }
   // A recycled record must not leave a ghost contribution in the cluster's
   // live-usage sums: every terminal path refreshes usage with stopping=true
@@ -111,72 +130,65 @@ void InvariantAuditor::check_recycle(sim::EngineApi& api, InvocationId id,
                         << id
                         << " still contributes to the cluster usage sums");
   if (!policy_) return;
-  // Ascending node order by construction (flat pool table).
-  for (const auto& [node_id, pool] : policy_->pools_for_audit()) {
-    const auto st = pool->debug_state();
-    for (const auto& b : st.borrows) {
+  // Ascending node order by construction (node-indexed pool table).
+  const auto& pools = policy_->pools_for_audit();
+  for (size_t n = 0; n < pools.size(); ++n) {
+    if (!pools[n]) continue;
+    pools[n]->debug_state(snap_);
+    for (const auto& b : snap_.borrows) {
       LIBRA_AUDIT_CHECK(b.source != id && b.borrower != id,
                         "recycle: invocation "
                             << id << " still referenced by a grant in pool of "
-                            << "node " << node_id << " (source " << b.source
+                            << "node " << n << " (source " << b.source
                             << ", borrower " << b.borrower << ")");
     }
-    for (const auto& e : st.entries) {
+    for (const auto& e : snap_.entries) {
       LIBRA_AUDIT_CHECK(e.source != id,
                         "recycle: invocation "
-                            << id << " still owns a pool entry on node "
-                            << node_id);
+                            << id << " still owns a pool entry on node " << n);
     }
   }
   // Bookkeeping boundedness: the policy's per-invocation stash must have
   // dropped this id on finalize (the pre-§5l leak kept raw predictions of
   // lost invocations forever).
-  for (const InvocationId stashed : policy_->raw_pred_ids_for_audit()) {
-    LIBRA_AUDIT_CHECK(stashed != id,
-                      "recycle: invocation "
-                          << id
-                          << " still stashed in the policy's raw-prediction "
-                             "bookkeeping");
-  }
+  LIBRA_AUDIT_CHECK(!policy_->raw_pred_stashed(id),
+                    "recycle: invocation "
+                        << id
+                        << " still stashed in the policy's raw-prediction "
+                           "bookkeeping");
 }
 
-void InvariantAuditor::sweep(sim::EngineApi& api, const char* what) const {
-  // ---- Node accounting: allocated totals == sum of placed reservations ----
-  const auto placed = api.placed_invocations();
-  std::unordered_map<NodeId, Resources> reserved;
-  std::unordered_map<NodeId, int> placed_count;
-  for (const InvocationId id : placed) {
-    LIBRA_AUDIT_CHECK(api.invocation_alive(id),
-                      "after " << what << ": placed invocation " << id
-                               << " is not alive");
-    const auto& inv = api.invocation(id);
-    LIBRA_AUDIT_CHECK(!inv.done, "after " << what << ": placed invocation "
-                                          << id << " already completed");
-    LIBRA_AUDIT_CHECK(
-        inv.node != sim::kNoNode &&
-            static_cast<size_t>(inv.node) < api.nodes().size(),
-        "after " << what << ": placed invocation " << id
-                 << " references invalid node " << inv.node);
-    reserved[inv.node] += inv.user_alloc + inv.probe_extra;
-    ++placed_count[inv.node];
-  }
+void InvariantAuditor::sweep(sim::EngineApi& api, const char* what) {
+  // ---- Node accounting: allocated totals == sum of placed reservations,
+  // summed over each node's placed list in ascending id order. ----
   for (const auto& node : api.nodes()) {
-    const auto it = reserved.find(node.id());
-    const Resources want = it != reserved.end() ? it->second : Resources{};
+    const NodeId nid = node.id();
+    const auto& placed = api.placed_on(nid);
+    Resources want;
+    for (const InvocationId id : placed) {
+      const sim::Invocation* inv =
+          api.invocation_alive(id) ? &api.invocation(id) : nullptr;
+      LIBRA_AUDIT_CHECK(inv != nullptr && !inv->done,
+                        "after " << what << ": placed invocation " << id
+                                 << " is completed or gone");
+      if (inv == nullptr) continue;
+      LIBRA_AUDIT_CHECK(inv->node == nid,
+                        "after " << what << ": placed invocation " << id
+                                 << " is listed on node " << nid
+                                 << " but references node " << inv->node);
+      want += inv->user_alloc + inv->probe_extra;
+    }
     LIBRA_AUDIT_CHECK(
         near(node.allocated().cpu, want.cpu) &&
             near(node.allocated().mem, want.mem),
-        "after " << what << ": node " << node.id()
-                 << " allocated totals (cpu " << node.allocated().cpu
-                 << ", mem " << node.allocated().mem
+        "after " << what << ": node " << nid << " allocated totals (cpu "
+                 << node.allocated().cpu << ", mem " << node.allocated().mem
                  << ") != sum of placed reservations (cpu " << want.cpu
-                 << ", mem " << want.mem << ") over "
-                 << (placed_count.count(node.id()) ? placed_count.at(node.id())
-                                                   : 0)
+                 << ", mem " << want.mem << ") over " << placed.size()
                  << " invocations");
     if (!node.up()) {
       LIBRA_AUDIT_CHECK(want.is_zero() && node.running_invocations() == 0,
-                        "after " << what << ": down node " << node.id()
+                        "after " << what << ": down node " << nid
                                  << " still holds reservations (cpu "
                                  << want.cpu << ", mem " << want.mem << ", "
                                  << node.running_invocations() << " running)");
@@ -188,57 +200,66 @@ void InvariantAuditor::sweep(sim::EngineApi& api, const char* what) const {
   // ---- Bookkeeping boundedness: every stashed raw prediction must belong
   // to a live invocation (terminal records drop theirs via on_finalized), so
   // the stash can never outgrow the live set. ----
-  for (const InvocationId stashed : policy_->raw_pred_ids_for_audit()) {
+  policy_->for_each_raw_pred_id([&api, what](InvocationId stashed) {
     LIBRA_AUDIT_CHECK(api.invocation_alive(stashed),
                       "after " << what << ": policy raw-prediction stash holds "
                                << "invocation " << stashed
                                << " which is completed or gone — bookkeeping "
                                   "must stay bounded by the live set");
-  }
+  });
 
-  // ---- Pool sweeps: conservation + grant liveness + down-node emptiness ----
-  // Ascending node order by construction (flat pool table).
-  for (const auto& [node_id, pool] : policy_->pools_for_audit()) {
-    check_pool_conservation(*pool, what);
-    const auto st = pool->debug_state();
-    for (const auto& b : st.borrows) {
+  // ---- Pool sweeps: conservation + entry/grant liveness + down-node
+  // emptiness, all from one snapshot per pool. Ascending node order by
+  // construction (node-indexed pool table). ----
+  const auto* trust = policy_->trust_manager();
+  const auto& pools = policy_->pools_for_audit();
+  for (size_t n = 0; n < pools.size(); ++n) {
+    if (!pools[n]) continue;
+    const auto node_id = static_cast<NodeId>(n);
+    pools[n]->debug_state(snap_);
+    check_conservation(what);
+    for (const auto& b : snap_.borrows) {
       LIBRA_AUDIT_CHECK(
-          api.invocation_alive(b.source) && !api.invocation(b.source).done,
+          in_flight(api, b.source),
           "after " << what << ": pool of node " << node_id
                    << " holds a grant sourced from invocation " << b.source
                    << " which is completed or gone (borrower " << b.borrower
                    << ")");
       LIBRA_AUDIT_CHECK(
-          api.invocation_alive(b.borrower) &&
-              !api.invocation(b.borrower).done,
+          in_flight(api, b.borrower),
           "after " << what << ": pool of node " << node_id
                    << " holds a grant lent to invocation " << b.borrower
                    << " which is completed or gone (source " << b.source
                    << ")");
     }
-    // Quarantine invariant (trust circuit breaker): a function demoted to
-    // the OPEN tier must have had every harvest sourced from its running
-    // invocations pulled back — the pool holds nothing it contributed.
-    if (const auto* trust = policy_->trust_manager()) {
-      for (const auto& e : st.entries) {
-        if (!api.invocation_alive(e.source)) continue;
-        const auto func = api.invocation(e.source).func;
-        LIBRA_AUDIT_CHECK(
-            !trust->quarantined(func, api.now()),
-            "after " << what << ": pool of node " << node_id
-                     << " holds an entry sourced from invocation " << e.source
-                     << " of QUARANTINED function " << func
-                     << " (idle cpu " << e.idle.cpu << ", mem " << e.idle.mem
-                     << ") — quarantined functions must never be harvest "
-                        "sources");
-      }
+    for (const auto& e : snap_.entries) {
+      // Idle inventory dies with its source (§5.1 preemptive release).
+      const bool live = in_flight(api, e.source);
+      LIBRA_AUDIT_CHECK(live, "after " << what << ": pool of node " << node_id
+                                       << " holds an entry sourced from "
+                                       << "invocation " << e.source
+                                       << " which is completed or gone (idle "
+                                       << "cpu " << e.idle.cpu << ", mem "
+                                       << e.idle.mem << ")");
+      // Quarantine invariant (trust circuit breaker): a function demoted to
+      // the OPEN tier must have had every harvest sourced from its running
+      // invocations pulled back — the pool holds nothing it contributed.
+      if (!live || trust == nullptr) continue;
+      const auto func = api.invocation(e.source).func;
+      LIBRA_AUDIT_CHECK(
+          !trust->quarantined(func, api.now()),
+          "after " << what << ": pool of node " << node_id
+                   << " holds an entry sourced from invocation " << e.source
+                   << " of QUARANTINED function " << func << " (idle cpu "
+                   << e.idle.cpu << ", mem " << e.idle.mem
+                   << ") — quarantined functions must never be harvest "
+                      "sources");
     }
-    if (static_cast<size_t>(node_id) < api.nodes().size() &&
-        !api.nodes()[static_cast<size_t>(node_id)].up()) {
-      LIBRA_AUDIT_CHECK(st.entries.empty() && st.borrows.empty(),
+    if (n < api.nodes().size() && !api.nodes()[n].up()) {
+      LIBRA_AUDIT_CHECK(snap_.entries.empty() && snap_.borrows.empty(),
                         "after " << what << ": pool of DOWN node " << node_id
-                                 << " is not empty (" << st.entries.size()
-                                 << " entries, " << st.borrows.size()
+                                 << " is not empty (" << snap_.entries.size()
+                                 << " entries, " << snap_.borrows.size()
                                  << " grants) — harvested inventory must die "
                                     "with its node");
     }

@@ -8,16 +8,24 @@
 //
 //   sim::EngineAuditHook — after every dispatched engine event (sampled via
 //   every_n for large traces), sweeps the whole cluster: every placed
-//   invocation is alive and references a real node; each node's allocated
-//   totals equal the sum of its placed invocations' reservations
-//   (user_alloc + probe_extra); no pool grant references a completed source
-//   or a borrower that is gone; a down node's pool is empty; no pool entry
-//   is sourced from a function the trust circuit breaker has quarantined.
+//   invocation is alive and is listed on the node it references; each
+//   node's allocated totals equal the sum of its placed invocations'
+//   reservations (user_alloc + probe_extra); no pool entry or grant
+//   references a completed source, and no grant a borrower that is gone; a
+//   down node's pool is empty; no pool entry is sourced from a function the
+//   trust circuit breaker has quarantined.
+//
+// A sweep is one walk over live state — the engine's per-node placed lists,
+// the policy's node-indexed pool table and raw-prediction stash — with no
+// sort, hash map or heap allocation once its reused scratch (one pool
+// snapshot, one per-entry lent vector) has grown to the largest pool.
 //
 // A violation aborts through LIBRA_AUDIT_CHECK with a structured diagnostic
 // carrying the engine event id and sim time (stamped by Engine::notify_audit
 // before this hook runs), unless a test installed a failure handler.
 #pragma once
+
+#include <vector>
 
 #include "core/libra_policy.h"
 #include "core/pool_event.h"
@@ -58,10 +66,11 @@ class InvariantAuditor final : public core::PoolEventListener,
   const Stats& stats() const { return stats_; }
 
  private:
-  /// Per-source conservation from one consistent snapshot.
-  void check_pool_conservation(const core::HarvestResourcePool& pool,
-                               const char* origin) const;
-  void sweep(sim::EngineApi& api, const char* what) const;
+  /// Per-source conservation over snap_, which the caller just filled from
+  /// one pool: entries strictly ascending by source, every grant
+  /// non-negative and traced to an entry, idle + lent == harvested.
+  void check_conservation(const char* origin);
+  void sweep(sim::EngineApi& api, const char* what);
   /// Recycle-safety check (streaming runs): a record about to be returned to
   /// the engine's free list must be terminal and unreferenced — not placed,
   /// not a pool source or borrower. The terminal check runs on every recycle
@@ -71,6 +80,11 @@ class InvariantAuditor final : public core::PoolEventListener,
   InvariantAuditorConfig cfg_;
   core::LibraPolicy* policy_ = nullptr;
   Stats stats_;
+  /// Scratch reused by every check (capacity only grows): the snapshot of
+  /// the pool under audit, and its per-entry lent totals (index-aligned
+  /// with snap_.entries).
+  core::HarvestResourcePool::DebugState snap_;
+  std::vector<sim::Resources> lent_;
 };
 
 }  // namespace libra::analysis

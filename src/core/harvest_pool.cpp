@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "util/audit.h"
 
@@ -176,14 +177,14 @@ void HarvestResourcePool::audit_invariants_locked(SimTime now) const {
       per_tenant[r.tenant] += r.amount;
     }
     for (const auto& [tenant, outstanding] : per_tenant) {
-      auto q = tenant_quotas_.find(tenant);
-      if (q == tenant_quotas_.end()) continue;
+      const Resources* cap = find_quota_locked(tenant);
+      if (cap == nullptr) continue;
       LIBRA_AUDIT_CHECK(
-          outstanding.cpu <= q->second.cpu + 1e-6 + 1e-9 * q->second.cpu &&
-              outstanding.mem <= q->second.mem + 1e-6 + 1e-9 * q->second.mem,
+          outstanding.cpu <= cap->cpu + 1e-6 + 1e-9 * cap->cpu &&
+              outstanding.mem <= cap->mem + 1e-6 + 1e-9 * cap->mem,
           "tenant quota exceeded: tenant="
               << tenant << " outstanding=" << outstanding.to_string()
-              << " quota=" << q->second.to_string() << " now=" << now);
+              << " quota=" << cap->to_string() << " now=" << now);
     }
   }
   // Conservation per source: idle + outstanding grants == harvested volume.
@@ -260,14 +261,10 @@ std::vector<HarvestResourcePool::Grant> HarvestResourcePool::get(
     // Tenant quota clamp: never grant past the tenant's remaining room.
     // Room is derived from the live borrow records, so every return path
     // (reharvest, preempt_source, preempt_all) frees it automatically.
-    if (!tenant_quotas_.empty()) {
-      auto q = tenant_quotas_.find(opt.tenant);
-      if (q != tenant_quotas_.end()) {
-        const Resources room =
-            (q->second - tenant_outstanding_locked(opt.tenant))
-                .clamped_non_negative();
-        remaining = Resources::min(remaining, room);
-      }
+    if (const Resources* cap = find_quota_locked(opt.tenant)) {
+      const Resources room =
+          (*cap - tenant_outstanding_locked(opt.tenant)).clamped_non_negative();
+      remaining = Resources::min(remaining, room);
     }
     for (const auto& [expiry, i] : order) {
       (void)expiry;  // sort key only
@@ -438,28 +435,25 @@ double HarvestResourcePool::idle_mem_mb_seconds(SimTime now) const {
   return idle_mem_secs_;
 }
 
-HarvestResourcePool::DebugState HarvestResourcePool::debug_state() const {
+void HarvestResourcePool::debug_state(DebugState& out) const {
   util::MutexLock lock(mu_);
-  DebugState state;
-  state.entries.reserve(entries_.size());
+  out.entries.clear();
   for (const auto& entry : entries_)
-    state.entries.push_back(
+    out.entries.push_back(
         {entry.source, entry.idle, entry.est_expiry, entry.harvested});
-  state.borrows.reserve(borrow_count_);
+  out.borrows.clear();
   // Global insertion-order list == the legacy vector's order, so debug dumps
   // and audits see grants in the same sequence as before the flat layout.
   for (int32_t idx = borrow_head_; idx != -1;
        idx = borrow_slab_[static_cast<size_t>(idx)].next_order) {
     const BorrowRecord& r = borrow_slab_[static_cast<size_t>(idx)];
-    state.borrows.push_back(
+    out.borrows.push_back(
         {r.source, r.borrower, r.amount, r.est_expiry, r.tenant});
   }
-  state.tenant_quotas = tenant_quotas_;
-  state.idle_cpu_secs = idle_cpu_secs_;
-  state.idle_mem_secs = idle_mem_secs_;
-  state.last_accrual = last_accrual_;
-  state.clock_regressions = clock_regressions_;
-  return state;
+  out.idle_cpu_secs = idle_cpu_secs_;
+  out.idle_mem_secs = idle_mem_secs_;
+  out.last_accrual = last_accrual_;
+  out.clock_regressions = clock_regressions_;
 }
 
 void HarvestResourcePool::audit_now(SimTime now) const {
@@ -477,9 +471,23 @@ Resources HarvestResourcePool::tenant_outstanding_locked(int tenant) const {
   return outstanding;
 }
 
+const Resources* HarvestResourcePool::find_quota_locked(int tenant) const {
+  const auto it = std::lower_bound(
+      tenant_quotas_.begin(), tenant_quotas_.end(), tenant,
+      [](const TenantQuota& q, int t) { return q.tenant < t; });
+  return it != tenant_quotas_.end() && it->tenant == tenant ? &it->cap
+                                                            : nullptr;
+}
+
 void HarvestResourcePool::set_tenant_quota(int tenant, const Resources& cap) {
   util::MutexLock lock(mu_);
-  tenant_quotas_[tenant] = cap;
+  const auto it = std::lower_bound(
+      tenant_quotas_.begin(), tenant_quotas_.end(), tenant,
+      [](const TenantQuota& q, int t) { return q.tenant < t; });
+  if (it != tenant_quotas_.end() && it->tenant == tenant)
+    it->cap = cap;
+  else
+    tenant_quotas_.insert(it, TenantQuota{tenant, cap});
 }
 
 Resources HarvestResourcePool::tenant_outstanding(int tenant) const {
@@ -492,6 +500,18 @@ void HarvestResourcePool::corrupt_for_audit_test(InvocationId source,
   util::MutexLock lock(mu_);
   entry_for_locked(source).idle +=
       delta;  // deliberately skips the harvested ledger
+}
+
+void HarvestResourcePool::corrupt_order_for_audit_test() {
+  util::MutexLock lock(mu_);
+  if (entries_.size() >= 2) std::swap(entries_[0], entries_[1]);
+}
+
+void HarvestResourcePool::orphan_grants_for_audit_test(InvocationId source) {
+  util::MutexLock lock(mu_);
+  const Entry* entry = find_entry_locked(source);
+  if (entry != nullptr)
+    entries_.erase(entries_.begin() + (entry - entries_.data()));
 }
 
 void HarvestResourcePool::corrupt_tenant_for_audit_test(

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "core/pool_event.h"
@@ -129,7 +128,7 @@ class HarvestResourcePool {
   // ---- Correctness / audit machinery ----
 
   /// Introspection for the invariant auditor and tests: a consistent copy of
-  /// the pool's entire state taken under one lock acquisition.
+  /// the pool's ledgers taken under one lock acquisition.
   struct DebugEntry {
     sim::InvocationId source = 0;
     sim::Resources idle;
@@ -146,11 +145,10 @@ class HarvestResourcePool {
     int tenant = 0;
   };
   struct DebugState {
+    /// Ascending source order (the entry vector's order).
     std::vector<DebugEntry> entries;
+    /// Global grant insertion order.
     std::vector<DebugBorrow> borrows;
-    /// Registered per-tenant caps (empty when quotas are unused).
-    // LIBRA_LINT_ALLOW(flat-hot-path): debug/audit snapshot copied under the lock, never on the decision path
-    std::map<int, sim::Resources> tenant_quotas;
     double idle_cpu_secs = 0.0;
     double idle_mem_secs = 0.0;
     sim::SimTime last_accrual = 0.0;
@@ -158,7 +156,10 @@ class HarvestResourcePool {
     /// between concurrent callers; counted, never fatal).
     long clock_regressions = 0;
   };
-  DebugState debug_state() const LIBRA_EXCLUDES(mu_);
+  /// Refills `out` in place: the vectors are cleared, not shrunk, so a
+  /// caller that reuses one DebugState stops allocating once its capacity
+  /// covers the largest pool it snapshots (the auditor's per-event sweep).
+  void debug_state(DebugState& out) const LIBRA_EXCLUDES(mu_);
 
   /// Re-runs the internal conservation audit on the current state (the same
   /// checks every mutating operation performs). Aborts via LIBRA_AUDIT_CHECK
@@ -192,6 +193,17 @@ class HarvestResourcePool {
   /// negative tests can prove the auditor fires. Never call outside tests.
   void corrupt_for_audit_test(sim::InvocationId source,
                               const sim::Resources& delta) LIBRA_EXCLUDES(mu_);
+
+  /// TEST-ONLY fault injection: swaps the first two source entries, breaking
+  /// the ascending source order that lookups rely on. Never call outside
+  /// tests.
+  void corrupt_order_for_audit_test() LIBRA_EXCLUDES(mu_);
+
+  /// TEST-ONLY fault injection: erases `source`'s entry but leaves its
+  /// grants outstanding, so they reference a source with no pool entry.
+  /// Never call outside tests.
+  void orphan_grants_for_audit_test(sim::InvocationId source)
+      LIBRA_EXCLUDES(mu_);
 
   /// TEST-ONLY fault injection: fabricates an over-quota borrow record for
   /// `tenant` (bumping the source's harvested ledger in lockstep, so
@@ -248,6 +260,11 @@ class HarvestResourcePool {
   sim::Resources tenant_outstanding_locked(int tenant) const
       LIBRA_REQUIRES(mu_);
 
+  /// Binary search in the sorted quota table; nullptr when `tenant` has no
+  /// registered cap.
+  const sim::Resources* find_quota_locked(int tenant) const
+      LIBRA_REQUIRES(mu_);
+
   /// Binary search in the sorted entry vector; nullptr when absent.
   Entry* find_entry_locked(sim::InvocationId source) LIBRA_REQUIRES(mu_);
   const Entry* find_entry_locked(sim::InvocationId source) const
@@ -275,10 +292,13 @@ class HarvestResourcePool {
   int32_t borrow_head_ LIBRA_GUARDED_BY(mu_) = -1;
   int32_t borrow_tail_ LIBRA_GUARDED_BY(mu_) = -1;
   size_t borrow_count_ LIBRA_GUARDED_BY(mu_) = 0;
-  /// Per-tenant caps on concurrently borrowed volume (empty = no quotas).
-  /// Cold path: written at setup, read per get(); a map member is fine here.
-  // LIBRA_LINT_ALLOW(flat-hot-path): setup-time quota table, not touched per decision
-  std::map<int, sim::Resources> tenant_quotas_ LIBRA_GUARDED_BY(mu_);
+  struct TenantQuota {
+    int tenant = 0;
+    sim::Resources cap;
+  };
+  /// Per-tenant caps on concurrently borrowed volume, sorted by tenant
+  /// (empty = no quotas). Written at setup, binary-searched per get().
+  std::vector<TenantQuota> tenant_quotas_ LIBRA_GUARDED_BY(mu_);
   mutable double idle_cpu_secs_ LIBRA_GUARDED_BY(mu_) = 0.0;
   mutable double idle_mem_secs_ LIBRA_GUARDED_BY(mu_) = 0.0;
   mutable sim::SimTime last_accrual_ LIBRA_GUARDED_BY(mu_) = 0.0;

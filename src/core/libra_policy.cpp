@@ -512,9 +512,7 @@ void LibraPolicy::enforce_quarantine(sim::FunctionId func, EngineApi& api) {
   // harvests back (idle pool volume and grants lent to borrowers), restoring
   // the full user allocation — the pool must hold nothing sourced from a
   // quarantined function (checked by the invariant auditor).
-  auto ids = api.placed_invocations();
-  std::sort(ids.begin(), ids.end());
-  for (const auto id : ids) {
+  for (const auto id : api.placed_invocations()) {
     if (!api.invocation_alive(id)) continue;
     Invocation& other = api.invocation(id);
     if (other.func != func || other.harvested_out.is_zero()) continue;
@@ -632,25 +630,6 @@ sim::PolicyStats LibraPolicy::stats() const {
     out.trust_promotions = trust_->promotions();
     out.quarantined_functions = trust_->quarantined_count(last_seen_now_);
   }
-  return out;
-}
-
-std::vector<std::pair<sim::NodeId, const HarvestResourcePool*>>
-LibraPolicy::pools_for_audit() const {
-  std::vector<std::pair<sim::NodeId, const HarvestResourcePool*>> out;
-  out.reserve(pools_.size());
-  for (size_t i = 0; i < pools_.size(); ++i)
-    if (pools_[i])
-      out.emplace_back(static_cast<sim::NodeId>(i), pools_[i].get());
-  return out;  // index order == ascending node order
-}
-
-std::vector<sim::InvocationId> LibraPolicy::raw_pred_ids_for_audit() const {
-  std::vector<sim::InvocationId> out;
-  out.reserve(raw_pred_.size());
-  // LIBRA_LINT_ALLOW(unordered-iteration): collects keys into a vector that is sorted on the next line
-  for (const auto& [id, pred] : raw_pred_) out.push_back(id);
-  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -151,16 +151,29 @@ class LibraPolicy final : public sim::Policy, public PoolStatusProvider {
     policy_listener_ = listener;
   }
 
-  /// Read-only pool enumeration for the invariant auditor's cross-layer
-  /// sweeps (grant liveness, down-node emptiness), in ascending node order —
-  /// auditors iterate it directly, no sort-before-use dance.
-  std::vector<std::pair<sim::NodeId, const HarvestResourcePool*>>
-  pools_for_audit() const;
+  /// The node-indexed pool table for the invariant auditor's cross-layer
+  /// sweeps (grant liveness, down-node emptiness): index == node id, null
+  /// for nodes whose pool was never touched. Index order IS ascending node
+  /// order, so auditors walk it in place.
+  const std::vector<std::unique_ptr<HarvestResourcePool>>& pools_for_audit()
+      const {
+    return pools_;
+  }
 
-  /// Invocation ids currently stashed in the raw-prediction bookkeeping, in
-  /// ascending order. The invariant auditor asserts each one is still alive —
-  /// the boundedness check that caught the pre-§5l leak on loss paths.
-  std::vector<sim::InvocationId> raw_pred_ids_for_audit() const;
+  /// Calls `fn(id)` for every invocation stashed in the raw-prediction
+  /// bookkeeping, in hash order. The invariant auditor asserts each one is
+  /// still alive — the boundedness check that caught the pre-§5l leak on
+  /// loss paths. Callers must not depend on the order.
+  template <typename Fn>
+  void for_each_raw_pred_id(Fn&& fn) const {
+    // LIBRA_LINT_ALLOW(unordered-iteration): every id gets the same order-independent audit check; nothing accumulates across ids
+    for (const auto& entry : raw_pred_) fn(entry.first);
+  }
+  /// True while `id` holds a raw-prediction stash entry (O(1) lookup for
+  /// the auditor's recycle check).
+  bool raw_pred_stashed(sim::InvocationId id) const {
+    return raw_pred_.count(id) != 0;
+  }
 
  private:
   /// Predicted execution time if the invocation runs with `alloc`.

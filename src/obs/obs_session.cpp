@@ -184,9 +184,12 @@ void ObsSession::on_engine_event(sim::EngineApi& api,
     if (cfg_.spans)
       trace_.instant(ts, pid_of(ev.node), 0, "node_up", "fault");
   } else if (is(ev.what, "health_ping")) {
-    if (++ping_seq_ % cfg_.series_every_n == 0)
+    if (++ping_seq_ % cfg_.series_every_n == 0) {
+      size_t placed = 0;
+      for (const auto& n : api.nodes()) placed += api.placed_on(n.id()).size();
       metrics_.series("cluster.placed_invocations")
-          .sample(ts, static_cast<double>(api.placed_invocations().size()));
+          .sample(ts, static_cast<double>(placed));
+    }
   }
 }
 

@@ -19,13 +19,19 @@ ClusterState::ClusterState(EngineHost& host) : host_(host) {
     host_.metrics().total_capacity += cfg.node_capacities[i];
   }
   draining_until_.assign(nodes_.size(), 0.0);
+  placed_.resize(nodes_.size());
 }
 
-std::vector<InvocationId> ClusterState::placed_invocations() const {
-  // LIBRA_LINT_ALLOW(unordered-iteration): copied into a vector that is sorted on the next line
-  std::vector<InvocationId> out(placed_.begin(), placed_.end());
-  std::sort(out.begin(), out.end());  // set order is not deterministic
-  return out;
+void ClusterState::insert_placed(InvocationId id, NodeId node) {
+  auto& list = placed_[static_cast<size_t>(node)];
+  const auto it = std::lower_bound(list.begin(), list.end(), id);
+  if (it == list.end() || *it != id) list.insert(it, id);
+}
+
+void ClusterState::erase_placed(InvocationId id, NodeId node) {
+  auto& list = placed_[static_cast<size_t>(node)];
+  const auto it = std::lower_bound(list.begin(), list.end(), id);
+  if (it != list.end() && *it == id) list.erase(it);
 }
 
 void ClusterState::start_health_pings(SimTime first_arrival) {
@@ -138,11 +144,8 @@ void ClusterState::on_drain_notice(NodeId node_id, SimTime down_at) {
   // The node agent then migrates everything off the departing node. These
   // are graceful, budget-free evictions: the platform was warned, so they do
   // not consume max_fault_retries (see InvocationLifecycle::drain_invocation).
-  std::vector<InvocationId> victims;
-  // LIBRA_LINT_ALLOW(unordered-iteration): collects ids into a vector that is sorted before use
-  for (const InvocationId id : placed_)
-    if (host_.invocation(id).node == node_id) victims.push_back(id);
-  std::sort(victims.begin(), victims.end());  // set order is not deterministic
+  // A copy in id order: each drain erases its id from the node's list.
+  const std::vector<InvocationId> victims = placed_on(node_id);
   for (InvocationId id : victims) host_.lifecycle().drain_invocation(id);
   record_series();
   host_.notify_audit("drain_notice", kNoInvocation, node_id);

@@ -1,11 +1,10 @@
-// Cluster layer: owns the worker nodes, the set of placed invocations, the
+// Cluster layer: owns the worker nodes, the per-node placed lists, the
 // controller's ping-based health view, the churn bookkeeping and the
 // cluster-wide usage/allocation series. Everything node- or cluster-scoped
 // that the old monolithic engine tracked lives here; the lifecycle and
 // controller layers reach it through EngineHost::cluster().
 #pragma once
 
-#include <unordered_set>
 #include <vector>
 
 #include "sim/engine_host.h"
@@ -22,10 +21,17 @@ class ClusterState {
   const std::vector<Node>& nodes() const { return nodes_; }
   Node& node(NodeId id) { return nodes_.at(static_cast<size_t>(id)); }
 
-  void insert_placed(InvocationId id) { placed_.insert(id); }
-  void erase_placed(InvocationId id) { placed_.erase(id); }
-  /// Invocations currently holding a node reservation, in ascending id order.
-  std::vector<InvocationId> placed_invocations() const;
+  /// Records that `id` now holds a reservation on `node`: sorted-unique
+  /// insertion into the node's placed list (binary search, the
+  /// backfill-candidate idiom).
+  void insert_placed(InvocationId id, NodeId node);
+  /// Drops `id` from `node`'s placed list; a no-op when it is not there.
+  void erase_placed(InvocationId id, NodeId node);
+  /// Invocations currently holding a reservation on `node`, in ascending id
+  /// order. The auditor's sweep walks these in place.
+  const std::vector<InvocationId>& placed_on(NodeId node) const {
+    return placed_[static_cast<size_t>(node)];
+  }
 
   /// Initializes the health view and schedules the staggered per-node ping
   /// loops. Called once from Engine::run after the fault injector exists.
@@ -74,9 +80,11 @@ class ClusterState {
   /// outage's down_at), so no explicit clearing is needed.
   std::vector<SimTime> draining_until_;
 
-  /// Live invocations currently holding a node reservation; kept in lockstep
-  /// with try_reserve/release so audits stay O(placed), not O(all ever run).
-  std::unordered_set<InvocationId> placed_;
+  /// Per node: live invocations holding a reservation there, sorted by id.
+  /// Kept in lockstep with try_reserve/release so audits stay O(placed), not
+  /// O(all ever run); per-node lists keep a completion's erase to a memmove
+  /// over one node's ids instead of everything in flight.
+  std::vector<std::vector<InvocationId>> placed_;
 
   // Last sampled series time; gates record_series under series_resolution.
   SimTime last_series_at_ = -1.0;

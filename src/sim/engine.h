@@ -72,8 +72,8 @@ class Engine final : public EngineApi, private EngineHost {
   bool node_suspected_down(NodeId id) const override {
     return cluster_->node_suspected_down(id);
   }
-  std::vector<InvocationId> placed_invocations() const override {
-    return cluster_->placed_invocations();
+  const std::vector<InvocationId>& placed_on(NodeId node) const override {
+    return cluster_->placed_on(node);
   }
   const core::PoolStatus* controller_pool_view(NodeId node,
                                                int controller) const override {

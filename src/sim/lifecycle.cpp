@@ -214,7 +214,7 @@ void InvocationLifecycle::redispatch_after_oom(Invocation& inv) {
   if (inv.running) n.invocation_finished();
   n.containers().release(inv.func, host_.queue().now());
   n.release(inv.shard, inv.user_alloc + inv.probe_extra);
-  host_.cluster().erase_placed(inv.id);
+  host_.cluster().erase_placed(inv.id, inv.node);
   inv.running = false;
   inv.node = kNoNode;
   inv.progress = 0.0;
@@ -266,7 +266,7 @@ void InvocationLifecycle::handle_completion(InvocationId id,
   n.invocation_finished();
   n.containers().release(inv.func, host_.queue().now());
   n.release(inv.shard, inv.user_alloc + inv.probe_extra);
-  host_.cluster().erase_placed(id);
+  host_.cluster().erase_placed(id, inv.node);
   host_.cluster().record_series();
 
   host_.policy().on_complete(inv, host_.api());
@@ -297,7 +297,7 @@ void InvocationLifecycle::teardown_placement(Invocation& inv,
   if (inv.running) n.invocation_finished();
   if (release_container) n.containers().release(inv.func, host_.queue().now());
   n.release(inv.shard, inv.user_alloc + inv.probe_extra);
-  host_.cluster().erase_placed(inv.id);
+  host_.cluster().erase_placed(inv.id, inv.node);
   // Whatever was harvested from / lent to it is gone from its perspective;
   // the policy already reconciled its pool state (on_node_down for a crash,
   // on_drain_notice for a graceful drain).

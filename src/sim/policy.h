@@ -5,6 +5,7 @@
 // only through the EngineApi (the docker-update stand-in).
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -64,10 +65,28 @@ class EngineApi {
     return false;
   }
 
-  /// Invocations currently holding a node reservation (live, placed), in
-  /// ascending id order. The invariant auditor sums their user allocations
-  /// (plus probe extras) against each node's allocated totals.
-  virtual std::vector<InvocationId> placed_invocations() const { return {}; }
+  /// Invocations currently holding a reservation on `node` (live, placed),
+  /// in ascending id order — a reference into the engine's per-node list,
+  /// valid until the next placement or release. The invariant auditor sums
+  /// their user allocations (plus probe extras) against the node's
+  /// allocated totals in place.
+  virtual const std::vector<InvocationId>& placed_on(NodeId node) const {
+    (void)node;
+    static const std::vector<InvocationId> kNone;
+    return kNone;
+  }
+
+  /// Every placed invocation, in ascending id order: a fresh sorted copy of
+  /// the per-node lists, for cold paths (quarantine enforcement).
+  std::vector<InvocationId> placed_invocations() const {
+    std::vector<InvocationId> out;
+    for (const Node& n : nodes()) {
+      const auto& ids = placed_on(n.id());
+      out.insert(out.end(), ids.begin(), ids.end());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
 
   /// The owning controller's cached pool-status view of `node` (src/sim/ctrl,
   /// DESIGN.md §5k), or nullptr when the control plane is transparent (one

@@ -350,7 +350,7 @@ void ShardedController::commit_one(InvocationId id,
   }
   host_.control().on_decision(inv, first_choice, /*placed=*/true);
   inv.node = chosen;
-  host_.cluster().insert_placed(id);
+  host_.cluster().insert_placed(id, chosen);
   inv.t_sched_done = now;
   host_.cluster().record_series();
 
@@ -364,7 +364,7 @@ void ShardedController::commit_one(InvocationId id,
     ++metrics.cold_start_failures;
     host_.cluster().node(chosen).release(inv.shard, inv.user_alloc);
     inv.node = kNoNode;
-    host_.cluster().erase_placed(id);
+    host_.cluster().erase_placed(id, chosen);
     host_.cluster().record_series();
     // The failure only surfaces after the attempted creation time.
     host_.lifecycle().retry_or_lose(inv, acq.delay);

@@ -178,6 +178,26 @@ TEST(LintFlatHotPath, FiresOnMapMembersIncludingNested) {
   EXPECT_EQ(count_of(fs, Check::kFlatHotPath, false), 3);
 }
 
+TEST(LintFlatHotPath, FiresOnSetMembersOfEveryFlavour) {
+  const auto fs = run_fixture("flathot_set_fire.cpp",
+                              "src/sim/cluster_state.h", Check::kFlatHotPath);
+  // set, unordered_set, multiset, unordered_multiset and a vector of
+  // unordered_sets; the local set and the sorted-vector member stay clean.
+  EXPECT_EQ(count_of(fs, Check::kFlatHotPath, false), 5);
+  bool named_placed = false;
+  for (const auto& f : fs)
+    named_placed = named_placed ||
+                   f.message.find("std::unordered_set member 'placed_'") !=
+                       std::string::npos;
+  EXPECT_TRUE(named_placed);
+}
+
+TEST(LintFlatHotPath, SetMembersOutsideDesignatedFilesAreClean) {
+  const auto fs = run_fixture("flathot_set_fire.cpp", "src/core/libra_policy.h",
+                              Check::kFlatHotPath);
+  EXPECT_TRUE(fs.empty());
+}
+
 TEST(LintFlatHotPath, FlatMembersAndReasonedAllowAreClean) {
   const auto fs = run_fixture("flathot_clean.cpp", "src/core/harvest_pool.h",
                               Check::kFlatHotPath);

@@ -74,8 +74,8 @@ TEST(HarvestPoolStress, ConcurrentMixedOpsPreserveInvariants) {
             pool.preempt_source(source, now);
             break;
           default: {  // readers: consistent snapshots under contention
-            const auto st = pool.debug_state();
-            (void)st;
+            HarvestResourcePool::DebugState st;
+            pool.debug_state(st);
             const auto ii = pool.idle_integrals(now);
             EXPECT_GE(ii.cpu_core_seconds, 0.0);
             EXPECT_GE(ii.mem_mb_seconds, 0.0);
@@ -96,7 +96,8 @@ TEST(HarvestPoolStress, ConcurrentMixedOpsPreserveInvariants) {
 
   // The final state must still satisfy conservation exactly: per source,
   // idle + outstanding == harvested.
-  const auto st = pool.debug_state();
+  HarvestResourcePool::DebugState st;
+  pool.debug_state(st);
   for (const auto& e : st.entries) {
     double borrowed_cpu = 0.0, borrowed_mem = 0.0;
     for (const auto& b : st.borrows) {
@@ -142,7 +143,8 @@ TEST(HarvestPoolStress, ConcurrentPreemptAllNeverLeaksGrants) {
 
   // After a final crash-teardown the pool must be completely empty.
   pool.preempt_all(next_tick(clock));
-  const auto st = pool.debug_state();
+  HarvestResourcePool::DebugState st;
+  pool.debug_state(st);
   EXPECT_TRUE(st.entries.empty());
   EXPECT_TRUE(st.borrows.empty());
   EXPECT_EQ(pool.outstanding_borrows(), 0u);

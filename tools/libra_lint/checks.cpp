@@ -246,10 +246,11 @@ struct MemberDecl {
   bool is_util_mutex = false;
   bool is_std_mutex = false;
   bool exempt = false;  // const / reference / atomic / condition_variable
-  /// Map template name in the declared type ("map" / "unordered_map" / ...),
-  /// empty for non-map members. Includes maps nested inside other templates
-  /// (a vector-of-maps member is still a map per element).
-  std::string map_type;
+  /// Associative-container template name in the declared type ("map",
+  /// "unordered_set", ...), empty for other members. Includes containers
+  /// nested inside other templates (a vector-of-maps member is still a map
+  /// per element).
+  std::string assoc_type;
 };
 
 struct ClassInfo {
@@ -266,6 +267,15 @@ bool is_type_keyword(const std::string& s) {
   for (const char* k : kTypeKeywords)
     if (s == k) return true;
   return false;
+}
+
+/// The node-based associative containers flat-hot-path keeps out of the
+/// hot-path files: every map and set flavour, ordered or hashed.
+bool is_assoc_container(const std::string& s) {
+  static const std::set<std::string> kNames = {
+      "map", "unordered_map", "multimap", "unordered_multimap",
+      "set", "unordered_set", "multiset", "unordered_multiset"};
+  return kNames.count(s) != 0;
 }
 
 /// Classifies one class-body statement (tokens [b, e), no trailing ';').
@@ -352,11 +362,9 @@ bool classify_member(const Tokens& toks, size_t b, size_t e, bool had_body,
     if (s == "Mutex") out->is_util_mutex = true;
     if (s == "mutex" && i > 0 && stmt[i - 1].text == "::")
       out->is_std_mutex = true;
-    if ((s == "map" || s == "unordered_map" || s == "multimap" ||
-         s == "unordered_multimap") &&
-        i + 1 < stmt.size() && stmt[i + 1].text == "<" &&
-        out->map_type.empty())
-      out->map_type = s;
+    if (is_assoc_container(s) && i + 1 < stmt.size() &&
+        stmt[i + 1].text == "<" && out->assoc_type.empty())
+      out->assoc_type = s;
     if (s == "atomic" || s == "condition_variable" ||
         s == "condition_variable_any")
       out->exempt = true;
@@ -538,14 +546,15 @@ void check_flat_hot_path(const std::string& rule_path, const Tokens& toks,
   }
   for (const ClassInfo& cls : classes) {
     for (const MemberDecl& m : cls.members) {
-      if (m.map_type.empty()) continue;
+      if (m.assoc_type.empty()) continue;
       out->push_back(
           {Check::kFlatHotPath, rule_path, m.line,
-           "std::" + m.map_type + " member '" + m.name + "' in " + cls.name +
+           "std::" + m.assoc_type + " member '" + m.name + "' in " +
+               cls.name +
                ": per-decision state in the hot-path files lives in flat "
                "index-addressed vectors/slabs (DESIGN.md §5l) — use "
-               "node/slot-indexed storage, or ALLOW with the reason a map is "
-               "required",
+               "node/slot-indexed storage or sorted vectors, or ALLOW with "
+               "the reason a node-based container is required",
            false,
            {}});
     }

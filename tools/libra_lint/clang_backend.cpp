@@ -27,7 +27,9 @@
 //   flat-hot-path           delegated to the shared lexical pass — the
 //                           designated file list and the member-declaration
 //                           grammar are what the check is about; spelled-out
-//                           map members need no type resolution.
+//                           map and set members (ordered, unordered, multi)
+//                           need no type resolution, so this backend flags
+//                           exactly the members the lexical one does.
 //
 // Findings are deduplicated by (file, line, check) across TUs (headers are
 // parsed once per includer), filtered by the same rule-path scoping as the

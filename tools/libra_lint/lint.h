@@ -20,12 +20,13 @@
 //   ledger-narrowing        no float, C-style numeric casts, or implicit
 //                           double->integer narrowing in the harvest-pool /
 //                           conservation-ledger arithmetic files.
-//   flat-hot-path           no std::unordered_map / std::map data members in
-//                           the designated hot-path files (engine,
-//                           cluster_state, sharded_controller, harvest_pool):
-//                           per-decision state lives in flat index-addressed
-//                           vectors/slabs (DESIGN.md §5l); a map member needs
-//                           a reasoned ALLOW.
+//   flat-hot-path           no std map or set data members (ordered or
+//                           unordered, multi or not) in the designated
+//                           hot-path files (engine, cluster_state,
+//                           sharded_controller, harvest_pool): per-decision
+//                           state lives in flat index-addressed vectors/slabs
+//                           or sorted vectors (DESIGN.md §5l); such a member
+//                           needs a reasoned ALLOW.
 //
 // Suppressions: `// LIBRA_LINT_ALLOW(<check>): <reason>` on the finding line
 // or the line directly above; `LIBRA_LINT_ALLOW_FILE(<check>): <reason>`
