@@ -3,6 +3,7 @@
 #include "analysis/invariant_auditor.h"
 #include "core/libra_policy.h"
 #include "obs/obs_session.h"
+#include "workload/materialized_source.h"
 
 namespace libra::exp {
 
@@ -34,23 +35,23 @@ sim::EngineConfig jetstream_config(int nodes, int num_shards) {
 
 sim::RunMetrics run_experiment(const sim::EngineConfig& cfg,
                                std::shared_ptr<sim::Policy> policy,
-                               std::vector<sim::Invocation> trace) {
-  return run_experiment(cfg, std::move(policy), std::move(trace), nullptr);
+                               std::vector<sim::Invocation> trace,
+                               obs::ObsSession* obs) {
+  workload::MaterializedSource source(std::move(trace));
+  return run_experiment(cfg, std::move(policy), source, obs);
 }
 
-namespace {
-
-/// Shared auditor/obs wiring for both the materialized and streaming
-/// overloads: every experiment runs under the invariant auditor unless the
-/// caller installed their own hook. Small workloads are swept after every
-/// event; large ones are sampled so the O(placed + pools) sweep stays off
-/// the critical path (the always-on pool-internal audits cover every
-/// mutation either way).
-template <typename RunFn>
-sim::RunMetrics run_wired(const sim::EngineConfig& cfg,
-                          std::shared_ptr<sim::Policy> policy,
-                          obs::ObsSession* obs, size_t workload_size,
-                          RunFn&& run_fn) {
+sim::RunMetrics run_experiment(const sim::EngineConfig& cfg,
+                               std::shared_ptr<sim::Policy> policy,
+                               gen::TraceSource& source,
+                               obs::ObsSession* obs) {
+  // Every experiment runs under the invariant auditor unless the caller
+  // installed their own hook. Small workloads are swept after every event;
+  // large ones are sampled so the O(placed + pools) sweep stays off the
+  // critical path (the always-on pool-internal audits cover every mutation
+  // either way). size_hint() is 0 for unsized generators, which keeps the
+  // every-event sweep — generator smoke runs are small.
+  const size_t workload_size = source.size_hint();
   analysis::InvariantAuditorConfig audit_cfg;
   // Planet-scale streaming runs (10M+ invocations) keep the auditor but
   // stretch the sweep sampling further: each sweep is O(placed + nodes), and
@@ -78,35 +79,9 @@ sim::RunMetrics run_wired(const sim::EngineConfig& cfg,
   }
 
   sim::Engine engine(run_cfg, std::move(policy));
-  sim::RunMetrics metrics = run_fn(engine);
+  sim::RunMetrics metrics = engine.run(source);
   if (obs != nullptr) obs->finish(metrics);
   return metrics;
-}
-
-}  // namespace
-
-sim::RunMetrics run_experiment(const sim::EngineConfig& cfg,
-                               std::shared_ptr<sim::Policy> policy,
-                               std::vector<sim::Invocation> trace,
-                               obs::ObsSession* obs) {
-  const size_t size = trace.size();
-  return run_wired(cfg, std::move(policy), obs, size,
-                   [&trace](sim::Engine& engine) {
-                     return engine.run(std::move(trace));
-                   });
-}
-
-sim::RunMetrics run_experiment(const sim::EngineConfig& cfg,
-                               std::shared_ptr<sim::Policy> policy,
-                               gen::TraceSource& source,
-                               obs::ObsSession* obs) {
-  // size_hint() is 0 for unsized generators, which keeps the every-event
-  // sweep — generator smoke runs are small; big synthetic runs report their
-  // expected size and get the sampled sweep like big materialized traces.
-  return run_wired(cfg, std::move(policy), obs, source.size_hint(),
-                   [&source](sim::Engine& engine) {
-                     return engine.run(source);
-                   });
 }
 
 }  // namespace libra::exp

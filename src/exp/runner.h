@@ -27,28 +27,22 @@ sim::EngineConfig multi_node_config(int num_shards = 2);
 /// requested number of decentralized scheduler shards (§8.5).
 sim::EngineConfig jetstream_config(int nodes, int num_shards);
 
-/// Runs one experiment to completion.
-sim::RunMetrics run_experiment(const sim::EngineConfig& cfg,
-                               std::shared_ptr<sim::Policy> policy,
-                               std::vector<sim::Invocation> trace);
-
-/// Same, with an observability session interposed on the engine-audit,
-/// pool-event and policy-event seams. The session forwards every event to
-/// the invariant auditor (audit coverage is unchanged) and never mutates
-/// simulation state, so the returned RunMetrics are bit-identical to the
-/// plain overload for the same inputs — with obs enabled, disabled, or
-/// null. finish() is called on the session before returning.
+/// Runs one experiment over a pre-built trace (sorted by arrival): wraps it
+/// in a workload::MaterializedSource and calls the source overload below.
 sim::RunMetrics run_experiment(const sim::EngineConfig& cfg,
                                std::shared_ptr<sim::Policy> policy,
                                std::vector<sim::Invocation> trace,
-                               obs::ObsSession* obs);
+                               obs::ObsSession* obs = nullptr);
 
-/// Streaming variant: pulls the workload incrementally from a TraceSource
-/// (gen::SyntheticSource, workload::MaterializedSource, ...) instead of a
-/// pre-built invocation vector, so the trace never has to exist in memory
-/// all at once. Auditor sampling keys off source.size_hint(); everything
-/// else (auditor / obs wiring) matches the materialized overloads, and a
-/// MaterializedSource over the same trace yields bit-identical RunMetrics.
+/// Runs one experiment to completion, pulling the workload incrementally
+/// from `source` (gen::SyntheticSource, workload::MaterializedSource, ...),
+/// under the invariant auditor unless cfg.audit_hook is already set. The
+/// auditor's sampling keys off source.size_hint(). A non-null `obs` session
+/// is interposed on the engine-audit, pool-event and policy-event seams; it
+/// forwards every event to the auditor (audit coverage is unchanged) and
+/// never mutates simulation state, so the returned RunMetrics are
+/// bit-identical with obs enabled, disabled, or null. finish() is called on
+/// the session before returning.
 sim::RunMetrics run_experiment(const sim::EngineConfig& cfg,
                                std::shared_ptr<sim::Policy> policy,
                                gen::TraceSource& source,

@@ -4,7 +4,7 @@
 // and keep live memory proportional to the in-flight count instead of the
 // trace length (10M+ invocations never exist simultaneously).
 //
-// Header-only on purpose: `sim` (the engine's streaming run overload) and
+// Header-only on purpose: `sim` (Engine::run, the engine's one run path) and
 // `workload` (the MaterializedSource adapter) both consume the interface
 // without linking the generator library, keeping the dependency graph
 // acyclic: sim <- gen -> workload, exp -> everything.
@@ -32,8 +32,9 @@ class TraceSource {
   virtual sim::Invocation next() = 0;
 
   /// Upper bound on the last arrival time, known before the run starts.
-  /// Anchors the fault-injection churn horizon, exactly like the
-  /// materialized engine's scan over the trace.
+  /// Anchors the fault-injection churn horizon (horizon() +
+  /// EngineConfig::churn_horizon_pad); a MaterializedSource reports the
+  /// exact last arrival.
   virtual sim::SimTime horizon() const = 0;
 
   /// Expected number of invocations (0 = unknown); a sizing hint for audit

@@ -15,6 +15,7 @@
 #include "gen/synthetic_source.h"
 #include "sim/engine.h"
 #include "util/audit.h"
+#include "workload/materialized_source.h"
 
 namespace libra::chaos {
 
@@ -137,7 +138,8 @@ LegResult run_leg(const Scenario& sc, std::vector<sim::Invocation> trace,
   sim::Engine engine(cfg, policy);
 
   LegResult res;
-  res.metrics = engine.run(std::move(trace));
+  workload::MaterializedSource source(std::move(trace));
+  res.metrics = engine.run(source);
   // A run too short to reach at_event still proves the detection path: plant
   // the corruption now and re-audit.
   if (hook.armed() && !hook.fired()) hook.fire(res.metrics.makespan_end);

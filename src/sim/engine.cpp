@@ -1,7 +1,6 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -44,65 +43,18 @@ void Engine::notify_audit(const char* what, InvocationId inv, NodeId node_id) {
         *this, EngineEvent{what, audit_event_id_, inv, node_id});
 }
 
-RunMetrics Engine::run(std::vector<Invocation> trace) {
-  if (trace.empty()) return std::move(metrics_);
-  for (size_t i = 0; i < trace.size(); ++i) {
-    // `!(x >= 0)` instead of `x < 0`: a NaN arrival must be rejected here,
-    // not admitted into the event queue where it would poison the ordering.
-    if (!(trace[i].arrival >= 0.0))
-      throw std::invalid_argument(
-          "Engine: negative or NaN arrival time in trace");
-    if (i > 0 && trace[i].arrival < trace[i - 1].arrival)
-      throw std::invalid_argument(
-          "Engine: trace not sorted by arrival time (index " +
-          std::to_string(i) + " arrives at " +
-          std::to_string(trace[i].arrival) + " after " +
-          std::to_string(trace[i - 1].arrival) + ")");
-  }
-  total_ = trace.size();
-  metrics_.first_arrival = std::numeric_limits<double>::infinity();
-  SimTime last_arrival = 0.0;
-  for (auto& inv : trace) {
-    metrics_.first_arrival = std::min(metrics_.first_arrival, inv.arrival);
-    last_arrival = std::max(last_arrival, inv.arrival);
-    const InvocationId id = inv.id;
-    const SimTime at = inv.arrival;
-    if (!invocations_.insert(id, std::move(inv)))
-      throw std::invalid_argument("Engine: duplicate invocation id");
-    queue_.schedule(at, [this, id] { on_arrival(id); });
-  }
-  metrics_.peak_live_records = static_cast<long>(invocations_.size());
-  // Fault injection: materialize the churn timeline (scripted outages plus
-  // the sampled crash process) and schedule it like any other event.
-  fault_ = std::make_unique<fault::FaultInjector>(
-      cfg_.fault_plan, cfg_.fault_profile, cluster_->nodes().size(),
-      last_arrival + cfg_.churn_horizon_pad);
-  for (const auto& ev : fault_->churn()) {
-    const NodeId nid = ev.node;
-    if (ev.down)
-      queue_.schedule(ev.time, [this, nid] { cluster_->on_node_down(nid); });
-    else
-      queue_.schedule(ev.time, [this, nid] { cluster_->on_node_up(nid); });
-  }
-  schedule_drain_notices();
-  cluster_->start_health_pings(metrics_.first_arrival);
-  ctrlplane_->start(metrics_.first_arrival);
-  queue_.run();
-  return finish_run();
-}
-
 RunMetrics Engine::run(gen::TraceSource& source) {
   const auto first = source.peek_arrival();
   if (!first.has_value()) return std::move(metrics_);
+  // `!(x >= 0)` instead of `x < 0`: a NaN arrival must be rejected here,
+  // not admitted into the event queue where it would poison the ordering.
   if (!(*first >= 0.0))
     throw std::invalid_argument(
         "Engine: negative or NaN arrival time in stream");
   source_done_ = false;
-  recycle_active_ = cfg_.recycle_records;
   metrics_.first_arrival = *first;
-  // The churn horizon comes from the source's declared bound instead of a
-  // scan over the (never materialized) trace; MaterializedSource reports the
-  // exact last arrival, so replay digests are unaffected.
+  // The churn horizon comes from the source's declared bound; for a
+  // MaterializedSource that is the exact last arrival.
   fault_ = std::make_unique<fault::FaultInjector>(
       cfg_.fault_plan, cfg_.fault_profile, cluster_->nodes().size(),
       source.horizon() + cfg_.churn_horizon_pad);
@@ -118,24 +70,25 @@ RunMetrics Engine::run(gen::TraceSource& source) {
   ctrlplane_->start(metrics_.first_arrival);
   SimTime last_admitted = *first;
   for (;;) {
-    // Admit everything due at or before the next event (plus the look-ahead
-    // window). Arrivals enter on the event queue's arrival lane, so they
-    // beat every same-time dynamic event exactly as the materialized path's
-    // scheduled-first arrivals do.
+    // Admit everything due at or before the next event. Arrivals enter on
+    // the event queue's arrival lane, so they beat every same-time dynamic
+    // event, as they did when the golden digests were captured with every
+    // arrival scheduled up front.
     while (!source_done_) {
       const auto at = source.peek_arrival();
       if (!at.has_value()) {
         source_done_ = true;
         break;
       }
-      const SimTime due =
-          std::max(queue_.next_time(), queue_.now() + cfg_.admission_lookahead);
-      if (*at > due) break;
-      if (*at < last_admitted)
+      // NaN-proof like the first-arrival check above.
+      if (!(*at >= last_admitted))
         throw std::invalid_argument(
-            "Engine: stream not sorted by arrival time");
+            "Engine: arrival " + std::to_string(*at) + " after " +
+            std::to_string(last_admitted) +
+            " (stream not sorted by arrival time, or NaN)");
+      if (*at > queue_.next_time()) break;
       last_admitted = *at;
-      admit_streamed(source.next());
+      admit(source.next());
     }
     if (!queue_.step()) break;
     if (!pending_recycle_.empty()) drain_recycle();
@@ -155,14 +108,14 @@ void Engine::schedule_drain_notices() {
   }
 }
 
-void Engine::admit_streamed(Invocation&& inv) {
+void Engine::admit(Invocation&& inv) {
   const InvocationId id = inv.id;
   const SimTime at = inv.arrival;
   ++total_;
   // The store reuses a recycled slot (and the record's heap buffers) when
   // the free list is non-empty — the old extract()/insert(node) path.
   if (!invocations_.insert(id, std::move(inv)))
-    throw std::invalid_argument("Engine: duplicate invocation id in stream");
+    throw std::invalid_argument("Engine: duplicate invocation id");
   metrics_.peak_live_records = std::max(
       metrics_.peak_live_records, static_cast<long>(invocations_.size()));
   queue_.schedule_arrival(at, [this, id] { on_arrival(id); });
@@ -201,13 +154,9 @@ RunMetrics Engine::finish_run() {
   });
   std::sort(unfinished.begin(), unfinished.end());
   for (InvocationId id : unfinished) lifecycle_->finalize_record(invocation(id));
-  if (cfg_.retain_records) {
-    metrics_.incomplete = 0;
-    for (const auto& rec : metrics_.invocations)
-      if (!rec.completed && !rec.lost) ++metrics_.incomplete;
-  } else {
-    metrics_.incomplete = metrics_.finalized_incomplete;
-  }
+  // Every record was finalized exactly once, so the finalize-time counter
+  // is the incomplete count whether or not the records were retained.
+  metrics_.incomplete = metrics_.finalized_incomplete;
   if (metrics_.incomplete > 0)
     LIBRA_WARN() << metrics_.incomplete
                  << " invocations never completed (capacity starvation?)";

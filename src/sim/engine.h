@@ -38,16 +38,15 @@ class Engine final : public EngineApi, private EngineHost {
  public:
   Engine(EngineConfig cfg, std::shared_ptr<Policy> policy);
 
-  /// Runs the whole trace to completion and returns the collected metrics.
-  /// The trace must be sorted by arrival time.
-  RunMetrics run(std::vector<Invocation> trace);
-
-  /// Streaming run: pulls invocations from `source` just in time (plus
-  /// EngineConfig::admission_lookahead), so live memory tracks the in-flight
-  /// count instead of the stream length. Arrivals enter through the event
-  /// queue's arrival lane, which reproduces the materialized run's event
-  /// order exactly — a materialized trace pulled through this path yields
-  /// bit-identical RunMetrics (golden-digest asserted).
+  /// Runs the stream to completion and returns the collected metrics. The
+  /// one run path: invocations are pulled from `source` just in time (an
+  /// arrival is admitted once it is due no later than the next pending
+  /// event), so live memory tracks the in-flight count instead of the stream
+  /// length. A pre-built trace goes through workload::MaterializedSource.
+  /// Arrivals enter through the event queue's arrival lane, which wins every
+  /// same-time tie — the order the pinned golden digests were captured
+  /// under. Throws std::invalid_argument on a negative or NaN arrival, an
+  /// arrival earlier than its predecessor, or a duplicate id.
   RunMetrics run(gen::TraceSource& source);
 
   // ---- EngineApi ----
@@ -101,7 +100,7 @@ class Engine final : public EngineApi, private EngineHost {
   }
   InvocationStore& invocations_store() override { return invocations_; }
   void request_recycle(InvocationId id) override {
-    if (recycle_active_) pending_recycle_.push_back(id);
+    if (cfg_.recycle_records) pending_recycle_.push_back(id);
   }
   bool fault_active() const override { return fault_ && fault_->active(); }
   fault::FaultInjector* fault() override { return fault_.get(); }
@@ -118,9 +117,9 @@ class Engine final : public EngineApi, private EngineHost {
   /// schedules a cluster drain notice EngineConfig::spot_drain_notice seconds
   /// before the scripted crash (no-op when the notice lead time is 0).
   void schedule_drain_notices();
-  /// Inserts one streamed invocation (reusing a recycled store slot when
+  /// Inserts one admitted invocation (reusing a recycled store slot when
   /// available) and schedules its arrival on the arrival lane.
-  void admit_streamed(Invocation&& inv);
+  void admit(Invocation&& inv);
   /// Returns terminal records queued by request_recycle() to the store's
   /// slot free list. Only called between events, never mid-callback.
   void drain_recycle();
@@ -137,8 +136,7 @@ class Engine final : public EngineApi, private EngineHost {
   /// list; find() never hashes.
   InvocationStore invocations_;
   std::vector<InvocationId> pending_recycle_;
-  bool recycle_active_ = false;
-  /// False only while a streaming run still has unadmitted arrivals; keeps
+  /// False only while the run still has unadmitted arrivals; keeps
   /// run_live() (and thus the health-ping loop) honest about future work.
   bool source_done_ = true;
 

@@ -70,7 +70,6 @@ void EngineConfig::validate() const {
   require_finite_non_negative(churn_horizon_pad, "churn_horizon_pad");
   require_finite_non_negative(spot_drain_notice, "spot_drain_notice");
   require_finite_non_negative(series_resolution, "series_resolution");
-  require_finite_non_negative(admission_lookahead, "admission_lookahead");
   control.validate();
   fault_plan.validate(node_capacities.size());
   fault_profile.validate();

@@ -91,7 +91,7 @@ struct EngineConfig {
   /// Sampled churn extends this far past the last trace arrival.
   double churn_horizon_pad = 120.0;
 
-  // ---- Streaming / planet-scale (gen::TraceSource runs) ----
+  // ---- Record retention and memory (planet-scale streaming runs) ----
   /// Keep the per-invocation InvocationRecord vector in RunMetrics. Off:
   /// records only flow through `record_sink` and RunMetrics keeps O(1)
   /// counters — required for memory-flat 10M-invocation runs.
@@ -104,14 +104,10 @@ struct EngineConfig {
   /// 0 = record every change: exact, but O(#events) series memory plus an
   /// O(#nodes) allocated-sum per sample — prohibitive at planet scale.
   double series_resolution = 0.0;
-  /// Streaming admission look-ahead: arrivals due within this many
-  /// sim-seconds of the next pending event are admitted early. 0 = strict
-  /// just-in-time admission (minimal live set, same event order).
-  double admission_lookahead = 0.0;
-  /// Recycle terminal invocation records (their map nodes) through a free
-  /// list during streaming runs, so live memory tracks the in-flight count
-  /// instead of the stream length. Checked by the invariant auditor: a
-  /// recycled record is never referenced by a live continuation.
+  /// Recycle terminal invocation records (their store slots) through a free
+  /// list, so live memory tracks the in-flight count instead of the stream
+  /// length. Checked by the invariant auditor: a recycled record is never
+  /// referenced by a live continuation.
   bool recycle_records = false;
 
   /// Invariant auditor (src/analysis) notified after every dispatched event.

@@ -61,7 +61,7 @@ class EngineHost {
   /// Marks a TERMINAL invocation's record for free-list recycling. Deferred:
   /// the engine drains requests only between events, so `Invocation&`
   /// references held by the current callback chain stay valid. No-op unless
-  /// EngineConfig::recycle_records is on and a streaming run is active.
+  /// EngineConfig::recycle_records is on.
   virtual void request_recycle(InvocationId id) = 0;
 
   /// True while fault injection is configured for this run (scripted plan or

@@ -45,10 +45,10 @@ class EventQueue {
   }
 
   /// Schedules an ARRIVAL: at equal timestamps it dispatches before every
-  /// normally scheduled event, regardless of scheduling order. The streaming
-  /// admission path uses this to reproduce the materialized engine's event
-  /// order, where all trace arrivals are scheduled ahead of every dynamic
-  /// event and therefore win every same-time tie.
+  /// normally scheduled event, regardless of scheduling order. The engine's
+  /// just-in-time admission uses this to keep the event order the pinned
+  /// golden digests were captured under, when every trace arrival was
+  /// scheduled ahead of every dynamic event and so won every same-time tie.
   EventId schedule_arrival(SimTime t, Callback fn) {
     return schedule_lane(t, kArrivalLane, std::move(fn));
   }

@@ -125,8 +125,8 @@ struct RunMetrics {
   long finalized_completed = 0;
   long finalized_incomplete = 0;  // neither completed nor lost
   /// High-water mark of simultaneously live Invocation structs — the
-  /// memory-flatness signal for streaming runs (equals the trace length for
-  /// materialized runs, tracks the in-flight count when recycling).
+  /// memory-flatness signal for streaming runs (equals the stream length
+  /// unless recycle_records is on, then tracks the in-flight count).
   long peak_live_records = 0;
 
   /// Multi-controller control plane (src/sim/ctrl): per-controller

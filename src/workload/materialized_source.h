@@ -1,8 +1,10 @@
-// Adapter: wraps a fully materialized trace (today's generate_trace output)
-// behind the pull-based gen::TraceSource interface, so every existing
-// scenario can run through the engine's streaming admission path. Pulling a
-// materialized trace through the stream must reproduce the materialized
-// run's RunMetrics digest bit-for-bit (asserted by tests/test_streaming.cpp).
+// Adapter: wraps a fully materialized trace (the workload:: generators'
+// output) behind the pull-based gen::TraceSource interface. It is how a
+// pre-built trace reaches Engine::run, the engine's one run path:
+// exp::run_experiment's vector overload, the chaos oracle and the tests all
+// build one at the call site. It lives here rather than in `sim` because
+// `workload` links `sim`. The golden replay digests are pinned through it
+// (tests/test_golden_replay.cpp, tests/test_streaming.cpp).
 #pragma once
 
 #include <utility>
@@ -15,7 +17,8 @@ namespace libra::workload {
 
 class MaterializedSource final : public gen::TraceSource {
  public:
-  /// The trace must be sorted by arrival (same contract as Engine::run).
+  /// The trace must be sorted by arrival; throws std::invalid_argument
+  /// otherwise. NaN arrivals pass this check — Engine::run rejects them.
   explicit MaterializedSource(std::vector<sim::Invocation> trace);
 
   std::optional<sim::SimTime> peek_arrival() override;

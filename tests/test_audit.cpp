@@ -23,6 +23,7 @@
 #include "sim/node.h"
 #include "util/audit.h"
 #include "workload/function_catalog.h"
+#include "workload/materialized_source.h"
 #include "workload/trace.h"
 
 namespace libra {
@@ -211,7 +212,9 @@ TEST(InvariantAuditor, SweepsEveryEngineEventInLibraRun) {
 
   const long failures_before = util::audit::failures_observed();
   sim::Engine engine(cfg, policy);
-  auto m = engine.run(workload::single_node_trace(*catalog(), 7));
+  workload::MaterializedSource source(
+      workload::single_node_trace(*catalog(), 7));
+  auto m = engine.run(source);
   EXPECT_EQ(m.incomplete, 0);
   EXPECT_EQ(util::audit::failures_observed(), failures_before);
 
@@ -232,7 +235,9 @@ TEST(InvariantAuditor, SamplingHonorsEveryN) {
   auto engine_cfg = exp::single_node_config();
   engine_cfg.audit_hook = &auditor;
   sim::Engine engine(engine_cfg, policy);
-  engine.run(workload::single_node_trace(*catalog(), 11));
+  workload::MaterializedSource source(
+      workload::single_node_trace(*catalog(), 11));
+  engine.run(source);
 
   ASSERT_GT(auditor.stats().engine_events, 10);
   EXPECT_LT(auditor.stats().sweeps, auditor.stats().engine_events);

@@ -17,6 +17,7 @@
 #include "sim/engine.h"
 #include "util/audit.h"
 #include "workload/function_catalog.h"
+#include "workload/materialized_source.h"
 #include "workload/trace.h"
 
 namespace libra {
@@ -297,8 +298,9 @@ TEST(CtrlConflict, StaleCommitRequeuesAndNeverLosesWork) {
       dynamic_cast<core::LibraPolicy*>(policy.get()));
   const long failures_before = util::audit::failures_observed();
   Engine engine(cfg, policy);
-  auto m = engine.run(workload::multi_trace(*catalog(), /*rpm=*/120,
-                                            /*seed=*/5));
+  workload::MaterializedSource source(
+      workload::multi_trace(*catalog(), /*rpm=*/120, /*seed=*/5));
+  auto m = engine.run(source);
 
   // Conflicts happened and were resolved by reject-and-requeue: nothing was
   // silently over-committed (auditor + conservation ledger stayed clean) and

@@ -7,6 +7,7 @@
 #include "exp/runner.h"
 #include "sim/engine.h"
 #include "workload/function_catalog.h"
+#include "workload/materialized_source.h"
 #include "workload/trace.h"
 
 namespace libra::sim {
@@ -20,7 +21,8 @@ std::shared_ptr<const FunctionCatalog> catalog() {
 
 RunMetrics run_default(std::vector<Invocation> trace, EngineConfig cfg) {
   Engine engine(cfg, std::make_shared<baselines::DefaultPolicy>());
-  return engine.run(std::move(trace));
+  workload::MaterializedSource source(std::move(trace));
+  return engine.run(source);
 }
 
 TEST(Engine, CompletesEveryInvocation) {
@@ -54,7 +56,8 @@ TEST(Engine, ExecutionTimeMatchesModelWithoutContention) {
   ExecutionModel model(cfg.exec);
   const double expected_exec =
       model.exec_time(trace[0].user_alloc, trace[0].truth);
-  auto m = engine.run(trace);
+  workload::MaterializedSource source(trace);
+  auto m = engine.run(source);
   ASSERT_EQ(m.invocations.size(), 1u);
   const auto& rec = m.invocations[0];
   EXPECT_NEAR(rec.stage_exec, expected_exec, 1e-6);
@@ -104,7 +107,8 @@ TEST(Engine, RejectsOversizedInvocationGracefully) {
   trace[0].user_alloc = {1000, 1024};  // cannot fit any node
   EngineConfig cfg = exp::single_node_config();
   Engine engine(cfg, std::make_shared<baselines::DefaultPolicy>());
-  auto m = engine.run(std::move(trace));
+  workload::MaterializedSource source(std::move(trace));
+  auto m = engine.run(source);
   EXPECT_EQ(m.incomplete, 1);
   EXPECT_FALSE(m.invocations[0].completed);
 }
@@ -116,7 +120,8 @@ TEST(Engine, QueuesWhenCapacityExhausted) {
   cfg.num_shards = 1;
   auto trace = workload::burst_trace(*catalog(), 30, 21);
   Engine engine(cfg, std::make_shared<baselines::DefaultPolicy>());
-  auto m = engine.run(std::move(trace));
+  workload::MaterializedSource source(std::move(trace));
+  auto m = engine.run(source);
   EXPECT_EQ(m.incomplete, 0);
   double max_sched_wait = 0;
   for (const auto& rec : m.invocations)
@@ -130,7 +135,8 @@ TEST(Engine, ShardedCapacityIsIndependent) {
   cfg.num_shards = 4;
   auto trace = workload::burst_trace(*catalog(), 40, 23);
   Engine engine(cfg, std::make_shared<baselines::DefaultPolicy>());
-  auto m = engine.run(std::move(trace));
+  workload::MaterializedSource source(std::move(trace));
+  auto m = engine.run(source);
   EXPECT_EQ(m.incomplete, 0);
 }
 
@@ -152,7 +158,8 @@ TEST(Engine, DuplicateInvocationIdsRejected) {
   trace[1].id = trace[0].id;
   Engine engine(exp::single_node_config(),
                 std::make_shared<baselines::DefaultPolicy>());
-  EXPECT_THROW(engine.run(std::move(trace)), std::invalid_argument);
+  workload::MaterializedSource source(std::move(trace));
+  EXPECT_THROW(engine.run(source), std::invalid_argument);
 }
 
 TEST(Engine, MeasuresRealSchedulingOverheadWhenAsked) {
@@ -160,7 +167,8 @@ TEST(Engine, MeasuresRealSchedulingOverheadWhenAsked) {
   cfg.measure_real_sched_overhead = true;
   auto trace = workload::burst_trace(*catalog(), 20, 27);
   Engine engine(cfg, std::make_shared<baselines::DefaultPolicy>());
-  auto m = engine.run(std::move(trace));
+  workload::MaterializedSource source(std::move(trace));
+  auto m = engine.run(source);
   EXPECT_GE(m.sched_overhead_seconds.size(), 20u);
   for (double s : m.sched_overhead_seconds) {
     EXPECT_GE(s, 0.0);

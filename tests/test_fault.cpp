@@ -3,7 +3,10 @@
 // and the harvest-safety invariant — no grant from a dead node survives it.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -12,9 +15,11 @@
 #include "core/profiler.h"
 #include "exp/platforms.h"
 #include "exp/runner.h"
+#include "gen/trace_source.h"
 #include "sim/engine.h"
 #include "sim/fault/fault_injector.h"
 #include "workload/function_catalog.h"
+#include "workload/materialized_source.h"
 #include "workload/trace.h"
 
 namespace libra {
@@ -113,7 +118,77 @@ TEST(EngineValidation, RejectsUnsortedTrace) {
   Engine engine(cfg, std::make_shared<baselines::DefaultPolicy>());
   auto trace = workload::burst_trace(*catalog(), 2, 11);
   trace[0].arrival = 5.0;  // arrives after trace[1] at t=0
-  EXPECT_THROW(engine.run(std::move(trace)), std::invalid_argument);
+  // Thrown by the MaterializedSource constructor; ArrivalListSource below
+  // covers the engine's own order check.
+  EXPECT_THROW(
+      {
+        workload::MaterializedSource source(std::move(trace));
+        engine.run(source);
+      },
+      std::invalid_argument);
+}
+
+/// Yields invocations with the given arrival times verbatim — no order or
+/// NaN checks of its own, so the engine's admission checks are what a test
+/// exercises.
+class ArrivalListSource final : public gen::TraceSource {
+ public:
+  explicit ArrivalListSource(const std::vector<double>& arrivals)
+      : trace_(workload::burst_trace(*catalog(), arrivals.size(), 11)) {
+    for (size_t i = 0; i < arrivals.size(); ++i) {
+      trace_[i].arrival = arrivals[i];
+      horizon_ = std::fmax(horizon_, arrivals[i]);
+    }
+  }
+  std::optional<sim::SimTime> peek_arrival() override {
+    if (pos_ >= trace_.size()) return std::nullopt;
+    return trace_[pos_].arrival;
+  }
+  Invocation next() override { return std::move(trace_[pos_++]); }
+  sim::SimTime horizon() const override { return horizon_; }
+
+ private:
+  std::vector<Invocation> trace_;
+  size_t pos_ = 0;
+  sim::SimTime horizon_ = 0.0;
+};
+
+EngineConfig one_node_config() {
+  EngineConfig cfg;
+  cfg.node_capacities = {Resources{8, 8192}};
+  return cfg;
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(EngineValidation, RejectsNanArrivalMidStream) {
+  // A NaN past the first arrival must never reach the event queue: there it
+  // breaks the time ordering and the run never returns.
+  Engine engine(one_node_config(),
+                std::make_shared<baselines::DefaultPolicy>());
+  ArrivalListSource source({0.0, kNaN, 0.0});
+  EXPECT_THROW(engine.run(source), std::invalid_argument);
+}
+
+TEST(EngineValidation, RejectsOutOfOrderStream) {
+  for (const auto& arrivals :
+       std::vector<std::vector<double>>{{0.0, -1.0}, {1.0, 0.0}}) {
+    Engine engine(one_node_config(),
+                  std::make_shared<baselines::DefaultPolicy>());
+    ArrivalListSource source(arrivals);
+    EXPECT_THROW(engine.run(source), std::invalid_argument)
+        << arrivals[0] << " then " << arrivals[1];
+  }
+}
+
+TEST(EngineValidation, RejectsNanArrivalInMaterializedTrace) {
+  auto trace = workload::burst_trace(*catalog(), 3, 11);
+  trace[1].arrival = kNaN;
+  // The constructor's order check cannot see a NaN; the engine must.
+  workload::MaterializedSource source(std::move(trace));
+  Engine engine(one_node_config(),
+                std::make_shared<baselines::DefaultPolicy>());
+  EXPECT_THROW(engine.run(source), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------ injector
@@ -281,8 +356,9 @@ RunMetrics run_scripted_crash(PoolInvariantObserver** observer_out) {
   auto observer = std::make_shared<PoolInvariantObserver>(make_libra());
   if (observer_out) *observer_out = observer.get();
   Engine engine(cfg, observer);
-  auto m = engine.run(workload::multi_trace(*catalog(), /*rpm=*/120,
-                                            /*seed=*/5));
+  workload::MaterializedSource source(
+      workload::multi_trace(*catalog(), /*rpm=*/120, /*seed=*/5));
+  auto m = engine.run(source);
   return m;
 }
 
@@ -293,7 +369,9 @@ TEST(ChurnIntegration, ScriptedCrashRecoversSafely) {
   auto observer = std::make_shared<PoolInvariantObserver>(make_libra());
   obs = observer.get();
   Engine engine(cfg, observer);
-  auto m = engine.run(workload::multi_trace(*catalog(), 120, 5));
+  workload::MaterializedSource source(
+      workload::multi_trace(*catalog(), 120, 5));
+  auto m = engine.run(source);
 
   // The crash and the recovery both happened, and the dead node's pool was
   // fully drained before the engine reaped it.
@@ -347,7 +425,9 @@ TEST(ChurnIntegration, ProbabilisticFaultsAreSeedReproducible) {
     cfg.fault_profile.cold_start_fail_prob = 0.02;
     cfg.placement_timeout = 60.0;
     Engine engine(cfg, std::make_shared<baselines::DefaultPolicy>());
-    return engine.run(workload::multi_trace(*catalog(), 60, 3));
+    workload::MaterializedSource source(
+        workload::multi_trace(*catalog(), 60, 3));
+    return engine.run(source);
   };
   auto a = run_once();
   auto b = run_once();
@@ -368,7 +448,9 @@ TEST(ChurnIntegration, CrashedWorkRetriesOntoSurvivingNode) {
   cfg.num_shards = 1;
   cfg.fault_plan.outages.push_back({0, /*down_at=*/0.7, /*up_at=*/kNever});
   Engine engine(cfg, std::make_shared<baselines::DefaultPolicy>());
-  auto m = engine.run(workload::burst_trace(*catalog(), 12, 21));
+  workload::MaterializedSource source(
+      workload::burst_trace(*catalog(), 12, 21));
+  auto m = engine.run(source);
   EXPECT_EQ(m.node_crashes, 1);
   EXPECT_EQ(m.node_recoveries, 0);
   EXPECT_GT(m.fault_retries, 0);
@@ -385,7 +467,8 @@ TEST(ChurnIntegration, RetryBudgetExhaustionLosesInvocations) {
   cfg.placement_timeout = 5.0;
   cfg.max_fault_retries = 1;
   Engine engine(cfg, std::make_shared<baselines::DefaultPolicy>());
-  auto m = engine.run(workload::burst_trace(*catalog(), 5, 31));
+  workload::MaterializedSource source(workload::burst_trace(*catalog(), 5, 31));
+  auto m = engine.run(source);
   EXPECT_EQ(m.node_crashes, 1);
   EXPECT_GT(m.lost_invocations, 0);
   EXPECT_LT(m.goodput(), 1.0);
@@ -398,7 +481,8 @@ TEST(ChurnIntegration, ColdStartFailureWindowRetriesThenSucceeds) {
   EngineConfig cfg = exp::single_node_config();
   cfg.fault_plan.cold_start_failures = {{kAllNodes, 0.0, 0.2}};
   Engine engine(cfg, std::make_shared<baselines::DefaultPolicy>());
-  auto m = engine.run(workload::burst_trace(*catalog(), 3, 41));
+  workload::MaterializedSource source(workload::burst_trace(*catalog(), 3, 41));
+  auto m = engine.run(source);
   EXPECT_GT(m.cold_start_failures, 0);
   EXPECT_GT(m.fault_retries, 0);
   EXPECT_EQ(m.incomplete, 0);
@@ -410,7 +494,8 @@ TEST(ChurnIntegration, PingBlackoutCountsDropsWithoutLosingWork) {
   EngineConfig cfg = exp::multi_node_config();
   cfg.fault_plan.ping_blackouts = {{kAllNodes, 1.0, 6.0}};
   Engine engine(cfg, std::make_shared<baselines::DefaultPolicy>());
-  auto m = engine.run(workload::multi_trace(*catalog(), 60, 7));
+  workload::MaterializedSource source(workload::multi_trace(*catalog(), 60, 7));
+  auto m = engine.run(source);
   EXPECT_GT(m.dropped_health_pings, 0);
   EXPECT_EQ(m.node_crashes, 0);
   EXPECT_DOUBLE_EQ(m.goodput(), 1.0);
@@ -420,7 +505,9 @@ TEST(ChurnIntegration, MonitorBlackoutBlindsTheSafeguard) {
   EngineConfig cfg = exp::single_node_config();
   cfg.fault_plan.monitor_blackouts = {{kAllNodes, 0.0, kNever}};
   Engine engine(cfg, make_libra());
-  auto m = engine.run(workload::single_node_trace(*catalog(), 7));
+  workload::MaterializedSource source(
+      workload::single_node_trace(*catalog(), 7));
+  auto m = engine.run(source);
   EXPECT_GT(m.suppressed_monitor_ticks, 0);
   EXPECT_EQ(m.policy.safeguard_triggers, 0);
 }
@@ -447,7 +534,8 @@ TEST(ChurnIntegration, StaleHealthViewDecisionsAreCounted) {
   cfg.fault_plan.outages.push_back({0, /*down_at=*/0.2, /*up_at=*/kNever});
   cfg.placement_timeout = 3.0;
   Engine engine(cfg, std::make_shared<PinnedPolicy>());
-  auto m = engine.run(workload::burst_trace(*catalog(), 5, 51));
+  workload::MaterializedSource source(workload::burst_trace(*catalog(), 5, 51));
+  auto m = engine.run(source);
   // Every post-crash decision picked the dead node off the stale view.
   EXPECT_GT(m.stale_snapshot_decisions, 0);
   EXPECT_GT(m.lost_invocations, 0);
@@ -460,7 +548,8 @@ TEST(ChurnIntegration, FaultFreeRunsAreUnperturbed) {
   // subsystem existed (no retries, losses, drops or suppressions).
   EngineConfig cfg = exp::multi_node_config();
   Engine engine(cfg, std::make_shared<baselines::DefaultPolicy>());
-  auto m = engine.run(workload::multi_trace(*catalog(), 60, 7));
+  workload::MaterializedSource source(workload::multi_trace(*catalog(), 60, 7));
+  auto m = engine.run(source);
   EXPECT_EQ(m.node_crashes, 0);
   EXPECT_EQ(m.fault_retries, 0);
   EXPECT_EQ(m.lost_invocations, 0);

@@ -21,57 +21,28 @@
 // diff is exactly the ordering fix.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <string>
+#include <utility>
 
 #include "exp/digest.h"
-#include "exp/platforms.h"
 #include "exp/runner.h"
-#include "workload/function_catalog.h"
-#include "workload/trace.h"
 
 #include "golden_cases.h"
+#include "golden_scenario.h"
 
 namespace libra {
 namespace {
 
 using golden::GoldenCase;
 
-std::shared_ptr<const sim::FunctionCatalog> catalog() {
-  static auto cat =
-      std::make_shared<const sim::FunctionCatalog>(workload::sebs_catalog());
-  return cat;
-}
-
 // Builds the scenario fresh on every call: policies are stateful, so each
 // (scenario, worker-count, controller-count) run needs its own instance.
 uint64_t run_scenario(const std::string& name, int sched_workers,
                       int controllers = 1) {
-  auto cat = catalog();
-  sim::EngineConfig cfg;
-  std::shared_ptr<sim::Policy> policy;
-  std::vector<sim::Invocation> trace;
-  if (name == "default" || name == "freyr" || name == "libra" ||
-      name == "libra_trust") {
-    cfg = exp::jetstream_config(8, 4);
-    trace = workload::multi_trace(*cat, 120, 5);
-    const exp::PlatformKind kind =
-        name == "default"  ? exp::PlatformKind::kDefault
-        : name == "freyr"  ? exp::PlatformKind::kFreyr
-        : name == "libra"  ? exp::PlatformKind::kLibra
-                           : exp::PlatformKind::kLibraTrust;
-    policy = exp::make_platform(kind, cat);
-  } else {
-    cfg = exp::multi_node_config(4);
-    trace = workload::multi_trace(*cat, 120, 7);
-    const exp::SchedulerKind kind =
-        name == "sched_rr"    ? exp::SchedulerKind::kRoundRobin
-        : name == "sched_jsq" ? exp::SchedulerKind::kJsq
-                              : exp::SchedulerKind::kMws;
-    policy = exp::make_scheduler_platform(kind, cat);
-  }
-  cfg.sched_workers = sched_workers;
-  cfg.control.num_controllers = controllers;
-  const auto metrics = exp::run_experiment(cfg, policy, std::move(trace));
+  auto s = golden::build_scenario(name);
+  s.cfg.sched_workers = sched_workers;
+  s.cfg.control.num_controllers = controllers;
+  const auto metrics = exp::run_experiment(s.cfg, s.policy, std::move(s.trace));
   return exp::run_metrics_digest(metrics);
 }
 

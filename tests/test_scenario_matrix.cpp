@@ -19,6 +19,7 @@
 #include "sim/fault/fault_plan.h"
 #include "util/audit.h"
 #include "workload/function_catalog.h"
+#include "workload/materialized_source.h"
 #include "workload/trace.h"
 
 namespace libra {
@@ -79,7 +80,9 @@ RunMetrics run_spot(std::shared_ptr<LibraPolicy> policy, bool spot,
   EngineConfig cfg = spot_config(spot, notice);
   if (probe != nullptr) cfg.audit_hook = probe;
   Engine engine(cfg, policy);
-  return engine.run(workload::multi_trace(*catalog(), /*rpm=*/120, /*seed=*/5));
+  workload::MaterializedSource source(
+      workload::multi_trace(*catalog(), /*rpm=*/120, /*seed=*/5));
+  return engine.run(source);
 }
 
 // ------------------------------------------------------- spot drain notices

@@ -1,16 +1,16 @@
-// Streaming-equivalence guard for the pull-based TraceSource path: a
-// materialized trace pulled through Engine::run(gen::TraceSource&) must
-// reproduce the pre-refactor golden replay digests BIT-FOR-BIT (the pinned
-// constants of tests/test_golden_replay.cpp, shared via tests/golden_cases.h),
-// with 1 and 4 scheduler workers, with and without invocation-record
-// recycling. Also checks the sketch-backed sink mode (retain_records off):
-// its aggregates must match the retained records, and live memory must track
-// the in-flight count.
+// Recycling and worker-count guard for the engine's run path: the golden
+// scenarios pulled through the source overload of exp::run_experiment must
+// reproduce the pinned replay digests BIT-FOR-BIT (the constants of
+// tests/test_golden_replay.cpp, shared via tests/golden_cases.h), with 1 and
+// 4 scheduler workers, with and without invocation-record recycling. Also
+// checks the sketch-backed sink mode (retain_records off): its aggregates
+// must match the retained records, and live memory must track the in-flight
+// count.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "exp/digest.h"
 #include "exp/platforms.h"
@@ -19,56 +19,21 @@
 #include "exp/streaming_collector.h"
 #include "gen/synthetic_source.h"
 #include "util/stats.h"
-#include "workload/function_catalog.h"
 #include "workload/materialized_source.h"
-#include "workload/trace.h"
 
 #include "golden_cases.h"
+#include "golden_scenario.h"
 
 namespace libra {
 namespace {
 
-std::shared_ptr<const sim::FunctionCatalog> catalog() {
-  static auto cat =
-      std::make_shared<const sim::FunctionCatalog>(workload::sebs_catalog());
-  return cat;
-}
-
-void build_scenario(const std::string& name, sim::EngineConfig* cfg,
-                    std::shared_ptr<sim::Policy>* policy,
-                    std::vector<sim::Invocation>* trace) {
-  auto cat = catalog();
-  if (name == "default" || name == "freyr" || name == "libra" ||
-      name == "libra_trust") {
-    *cfg = exp::jetstream_config(8, 4);
-    *trace = workload::multi_trace(*cat, 120, 5);
-    const exp::PlatformKind kind =
-        name == "default"  ? exp::PlatformKind::kDefault
-        : name == "freyr"  ? exp::PlatformKind::kFreyr
-        : name == "libra"  ? exp::PlatformKind::kLibra
-                           : exp::PlatformKind::kLibraTrust;
-    *policy = exp::make_platform(kind, cat);
-  } else {
-    *cfg = exp::multi_node_config(4);
-    *trace = workload::multi_trace(*cat, 120, 7);
-    const exp::SchedulerKind kind =
-        name == "sched_rr"    ? exp::SchedulerKind::kRoundRobin
-        : name == "sched_jsq" ? exp::SchedulerKind::kJsq
-                              : exp::SchedulerKind::kMws;
-    *policy = exp::make_scheduler_platform(kind, cat);
-  }
-}
-
 uint64_t run_streamed(const std::string& name, int sched_workers,
                       bool recycle) {
-  sim::EngineConfig cfg;
-  std::shared_ptr<sim::Policy> policy;
-  std::vector<sim::Invocation> trace;
-  build_scenario(name, &cfg, &policy, &trace);
-  cfg.sched_workers = sched_workers;
-  cfg.recycle_records = recycle;
-  workload::MaterializedSource source(std::move(trace));
-  const auto metrics = exp::run_experiment(cfg, policy, source);
+  auto s = golden::build_scenario(name);
+  s.cfg.sched_workers = sched_workers;
+  s.cfg.recycle_records = recycle;
+  workload::MaterializedSource source(std::move(s.trace));
+  const auto metrics = exp::run_experiment(s.cfg, s.policy, source);
   return exp::run_metrics_digest(metrics);
 }
 
@@ -78,7 +43,7 @@ TEST_P(StreamingGolden, OneWorkerMatchesGoldenDigest) {
   const auto& c = GetParam();
   EXPECT_EQ(exp::digest_hex(run_streamed(c.name, 1, false)),
             exp::digest_hex(c.digest))
-      << "streaming admission diverged from the materialized path for "
+      << "the run path diverged from the pinned golden digest for "
       << c.name;
 }
 
@@ -86,7 +51,7 @@ TEST_P(StreamingGolden, FourWorkersMatchGoldenDigest) {
   const auto& c = GetParam();
   EXPECT_EQ(exp::digest_hex(run_streamed(c.name, 4, false)),
             exp::digest_hex(c.digest))
-      << "streaming admission diverged from the materialized path for "
+      << "the run path diverged from the pinned golden digest for "
       << c.name << " with sched_workers=4";
 }
 
@@ -117,25 +82,19 @@ INSTANTIATE_TEST_SUITE_P(AllScenarios, StreamingGolden,
 // ---------------- sink mode (retain_records off) ----------------
 
 TEST(Streaming, SinkAggregatesMatchRetainedRecords) {
-  // Reference: retained records through the materialized path.
-  sim::EngineConfig cfg;
-  std::shared_ptr<sim::Policy> policy;
-  std::vector<sim::Invocation> trace;
-  build_scenario("libra", &cfg, &policy, &trace);
-  auto trace_copy = trace;
-  const auto retained = exp::run_experiment(cfg, policy, std::move(trace));
+  // Reference: retained records, no recycling.
+  auto ref = golden::build_scenario("libra");
+  const auto retained =
+      exp::run_experiment(ref.cfg, ref.policy, std::move(ref.trace));
 
   // Sink mode: no record vector, records recycled, collector sketches.
-  sim::EngineConfig scfg;
-  std::shared_ptr<sim::Policy> spolicy;
-  std::vector<sim::Invocation> unused;
-  build_scenario("libra", &scfg, &spolicy, &unused);
-  scfg.retain_records = false;
-  scfg.recycle_records = true;
+  auto s = golden::build_scenario("libra");
+  s.cfg.retain_records = false;
+  s.cfg.recycle_records = true;
   exp::StreamingCollector collector;
-  scfg.record_sink = &collector;
-  workload::MaterializedSource source(std::move(trace_copy));
-  const auto streamed = exp::run_experiment(scfg, spolicy, source);
+  s.cfg.record_sink = &collector;
+  workload::MaterializedSource source(std::move(s.trace));
+  const auto streamed = exp::run_experiment(s.cfg, s.policy, source);
 
   EXPECT_TRUE(streamed.invocations.empty());
   ASSERT_EQ(collector.records(),
@@ -169,15 +128,12 @@ TEST(Streaming, SinkAggregatesMatchRetainedRecords) {
 }
 
 TEST(Streaming, RecyclingKeepsLiveRecordsBelowTraceLength) {
-  sim::EngineConfig cfg;
-  std::shared_ptr<sim::Policy> policy;
-  std::vector<sim::Invocation> trace;
-  build_scenario("default", &cfg, &policy, &trace);
-  const size_t n = trace.size();
-  cfg.retain_records = false;
-  cfg.recycle_records = true;
-  workload::MaterializedSource source(std::move(trace));
-  const auto m = exp::run_experiment(cfg, policy, source);
+  auto s = golden::build_scenario("default");
+  const size_t n = s.trace.size();
+  s.cfg.retain_records = false;
+  s.cfg.recycle_records = true;
+  workload::MaterializedSource source(std::move(s.trace));
+  const auto m = exp::run_experiment(s.cfg, s.policy, source);
   EXPECT_EQ(m.finalized_records, static_cast<long>(n));
   EXPECT_GT(m.peak_live_records, 0);
   // The whole point of recycling: live records track in-flight count, not
