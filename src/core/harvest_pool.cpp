@@ -140,9 +140,7 @@ void HarvestResourcePool::unlink_src_locked(Entry& entry, int32_t idx) {
 }
 
 void HarvestResourcePool::audit_invariants_locked(SimTime now) const {
-  // Per-source outstanding grant totals, accumulated in the global
-  // insertion-order walk (the legacy borrows_ vector's order).
-  std::map<InvocationId, Resources> borrowed;
+  // Per-record checks, in the global insertion-order walk.
   for (int32_t idx = borrow_head_; idx != -1;
        idx = borrow_slab_[static_cast<size_t>(idx)].next_order) {
     const BorrowRecord& r = borrow_slab_[static_cast<size_t>(idx)];
@@ -165,41 +163,41 @@ void HarvestResourcePool::audit_invariants_locked(SimTime now) const {
                             << " borrow_expiry=" << r.est_expiry
                             << " entry_expiry=" << entry->est_expiry);
     }
-    borrowed[r.source] += r.amount;
   }
   // Per-tenant quota: no tenant's concurrently borrowed volume may exceed
   // its registered cap (per axis; tenants without a quota are unrestricted).
-  if (!tenant_quotas_.empty()) {
-    std::map<int, Resources> per_tenant;
-    for (int32_t idx = borrow_head_; idx != -1;
-         idx = borrow_slab_[static_cast<size_t>(idx)].next_order) {
-      const BorrowRecord& r = borrow_slab_[static_cast<size_t>(idx)];
-      per_tenant[r.tenant] += r.amount;
-    }
-    for (const auto& [tenant, outstanding] : per_tenant) {
-      const Resources* cap = find_quota_locked(tenant);
-      if (cap == nullptr) continue;
-      LIBRA_AUDIT_CHECK(
-          outstanding.cpu <= cap->cpu + 1e-6 + 1e-9 * cap->cpu &&
-              outstanding.mem <= cap->mem + 1e-6 + 1e-9 * cap->mem,
-          "tenant quota exceeded: tenant="
-              << tenant << " outstanding=" << outstanding.to_string()
-              << " quota=" << cap->to_string() << " now=" << now);
-    }
+  // The quota table is sorted by tenant, and tenant_outstanding_locked sums
+  // in the global insertion order, so sums and report order are those of
+  // the former per-tenant map.
+  for (const TenantQuota& q : tenant_quotas_) {
+    const Resources outstanding = tenant_outstanding_locked(q.tenant);
+    LIBRA_AUDIT_CHECK(
+        outstanding.cpu <= q.cap.cpu + 1e-6 + 1e-9 * q.cap.cpu &&
+            outstanding.mem <= q.cap.mem + 1e-6 + 1e-9 * q.cap.mem,
+        "tenant quota exceeded: tenant="
+            << q.tenant << " outstanding=" << outstanding.to_string()
+            << " quota=" << q.cap.to_string() << " now=" << now);
   }
   // Conservation per source: idle + outstanding grants == harvested volume.
-  // Entry order is ascending source id by construction (sorted vector).
+  // Entry order is ascending source id by construction (sorted vector). Each
+  // entry's grants are summed along its own chain, which is in insertion
+  // order — the global walk's per-source order — so every sum is
+  // bit-identical to a keyed accumulation over the global list.
   for (const auto& entry : entries_) {
     LIBRA_AUDIT_CHECK(entry.idle.cpu >= -1e-9 && entry.idle.mem >= -1e-9,
                       "negative idle volume: source=" << entry.source
                           << " idle=" << entry.idle.to_string()
                           << " now=" << now);
-    const Resources outstanding = entry.idle + borrowed[entry.source];
+    Resources borrowed;
+    for (int32_t idx = entry.grants_head; idx != -1;
+         idx = borrow_slab_[static_cast<size_t>(idx)].next_src)
+      borrowed += borrow_slab_[static_cast<size_t>(idx)].amount;
+    const Resources outstanding = entry.idle + borrowed;
     LIBRA_AUDIT_CHECK(
         near(outstanding, entry.harvested),
         "conservation violated: source="
             << entry.source << " idle=" << entry.idle.to_string()
-            << " borrowed=" << borrowed[entry.source].to_string()
+            << " borrowed=" << borrowed.to_string()
             << " harvested=" << entry.harvested.to_string()
             << " expiry=" << entry.est_expiry << " now=" << now);
   }

@@ -87,6 +87,7 @@ bool TrustManager::strike(FunctionId func, SimTime now) {
         s.opened_at = now;
         s.strikes = 0;
         ++demotions_;
+        ++quarantine_transitions_;
         return true;
       }
       return false;
@@ -95,6 +96,7 @@ bool TrustManager::strike(FunctionId func, SimTime now) {
       s.stored = TrustState::kOpen;
       s.opened_at = now;
       ++demotions_;
+      ++quarantine_transitions_;
       return true;
     case TrustState::kOpen:
       // Evidence from an in-flight invocation admitted before quarantine:
@@ -180,11 +182,17 @@ long TrustManager::promotions() const {
   return promotions_;
 }
 
+long TrustManager::quarantine_transitions() const {
+  util::MutexLock lock(mu_);
+  return quarantine_transitions_;
+}
+
 void TrustManager::quarantine_for_audit_test(FunctionId func, SimTime now) {
   util::MutexLock lock(mu_);
   FuncTrust& s = functions_[func];
   s.stored = TrustState::kOpen;
   s.opened_at = now;
+  ++quarantine_transitions_;
 }
 
 long TrustManager::quarantined_count(SimTime now) const {

@@ -101,6 +101,11 @@ class TrustManager {
 
   long demotions() const LIBRA_EXCLUDES(mu_);
   long promotions() const LIBRA_EXCLUDES(mu_);
+  /// Transitions into quarantine so far: every demotion plus every
+  /// quarantine_for_audit_test. The invariant auditor re-checks every pool
+  /// when this moves. Leaving quarantine (the cooldown's lazy OPEN ->
+  /// HALF_OPEN) only relaxes the no-harvest invariant, so it is not counted.
+  long quarantine_transitions() const LIBRA_EXCLUDES(mu_);
   /// Functions whose effective state at `now` is quarantine.
   long quarantined_count(sim::SimTime now) const LIBRA_EXCLUDES(mu_);
 
@@ -143,6 +148,7 @@ class TrustManager {
   std::unordered_map<sim::FunctionId, FuncTrust> functions_ LIBRA_GUARDED_BY(mu_);
   long demotions_ LIBRA_GUARDED_BY(mu_) = 0;
   long promotions_ LIBRA_GUARDED_BY(mu_) = 0;
+  long quarantine_transitions_ LIBRA_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace libra::core

@@ -46,15 +46,18 @@ sim::RunMetrics run_experiment(const sim::EngineConfig& cfg,
                                gen::TraceSource& source,
                                obs::ObsSession* obs) {
   // Every experiment runs under the invariant auditor unless the caller
-  // installed their own hook. Small workloads are swept after every event;
-  // large ones are sampled so the O(placed + pools) sweep stays off the
-  // critical path (the always-on pool-internal audits cover every mutation
-  // either way). size_hint() is 0 for unsized generators, which keeps the
-  // every-event sweep — generator smoke runs are small.
+  // installed their own hook. A sampled event checks only what changed since
+  // the previous check — the nodes it touched and their pools, the ids it
+  // finalized — and a full sweep runs every 4096 events and at run_end
+  // (DESIGN.md §5d). Small workloads check every event; large ones sample
+  // every 64th, because even the incremental check measured too costly per
+  // event on a 50-node stream (the always-on pool-internal audits cover
+  // every mutation either way). size_hint() is 0 for unsized generators,
+  // which keeps the every-event check — generator smoke runs are small.
   const size_t workload_size = source.size_hint();
   analysis::InvariantAuditorConfig audit_cfg;
-  // Planet-scale streaming runs (10M+ invocations) keep the auditor but
-  // stretch the sweep sampling further: each sweep is O(placed + nodes), and
+  // Planet-scale streaming runs (10M+ invocations) stretch the sampling
+  // further: a check covers everything marked since the previous one, and
   // at that scale tens of thousands of invocations are in flight at once.
   audit_cfg.every_n =
       workload_size <= 4096 ? 1 : (workload_size <= 1000000 ? 64 : 4096);

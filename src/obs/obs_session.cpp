@@ -122,7 +122,9 @@ void ObsSession::close_spans_on_node(double ts, sim::NodeId node) {
 void ObsSession::on_engine_event(sim::EngineApi& api,
                                  const sim::EngineEvent& ev) {
   if (inner_hook_ != nullptr) inner_hook_->on_engine_event(api, ev);
-  if (!cfg_.enabled) return;
+  // run_end only closes the audit (the auditor's final sweep); it is not a
+  // cluster event and must not move the trace's last timestamp.
+  if (!cfg_.enabled || is(ev.what, "run_end")) return;
   ensure_metadata(api);
   const double ts = api.now();
   last_ts_ = std::max(last_ts_, ts);

@@ -10,12 +10,14 @@
 
 namespace libra::sim {
 
-ClusterState::ClusterState(EngineHost& host) : host_(host) {
+ClusterState::ClusterState(EngineHost& host)
+    : host_(host), touched_(host.config().node_capacities.size()) {
   const EngineConfig& cfg = host_.config();
   nodes_.reserve(cfg.node_capacities.size());
   for (size_t i = 0; i < cfg.node_capacities.size(); ++i) {
     nodes_.emplace_back(static_cast<NodeId>(i), cfg.node_capacities[i],
                         cfg.num_shards, cfg.container);
+    nodes_.back().set_touch_log(&touched_);
     host_.metrics().total_capacity += cfg.node_capacities[i];
   }
   draining_until_.assign(nodes_.size(), 0.0);
@@ -23,12 +25,14 @@ ClusterState::ClusterState(EngineHost& host) : host_(host) {
 }
 
 void ClusterState::insert_placed(InvocationId id, NodeId node) {
+  touched_.mark(node);
   auto& list = placed_[static_cast<size_t>(node)];
   const auto it = std::lower_bound(list.begin(), list.end(), id);
   if (it == list.end() || *it != id) list.insert(it, id);
 }
 
 void ClusterState::erase_placed(InvocationId id, NodeId node) {
+  touched_.mark(node);
   auto& list = placed_[static_cast<size_t>(node)];
   const auto it = std::lower_bound(list.begin(), list.end(), id);
   if (it != list.end() && *it == id) list.erase(it);

@@ -41,6 +41,10 @@ void Engine::notify_audit(const char* what, InvocationId inv, NodeId node_id) {
   if (cfg_.audit_hook)
     cfg_.audit_hook->on_engine_event(
         *this, EngineEvent{what, audit_event_id_, inv, node_id});
+  // The marks describe what this event (and any unaudited work since the
+  // previous one) changed; the hook has consumed them.
+  cluster_->clear_touched();
+  lifecycle_->clear_finalized();
 }
 
 RunMetrics Engine::run(gen::TraceSource& source) {
@@ -154,6 +158,9 @@ RunMetrics Engine::finish_run() {
   });
   std::sort(unfinished.begin(), unfinished.end());
   for (InvocationId id : unfinished) lifecycle_->finalize_record(invocation(id));
+  // After the stragglers, so the auditor's closing full sweep sees the
+  // run's final state.
+  notify_audit("run_end");
   // Every record was finalized exactly once, so the finalize-time counter
   // is the incomplete count whether or not the records were retained.
   metrics_.incomplete = metrics_.finalized_incomplete;

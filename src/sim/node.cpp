@@ -31,6 +31,7 @@ bool Node::try_reserve(ShardId shard, const Resources& r) {
   if (!(used + r).fits_in(shard_capacity())) return false;
   used += r;
   allocated_total_ += r;
+  touch();
   return true;
 }
 
@@ -42,6 +43,7 @@ void Node::release(ShardId shard, const Resources& r) {
     throw std::logic_error("Node: released more than was reserved");
   used = used.clamped_non_negative();
   allocated_total_ = allocated_total_.clamped_non_negative();
+  touch();
 }
 
 void Node::invocation_finished() {
@@ -49,6 +51,7 @@ void Node::invocation_finished() {
     throw std::logic_error(
         "Node: invocation_finished with none running (accounting underflow)");
   --running_;
+  touch();
 }
 
 void Node::check_quiescent() const {

@@ -13,6 +13,39 @@
 
 namespace libra::sim {
 
+/// The nodes mutated since the last clear(), each listed once, in first-touch
+/// order. A per-node flag drops repeat marks, so the list never outgrows the
+/// node count; once both vectors cover the largest id marked, mark() never
+/// allocates. ClusterState owns the run's log (sized to the fleet up front);
+/// the invariant auditor reads it through EngineApi::touched_nodes() to
+/// re-check only what an event changed, and keeps its own log of what is
+/// pending between sampled checks.
+class TouchLog {
+ public:
+  explicit TouchLog(size_t num_nodes = 0) : flag_(num_nodes, 0) {
+    ids_.reserve(num_nodes);
+  }
+  void mark(NodeId id) {
+    const auto i = static_cast<size_t>(id);
+    if (i >= flag_.size()) {
+      flag_.resize(i + 1, 0);
+      ids_.reserve(flag_.size());
+    }
+    if (flag_[i]) return;
+    flag_[i] = 1;
+    ids_.push_back(id);
+  }
+  const std::vector<NodeId>& ids() const { return ids_; }
+  void clear() {
+    for (const NodeId id : ids_) flag_[static_cast<size_t>(id)] = 0;
+    ids_.clear();
+  }
+
+ private:
+  std::vector<char> flag_;
+  std::vector<NodeId> ids_;
+};
+
 class Node {
  public:
   Node(NodeId id, Resources capacity, int num_shards,
@@ -36,13 +69,18 @@ class Node {
   const Resources& allocated() const { return allocated_total_; }
 
   /// Attempts to reserve `r` from the shard's slice; false if it won't fit.
+  /// Every mutator below marks the node in the attached TouchLog (a
+  /// successful reservation only).
   bool try_reserve(ShardId shard, const Resources& r);
 
   /// Releases a prior reservation back to the shard's slice.
   void release(ShardId shard, const Resources& r);
 
   int running_invocations() const { return running_; }
-  void invocation_started() { ++running_; }
+  void invocation_started() {
+    ++running_;
+    touch();
+  }
   /// Guarded against underflow: finishing with nothing running means the
   /// engine double-released an invocation.
   void invocation_finished();
@@ -51,7 +89,14 @@ class Node {
   /// the engine kills its invocations and clears its warm containers when it
   /// crashes, and brings it back empty on recovery.
   bool up() const { return up_; }
-  void set_up(bool up) { up_ = up; }
+  void set_up(bool up) {
+    up_ = up;
+    touch();
+  }
+
+  /// Attaches the log the mutators mark (nullptr detaches). The log must
+  /// outlive the node; standalone nodes keep none.
+  void set_touch_log(TouchLog* log) { touch_log_ = log; }
 
   /// Audits reservation/release symmetry: after the engine reaps a crashed
   /// node, nothing may remain reserved or running. Always compiled in; a
@@ -65,6 +110,10 @@ class Node {
   int num_shards() const { return num_shards_; }
 
  private:
+  void touch() {
+    if (touch_log_ != nullptr) touch_log_->mark(id_);
+  }
+
   NodeId id_;
   Resources capacity_;
   int num_shards_;
@@ -72,6 +121,7 @@ class Node {
   Resources allocated_total_;
   int running_ = 0;
   bool up_ = true;
+  TouchLog* touch_log_ = nullptr;
   ContainerPool containers_;
 };
 
