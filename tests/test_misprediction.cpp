@@ -534,6 +534,14 @@ class FakeApi final : public sim::EngineApi {
   void sync_accounting(sim::InvocationId) override {}
   Resources observed_usage(sim::InvocationId) const override { return {}; }
   Resources observed_peak(sim::InvocationId) const override { return {}; }
+  // Nothing moves between checks: the quarantine counter alone must make
+  // the auditor re-check the pools.
+  const std::vector<sim::NodeId>& touched_nodes() const override {
+    return none_touched_;
+  }
+  const std::vector<sim::InvocationId>& finalized_ids() const override {
+    return none_finalized_;
+  }
 
   void add_invocation(sim::InvocationId id, sim::FunctionId func) {
     Invocation inv;
@@ -546,6 +554,8 @@ class FakeApi final : public sim::EngineApi {
   std::vector<sim::Node> nodes_;
   std::unordered_map<sim::InvocationId, Invocation> invocations_;
   sim::ExecutionModel exec_;
+  std::vector<sim::NodeId> none_touched_;
+  std::vector<sim::InvocationId> none_finalized_;
 };
 
 TEST(QuarantineInvariant, PoolEntryFromQuarantinedFunctionFires) {
