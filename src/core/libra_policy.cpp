@@ -419,20 +419,23 @@ void LibraPolicy::preemptive_release(Invocation& inv, EngineApi& api,
   }
 }
 
-void LibraPolicy::on_complete(Invocation& inv, EngineApi& api) {
-  last_seen_now_ = api.now();
-  auto& pool = pool_for(inv.node);
+void LibraPolicy::settle(Invocation& inv, EngineApi& api) {
   // Timeliness: everything harvested from this invocation dies with it —
   // idle volume leaves the pool, lent volume is revoked from borrowers.
   preemptive_release(inv, api, /*restore_allocation=*/false);
   // Re-harvesting: grants this invocation still holds return to the pool.
-  // (Completion already folded its integrals; borrowed_in may be cleared.)
+  // (The engine already folded its integrals; borrowed_in may be cleared.)
   if (!inv.borrowed_in.is_zero()) {
-    pool.reharvest(inv.id, api.now());
+    pool_for(inv.node).reharvest(inv.id, api.now());
     inv.borrowed_in = {0.0, 0.0};
     ++stats_.reharvests;
   }
   drop_backfill_candidate(inv.node, inv.id);
+}
+
+void LibraPolicy::on_complete(Invocation& inv, EngineApi& api) {
+  last_seen_now_ = api.now();
+  settle(inv, api);
   // Score the raw model output against the observed peak (max relative
   // under-prediction across the two axes). A clean completion shortens the
   // strike count / probation streak; a bad one strikes, possibly demoting.
@@ -487,13 +490,7 @@ void LibraPolicy::on_evicted(Invocation& inv, EngineApi& api) {
   // degradation). Unlike on_node_down, the pool survives — so everything
   // harvested FROM it must leave the pool (idle volume out, grants revoked)
   // and every grant it BORROWED must go back to the pool it came from.
-  preemptive_release(inv, api, /*restore_allocation=*/false);
-  if (!inv.borrowed_in.is_zero()) {
-    pool_for(inv.node).reharvest(inv.id, api.now());
-    inv.borrowed_in = {0.0, 0.0};
-    ++stats_.reharvests;
-  }
-  drop_backfill_candidate(inv.node, inv.id);
+  settle(inv, api);
   // raw_pred_ entry stays: the invocation is still alive and will be scored
   // when its re-dispatch eventually completes.
 }
@@ -532,13 +529,8 @@ void LibraPolicy::on_health_ping(NodeId node, EngineApi& api) {
   snapshots_[static_cast<size_t>(node)] = pool_for(node).snapshot(api.now());
 }
 
-void LibraPolicy::on_node_down(NodeId node, EngineApi& api) {
-  last_seen_now_ = api.now();
-  // Harvest-safety invariant under churn: the dead node's pool dies with it.
-  // Preemptively release every idle entry and revoke every outstanding grant
-  // BEFORE the engine reaps the node, so no grant sourced there survives.
-  auto& pool = pool_for(node);
-  const auto revocations = pool.preempt_all(api.now());
+void LibraPolicy::pull_back_pool(NodeId node, EngineApi& api) {
+  const auto revocations = pool_for(node).preempt_all(api.now());
   for (const auto& rev : revocations) {
     ++stats_.pool_revocations;
     if (!api.invocation_alive(rev.borrower)) continue;
@@ -547,14 +539,23 @@ void LibraPolicy::on_node_down(NodeId node, EngineApi& api) {
     borrower.borrowed_in =
         (borrower.borrowed_in - rev.amount).clamped_non_negative();
     if (borrower.node != node) {
-      // Pools are per-node so borrowers are normally co-located (and about
-      // to be reaped anyway); a foreign borrower still gets the real revoke.
+      // Pools are per-node so borrowers are normally co-located, and about
+      // to be torn down (reaped or drain-migrated), which resets their
+      // allocation; only a foreign borrower needs the real revoke.
       api.update_effective(
           borrower.id, (borrower.effective - rev.amount).clamped_non_negative());
     }
   }
   if (static_cast<size_t>(node) < backfill_candidates_.size())
     backfill_candidates_[static_cast<size_t>(node)].clear();
+}
+
+void LibraPolicy::on_node_down(NodeId node, EngineApi& api) {
+  last_seen_now_ = api.now();
+  // Harvest-safety invariant under churn: the dead node's pool dies with it.
+  // Preemptively release every idle entry and revoke every outstanding grant
+  // BEFORE the engine reaps the node, so no grant sourced there survives.
+  pull_back_pool(node, api);
   // The controller keeps its stale pool snapshot: it only learns about the
   // crash from missing health pings, never from this node-side event.
 }
@@ -578,24 +579,7 @@ void LibraPolicy::on_drain_notice(NodeId node, sim::SimTime deadline,
   // every outstanding grant is revoked from its still-running borrower
   // BEFORE the engine drain-migrates the node's invocations. Same
   // reconciliation as on_node_down — minus the node actually being dead.
-  auto& pool = pool_for(node);
-  const auto revocations = pool.preempt_all(api.now());
-  for (const auto& rev : revocations) {
-    ++stats_.pool_revocations;
-    if (!api.invocation_alive(rev.borrower)) continue;
-    Invocation& borrower = api.invocation(rev.borrower);
-    api.sync_accounting(borrower.id);
-    borrower.borrowed_in =
-        (borrower.borrowed_in - rev.amount).clamped_non_negative();
-    if (borrower.node != node) {
-      // Co-located borrowers are about to be drain-migrated (their teardown
-      // resets effective); only a foreign borrower needs the real revoke.
-      api.update_effective(
-          borrower.id, (borrower.effective - rev.amount).clamped_non_negative());
-    }
-  }
-  if (static_cast<size_t>(node) < backfill_candidates_.size())
-    backfill_candidates_[static_cast<size_t>(node)].clear();
+  pull_back_pool(node, api);
   // Unlike a crash — where the controller's snapshot deliberately goes stale
   // until pings catch up — the notice is platform-delivered, so stop
   // advertising inventory from the departing node immediately.

@@ -184,6 +184,13 @@ class LibraPolicy final : public sim::Policy, public PoolStatusProvider {
   /// grants lent to borrowers) and restores its allocation.
   void preemptive_release(sim::Invocation& inv, sim::EngineApi& api,
                           bool restore_allocation);
+  /// The shared tail of on_complete and on_evicted: pulls back what was
+  /// harvested from `inv`, returns what it still borrows to the pool and
+  /// drops its backfill candidacy.
+  void settle(sim::Invocation& inv, sim::EngineApi& api);
+  /// The shared crash / drain-notice pull-back: empties `node`'s pool
+  /// (idle entries out, every grant revoked) and clears its backfill list.
+  void pull_back_pool(sim::NodeId node, sim::EngineApi& api);
   /// Tops up running under-provisioned invocations from the node's pool.
   void backfill_node(sim::NodeId node, sim::EngineApi& api);
   /// A demotion just moved `func` to the quarantine tier: pull back every

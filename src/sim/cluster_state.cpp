@@ -2,15 +2,11 @@
 
 #include <algorithm>
 
-#include "sim/ctrl/control_plane.h"
-#include "sim/fault/fault_injector.h"
-#include "sim/lifecycle.h"
-#include "sim/policy.h"
-#include "sim/sharded_controller.h"
+#include "sim/engine.h"
 
 namespace libra::sim {
 
-ClusterState::ClusterState(EngineHost& host)
+ClusterState::ClusterState(Engine& host)
     : host_(host), touched_(host.config().node_capacities.size()) {
   const EngineConfig& cfg = host_.config();
   nodes_.reserve(cfg.node_capacities.size());
@@ -115,14 +111,8 @@ void ClusterState::on_node_down(NodeId node_id) {
   // invocation state is still intact.
   host_.policy().on_node_down(node_id, host_.api());
   n.set_up(false);
-  std::vector<InvocationId> victims;
-  // Slot-order walk over the flat invocation store; the sort below restores
-  // id order before any state is touched.
-  host_.invocations_store().for_each(
-      [&victims, node_id](InvocationId id, const Invocation& inv) {
-        if (!inv.done && inv.node == node_id) victims.push_back(id);
-      });
-  std::sort(victims.begin(), victims.end());
+  // A copy in id order: each kill erases its id from the node's list.
+  const std::vector<InvocationId> victims = placed_on(node_id);
   for (InvocationId id : victims) host_.lifecycle().kill_invocation(id);
   n.containers().clear();
   n.check_quiescent();

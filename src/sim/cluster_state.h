@@ -1,22 +1,24 @@
 // Cluster layer: owns the worker nodes, the per-node placed lists, the
 // controller's ping-based health view, the churn bookkeeping and the
 // cluster-wide usage/allocation series. Everything node- or cluster-scoped
-// that the old monolithic engine tracked lives here; the lifecycle and
-// controller layers reach it through EngineHost::cluster().
+// that the old monolithic engine tracked lives here; the other layers reach
+// it through Engine::cluster().
 #pragma once
 
 #include <vector>
 
-#include "sim/engine_host.h"
+#include "sim/invocation.h"
 #include "sim/node.h"
 
 namespace libra::sim {
+
+class Engine;
 
 class ClusterState {
  public:
   /// Builds the node fleet from host.config() and accumulates the total
   /// capacity into host.metrics().
-  explicit ClusterState(EngineHost& host);
+  explicit ClusterState(Engine& host);
 
   const std::vector<Node>& nodes() const { return nodes_; }
   Node& node(NodeId id) { return nodes_.at(static_cast<size_t>(id)); }
@@ -80,7 +82,7 @@ class ClusterState {
   void record_series();
 
  private:
-  EngineHost& host_;
+  Engine& host_;
   /// Declared before nodes_: every node holds a pointer to it.
   TouchLog touched_;
   std::vector<Node> nodes_;

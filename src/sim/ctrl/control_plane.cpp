@@ -5,9 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sim/engine_host.h"
-#include "sim/fault/fault_injector.h"
-#include "sim/policy.h"
+#include "sim/engine.h"
 
 namespace libra::sim::ctrl {
 
@@ -28,7 +26,7 @@ void ControlPlaneConfig::validate() const {
     throw std::invalid_argument("ControlPlaneConfig: steal_batch must be >= 1");
 }
 
-ControlPlane::ControlPlane(EngineHost& host)
+ControlPlane::ControlPlane(Engine& host)
     : host_(host), cfg_(host.config().control) {
   const fault::FaultProfile& fp = host_.config().fault_profile;
   transparent_ = cfg_.num_controllers == 1 && cfg_.gossip_period == 0.0 &&

@@ -31,7 +31,7 @@
 #include "sim/types.h"
 
 namespace libra::sim {
-class EngineHost;
+class Engine;
 struct Invocation;
 }  // namespace libra::sim
 
@@ -39,7 +39,7 @@ namespace libra::sim::ctrl {
 
 class ControlPlane {
  public:
-  explicit ControlPlane(EngineHost& host);
+  explicit ControlPlane(Engine& host);
 
   /// Called once per run, after the fault injector exists and health pings
   /// are scheduled: resolves the policy's PoolStatusProvider seam, sizes the
@@ -96,7 +96,7 @@ class ControlPlane {
   /// controller `c`: may drop, delay (scheduling a by-value copy), or apply.
   void deliver_gossip(int controller, NodeId node);
 
-  EngineHost& host_;
+  Engine& host_;
   ControlPlaneConfig cfg_;
   bool transparent_ = true;
   /// The policy's piggyback seam; nullptr when the policy keeps no pool

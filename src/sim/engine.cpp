@@ -15,13 +15,10 @@ Engine::Engine(EngineConfig cfg, std::shared_ptr<Policy> policy)
   // Knob validity (including fault plan/profile) lives on EngineConfig so the
   // scenario fuzzer can use the exact predicate the engine enforces.
   cfg_.validate();
-  // The private-base upcast must happen here, inside Engine, where the base
-  // is accessible (make_unique would convert in an inaccessible context).
-  EngineHost& host = *this;
-  cluster_ = std::make_unique<ClusterState>(host);
-  lifecycle_ = std::make_unique<InvocationLifecycle>(host, exec_);
-  controller_ = std::make_unique<ShardedController>(host);
-  ctrlplane_ = std::make_unique<ctrl::ControlPlane>(host);
+  cluster_ = std::make_unique<ClusterState>(*this);
+  lifecycle_ = std::make_unique<InvocationLifecycle>(*this, exec_);
+  controller_ = std::make_unique<ShardedController>(*this);
+  ctrlplane_ = std::make_unique<ctrl::ControlPlane>(*this);
 }
 
 Invocation& Engine::invocation(InvocationId id) {

@@ -7,11 +7,15 @@
 //   container start -> execution (piecewise progress, monitor ticks, OOM) ->
 //   completion (Policy::on_complete, pending retries, model updates)
 //
-// The engine itself is event-loop glue over three layers (see engine_host.h):
+// The engine itself is event-loop glue over four layers (DESIGN.md §5g):
 //   ClusterState        — nodes, reservations, health view, usage series;
 //   InvocationLifecycle — the per-invocation state machine;
 //   ShardedController   — per-shard queues and the barrier-batched,
-//                         optionally parallel scheduling decisions of §6.4.
+//                         optionally parallel scheduling decisions of §6.4;
+//   ctrl::ControlPlane  — front-end controllers and their pool-view caches.
+// Each layer holds an Engine& and reaches the clock, the policy, the shared
+// metrics and the other layers through Engine's private accessors; the
+// layers are friends, so none of that widens Engine's public surface.
 #pragma once
 
 #include <memory>
@@ -21,7 +25,6 @@
 #include "sim/cluster_state.h"
 #include "sim/ctrl/control_plane.h"
 #include "sim/engine_config.h"
-#include "sim/engine_host.h"
 #include "sim/event_queue.h"
 #include "sim/execution_model.h"
 #include "sim/fault/fault_injector.h"
@@ -31,10 +34,16 @@
 #include "sim/policy.h"
 #include "sim/sharded_controller.h"
 #include "sim/types.h"
+#include "util/dense_id_map.h"
 
 namespace libra::sim {
 
-class Engine final : public EngineApi, private EngineHost {
+/// The engine's invocation store: a flat, generation-checked slab keyed by
+/// id (DESIGN.md §5l) — find() is two array loads, recycled slots come back
+/// through a free list, and live-record iteration walks contiguous memory.
+using InvocationStore = util::DenseIdMap<InvocationId, Invocation>;
+
+class Engine final : public EngineApi {
  public:
   Engine(EngineConfig cfg, std::shared_ptr<Policy> policy);
 
@@ -96,33 +105,50 @@ class Engine final : public EngineApi, private EngineHost {
   }
 
  private:
-  // ---- EngineHost (the layers' view of the engine) ----
-  EventQueue& queue() override { return queue_; }
-  const EngineConfig& config() const override { return cfg_; }
-  Policy& policy() override { return *policy_; }
-  EngineApi& api() override { return *this; }
-  RunMetrics& metrics() override { return metrics_; }
-  ClusterState& cluster() override { return *cluster_; }
-  InvocationLifecycle& lifecycle() override { return *lifecycle_; }
-  ShardedController& controller() override { return *controller_; }
-  ctrl::ControlPlane& control() override { return *ctrlplane_; }
-  // Invocation& invocation(InvocationId) — the public EngineApi override
-  // above also overrides the identical EngineHost virtual.
-  Invocation* find_invocation(InvocationId id) override {
-    return invocations_.find(id);
-  }
-  InvocationStore& invocations_store() override { return invocations_; }
-  void request_recycle(InvocationId id) override {
+  // ---- The layers' view of the engine ----
+  friend class ClusterState;
+  friend class InvocationLifecycle;
+  friend class ShardedController;
+  friend class ctrl::ControlPlane;
+
+  EventQueue& queue() { return queue_; }
+  const EngineConfig& config() const { return cfg_; }
+  Policy& policy() { return *policy_; }
+  EngineApi& api() { return *this; }
+  RunMetrics& metrics() { return metrics_; }
+  ClusterState& cluster() { return *cluster_; }
+  InvocationLifecycle& lifecycle() { return *lifecycle_; }
+  ShardedController& controller() { return *controller_; }
+  ctrl::ControlPlane& control() { return *ctrlplane_; }
+  /// Non-throwing lookup: nullptr when the id is unknown — e.g. recycled
+  /// after its terminal event in a streaming run. Epoch/generation-guarded
+  /// continuations use this: a miss means the guard would have rejected the
+  /// event anyway, so they return silently.
+  Invocation* find_invocation(InvocationId id) { return invocations_.find(id); }
+  /// Marks a TERMINAL invocation's record for free-list recycling. Deferred:
+  /// drain_recycle() runs only between events, so `Invocation&` references
+  /// held by the current callback chain stay valid. No-op unless
+  /// EngineConfig::recycle_records is on.
+  void request_recycle(InvocationId id) {
     if (cfg_.recycle_records) pending_recycle_.push_back(id);
   }
-  bool fault_active() const override { return fault_ && fault_->active(); }
-  fault::FaultInjector* fault() override { return fault_.get(); }
-  void mark_terminal() override { ++completed_; }
-  bool run_live() const override {
-    return !source_done_ || completed_ < total_;
-  }
+  /// True while fault injection is configured for this run (scripted plan or
+  /// probabilistic profile). Gates the failure-handling paths so failure-free
+  /// runs keep the original semantics.
+  bool fault_active() const { return fault_ && fault_->active(); }
+  /// The injector for this run; never null after run() starts when
+  /// fault_active() is true.
+  fault::FaultInjector* fault() { return fault_.get(); }
+  /// Marks one invocation terminal (completed or lost). The run ends when
+  /// every traced invocation is terminal.
+  void mark_terminal() { ++completed_; }
+  /// True while at least one traced invocation is not yet terminal.
+  bool run_live() const { return !source_done_ || completed_ < total_; }
+  /// Forwards an engine-level event to the invariant auditor (no-op when no
+  /// audit hook is configured), then clears the touched-node and finalized
+  /// marks the hook consumed.
   void notify_audit(const char* what, InvocationId inv = kNoInvocation,
-                    NodeId node_id = kNoNode) override;
+                    NodeId node_id = kNoNode);
 
   void on_arrival(InvocationId id);
   void on_profiled(InvocationId id);
@@ -161,8 +187,8 @@ class Engine final : public EngineApi, private EngineHost {
   size_t completed_ = 0;
   size_t total_ = 0;
 
-  // The layers (constructed after everything they reach through EngineHost;
-  // declaration order matters).
+  // The layers (constructed after everything they reach through the
+  // accessors above; declaration order matters).
   std::unique_ptr<ClusterState> cluster_;
   std::unique_ptr<InvocationLifecycle> lifecycle_;
   std::unique_ptr<ShardedController> controller_;

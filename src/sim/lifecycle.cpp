@@ -4,10 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "sim/cluster_state.h"
-#include "sim/fault/fault_injector.h"
-#include "sim/policy.h"
-#include "sim/sharded_controller.h"
+#include "sim/engine.h"
 #include "util/log.h"
 #include "util/rng.h"
 
@@ -199,32 +196,8 @@ void InvocationLifecycle::redispatch_after_oom(Invocation& inv) {
   // on_evicted must additionally return what it still BORROWS — its node and
   // the pool live on, unlike the node-death path.
   host_.policy().on_evicted(inv, host_.api());
-  ++inv.completion_generation;  // invalidates completion / OOM events
-  ++inv.placement_epoch;        // invalidates a pending container start
-  if (inv.completion_event != kInvalidEvent) {
-    host_.queue().cancel(inv.completion_event);
-    inv.completion_event = kInvalidEvent;
-  }
-  if (inv.monitor_event != kInvalidEvent) {
-    host_.queue().cancel(inv.monitor_event);
-    inv.monitor_event = kInvalidEvent;
-  }
-  host_.cluster().refresh_usage(inv, /*stopping=*/true);
-  Node& n = host_.cluster().node(inv.node);
-  if (inv.running) n.invocation_finished();
-  n.containers().release(inv.func, host_.queue().now());
-  n.release(inv.shard, inv.user_alloc + inv.probe_extra);
-  host_.cluster().erase_placed(inv.id, inv.node);
-  inv.running = false;
-  inv.node = kNoNode;
-  inv.progress = 0.0;
-  inv.cold_start = false;
+  teardown_placement(inv, /*release_container=*/true);
   inv.profiling_probe = false;
-  inv.harvested_out = Resources{};
-  inv.borrowed_in = Resources{};
-  inv.probe_extra = Resources{};
-  inv.effective = inv.user_alloc;
-  host_.cluster().record_series();
   if (inv.oom_retry_count >= host_.config().max_oom_retries) {
     ++host_.metrics().oom_terminal_losses;
     lose_invocation(inv);
@@ -300,7 +273,8 @@ void InvocationLifecycle::teardown_placement(Invocation& inv,
   host_.cluster().erase_placed(inv.id, inv.node);
   // Whatever was harvested from / lent to it is gone from its perspective;
   // the policy already reconciled its pool state (on_node_down for a crash,
-  // on_drain_notice for a graceful drain).
+  // on_drain_notice for a graceful drain, on_oom + on_evicted for an OOM
+  // re-dispatch).
   inv.running = false;
   inv.node = kNoNode;
   inv.progress = 0.0;

@@ -2,20 +2,22 @@
 // terminal outcome — container start, piecewise execution progress, monitor
 // ticks, OOM (in-place restart or graceful re-dispatch), completion,
 // churn kills, retry backoff and terminal loss. Cluster-scoped effects
-// (usage accounting, node reservations) go through EngineHost::cluster();
-// re-queues go through EngineHost::controller().
+// (usage accounting, node reservations) go through Engine::cluster();
+// re-queues go through Engine::controller().
 #pragma once
 
 #include <vector>
 
-#include "sim/engine_host.h"
 #include "sim/execution_model.h"
+#include "sim/invocation.h"
 
 namespace libra::sim {
 
+class Engine;
+
 class InvocationLifecycle {
  public:
-  InvocationLifecycle(EngineHost& host, const ExecutionModel& exec)
+  InvocationLifecycle(Engine& host, const ExecutionModel& exec)
       : host_(host), exec_(exec) {}
 
   /// Container is up: start (or restart) executing. `epoch` guards against
@@ -57,16 +59,17 @@ class InvocationLifecycle {
  private:
   void schedule_progress_events(Invocation& inv);
   void fold_progress(Invocation& inv);
-  /// Shared crash/drain teardown: folds progress, disarms events, releases
-  /// the node reservation and resets the invocation to its pre-placement
-  /// resource state. Only the drain path releases the warm container — on a
-  /// crash the whole container pool dies with the node.
+  /// The one teardown path (crash, drain, OOM re-dispatch): folds progress,
+  /// disarms events, releases the node reservation and resets the invocation
+  /// to its pre-placement resource state. Every path but the crash releases
+  /// the warm container — on a crash the whole container pool dies with the
+  /// node.
   void teardown_placement(Invocation& inv, bool release_container);
   /// OOM graceful degradation: tears the invocation off its (live) node and
   /// re-dispatches it at full user allocation on the separate OOM budget.
   void redispatch_after_oom(Invocation& inv);
 
-  EngineHost& host_;
+  Engine& host_;
   const ExecutionModel& exec_;
   std::vector<InvocationId> finalized_;
 };

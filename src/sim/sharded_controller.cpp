@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
-#include "sim/cluster_state.h"
-#include "sim/ctrl/control_plane.h"
-#include "sim/fault/fault_injector.h"
-#include "sim/lifecycle.h"
-#include "sim/policy.h"
+#include "sim/engine.h"
 #include "util/log.h"
 
 namespace libra::sim {
@@ -28,7 +24,7 @@ double wall_seconds_since(WallClock::time_point t0) {
 
 }  // namespace
 
-ShardedController::ShardedController(EngineHost& host) : host_(host) {
+ShardedController::ShardedController(Engine& host) : host_(host) {
   const auto shards = static_cast<size_t>(host_.config().num_shards);
   shard_queues_.resize(shards);
   shard_busy_until_.assign(shards, 0.0);

@@ -24,14 +24,16 @@
 #include <optional>
 #include <vector>
 
-#include "sim/engine_host.h"
 #include "sim/sched_worker_pool.h"
+#include "sim/types.h"
 
 namespace libra::sim {
 
+class Engine;
+
 class ShardedController {
  public:
-  explicit ShardedController(EngineHost& host);
+  explicit ShardedController(Engine& host);
   ~ShardedController();
 
   /// Profiler stage complete: joins (or opens) the prediction barrier at the
@@ -78,7 +80,7 @@ class ShardedController {
   void commit_one(InvocationId id, const std::optional<NodeId>& speculated,
                   double decision_seconds);
 
-  EngineHost& host_;
+  Engine& host_;
 
   /// Distinct shard-slice capacities across the fleet (usually one entry —
   /// homogeneous nodes), precomputed so admit()'s can-ever-fit rejection is

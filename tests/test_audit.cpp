@@ -812,45 +812,118 @@ class MemoryUnderPredictor final : public core::DemandPredictor {
   void observe(const core::Observation&) override {}
 };
 
-TEST(AuditMarks, EveryChangedNodeIsTouched) {
-  // Libra+Trust whose memory predictions are far too low (OOM re-dispatch,
-  // demotions), a crash-and-recover outage on node 1 and a spot
-  // reclamation with a drain notice on node 2: every path that moves a
-  // reservation.
+/// Libra+Trust whose memory predictions are far too low (OOM re-dispatch,
+/// demotions), a crash-and-recover outage on node 1 and a spot reclamation
+/// with a drain notice on node 2: every path that moves a reservation.
+struct MovingScenario {
+  std::shared_ptr<core::LibraPolicy> policy;
+  sim::EngineConfig cfg;
+  std::vector<sim::Invocation> trace;
+};
+
+MovingScenario moving_scenario() {
   core::LibraPolicyConfig pcfg;
   pcfg.trust_enabled = true;
   pcfg.safeguard_enabled = false;  // nothing rescues the container early
   pcfg.min_mem_floor = 8.0;        // allow harvesting below the OOM floor
-  auto policy = core::LibraPolicy::with_coverage_scheduler(
+  MovingScenario s;
+  s.policy = core::LibraPolicy::with_coverage_scheduler(
       pcfg, std::make_shared<MemoryUnderPredictor>());
-  analysis::InvariantAuditor auditor;
-  auditor.attach_policy(policy.get());
-  MarkProbe probe(auditor);
-  auto cfg = exp::multi_node_config();
-  cfg.oom_redispatch = true;
-  cfg.fault_plan.outages.push_back({/*node=*/1, /*down_at=*/15.0,
-                                    /*up_at=*/30.0});
-  cfg.fault_plan.outages.push_back(
+  s.cfg = exp::multi_node_config();
+  s.cfg.oom_redispatch = true;
+  s.cfg.fault_plan.outages.push_back({/*node=*/1, /*down_at=*/15.0,
+                                      /*up_at=*/30.0});
+  s.cfg.fault_plan.outages.push_back(
       {/*node=*/2, /*down_at=*/25.0, sim::fault::kNever, /*spot=*/true});
-  cfg.spot_drain_notice = 5.0;
-  cfg.audit_hook = &probe;
+  s.cfg.spot_drain_notice = 5.0;
+  s.trace = workload::multi_trace(*catalog(), 60, 5);
+  return s;
+}
 
+/// Runs `s` with `hook` installed and checks that the run exercised every
+/// path the scenario claims to cover.
+sim::RunMetrics run_moving(MovingScenario s, sim::EngineAuditHook& hook) {
+  s.cfg.audit_hook = &hook;
   const long failures_before = util::audit::failures_observed();
-  sim::Engine engine(cfg, policy);
-  workload::MaterializedSource source(workload::multi_trace(*catalog(), 60, 5));
+  sim::Engine engine(s.cfg, s.policy);
+  workload::MaterializedSource source(std::move(s.trace));
   const auto m = engine.run(source);
   EXPECT_EQ(util::audit::failures_observed(), failures_before);
-  // The run exercised what the test claims to cover.
   EXPECT_GT(m.node_crashes, 0);
   EXPECT_GT(m.drain_evictions, 0);
   EXPECT_GT(m.oom_retries, 0);
   EXPECT_GT(m.policy.trust_demotions, 0);
+  return m;
+}
+
+TEST(AuditMarks, EveryChangedNodeIsTouched) {
+  auto s = moving_scenario();
+  analysis::InvariantAuditor auditor;
+  auditor.attach_policy(s.policy.get());
+  MarkProbe probe(auditor);
+  const auto m = run_moving(std::move(s), probe);
   EXPECT_GT(probe.changed(), 0);
   // Every record is finalized once, and run_end follows the stragglers.
   EXPECT_EQ(probe.finalized(), m.finalized_records);
   EXPECT_TRUE(probe.misses().empty())
       << probe.misses().size() << " unmarked node changes, first: "
       << probe.misses().front();
+}
+
+/// After every engine event, compares each node's placed list with the
+/// ascending trace ids that are alive and name that node. The auditor's
+/// per-node check covers only the other direction (every listed id is alive
+/// and names the node); a crash takes its victims from the placed list, so
+/// a live invocation missing from it would outlive its node.
+class PlacedProbe final : public sim::EngineAuditHook {
+ public:
+  PlacedProbe(analysis::InvariantAuditor& auditor,
+              const std::vector<sim::Invocation>& trace)
+      : auditor_(auditor) {
+    for (const auto& inv : trace) ids_.push_back(inv.id);
+    std::sort(ids_.begin(), ids_.end());
+  }
+
+  void on_engine_event(sim::EngineApi& api,
+                       const sim::EngineEvent& ev) override {
+    expected_.assign(api.nodes().size(), {});
+    for (const sim::InvocationId id : ids_) {
+      if (!api.invocation_alive(id)) continue;
+      const sim::NodeId node = api.invocation(id).node;
+      if (node != sim::kNoNode)
+        expected_[static_cast<size_t>(node)].push_back(id);
+    }
+    for (const auto& node : api.nodes()) {
+      ++compared_;
+      if (api.placed_on(node.id()) != expected_[static_cast<size_t>(node.id())])
+        mismatches_.push_back(std::string(ev.what) + " (event " +
+                              std::to_string(ev.id) + "): node " +
+                              std::to_string(node.id()));
+    }
+    auditor_.on_engine_event(api, ev);
+  }
+
+  long compared() const { return compared_; }
+  const std::vector<std::string>& mismatches() const { return mismatches_; }
+
+ private:
+  analysis::InvariantAuditor& auditor_;
+  std::vector<sim::InvocationId> ids_;
+  std::vector<std::vector<sim::InvocationId>> expected_;
+  long compared_ = 0;
+  std::vector<std::string> mismatches_;
+};
+
+TEST(AuditMarks, PlacedListsHoldExactlyTheLiveInvocations) {
+  auto s = moving_scenario();
+  analysis::InvariantAuditor auditor;
+  auditor.attach_policy(s.policy.get());
+  PlacedProbe probe(auditor, s.trace);
+  run_moving(std::move(s), probe);
+  EXPECT_GT(probe.compared(), 0);
+  EXPECT_TRUE(probe.mismatches().empty())
+      << probe.mismatches().size() << " placed lists differ from the live "
+      << "invocations, first: " << probe.mismatches().front();
 }
 
 // ---------------------------------------------------------------------------

@@ -133,7 +133,9 @@ TEST(DenseIdMap, InterleavedChurnKeepsSlabBoundedByPeakLive) {
   constexpr int64_t kInFlight = 64;
   for (int64_t id = 0; id < 10000; ++id) {
     EXPECT_TRUE(m.insert(id, "r"));
-    if (id >= kInFlight) EXPECT_TRUE(m.erase(id - kInFlight));
+    if (id >= kInFlight) {
+      EXPECT_TRUE(m.erase(id - kInFlight));
+    }
   }
   EXPECT_EQ(m.size(), static_cast<size_t>(kInFlight));
   EXPECT_LE(m.slot_count(), static_cast<size_t>(kInFlight) + 1);

@@ -5,12 +5,14 @@
 // platforms and the order-dependent baseline schedulers.
 //
 // The pinned constants (tests/golden_cases.h) were captured from the
-// monolithic engine (commit 54422fc, before the decomposition) with
-// tools/golden_capture.cpp at the default RelWithDebInfo build; the capture
-// was repeated at -O3 with the same result, so they are stable across
-// optimization levels on this toolchain.
-// If a deliberate semantic change moves them, re-run the capture tool and
-// update the table — never update it to paper over an unexplained diff.
+// monolithic engine (commit 54422fc, before the decomposition) at the
+// default RelWithDebInfo build; the capture was repeated at -O3 with the
+// same result, so they are stable across optimization levels on this
+// toolchain.
+// To re-capture after a deliberate semantic change, run these tests: each
+// failure prints the actual digest next to the pinned one, and the actual
+// value is the new constant. Update the table only for a diff you can
+// explain — never to paper over an unexplained one.
 //
 // Re-captured (libra, libra_trust, sched_jsq, sched_mws only) after the
 // libra-lint unordered-iteration fixes: end-of-run finalization of unfinished

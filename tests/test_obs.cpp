@@ -126,8 +126,9 @@ TEST(ObsSession, SpansNestCorrectlyOnRealRun) {
   for (const auto& ev : obs.trace().events()) {
     if (ev.ph == obs::Phase::kMetadata) continue;
     auto it = last_ts.find(ev.tid);
-    if (it != last_ts.end() && ev.pid == 0)
+    if (it != last_ts.end() && ev.pid == 0) {
       EXPECT_GE(ev.ts, it->second) << "tid " << ev.tid;
+    }
     if (ev.pid == 0) last_ts[ev.tid] = ev.ts;
     if (ev.ph == obs::Phase::kBegin) {
       ++begins;
@@ -449,7 +450,9 @@ TEST(ObsExport, CsvTimeSeriesParsesBack) {
     const double v = std::stod(line.substr(c2 + 1));
     (void)v;
     auto& [count, last_t] = per_series[name];
-    if (count > 0) EXPECT_GE(t, last_t) << name;  // time-ordered per series
+    if (count > 0) {
+      EXPECT_GE(t, last_t) << name;  // time-ordered per series
+    }
     last_t = t;
     ++count;
   }

@@ -182,11 +182,9 @@ bool in_ledger_files(const std::string& rule_path) {
 }
 
 bool in_hot_path_files(const std::string& rule_path) {
-  // "engine." (with the dot) keeps engine_config / engine_host.h out of the
-  // engine stem; the host seam is listed explicitly — its store type IS the
-  // hot-path contract.
+  // "engine." (with the dot) keeps engine_config out of the engine stem;
+  // engine.h holds the invocation store alias, the hot-path contract.
   return rule_path.rfind("src/sim/engine.", 0) == 0 ||
-         rule_path == "src/sim/engine_host.h" ||
          rule_path.rfind("src/sim/cluster_state", 0) == 0 ||
          rule_path.rfind("src/sim/sharded_controller", 0) == 0 ||
          rule_path.rfind("src/core/harvest_pool", 0) == 0;
