@@ -85,6 +85,7 @@ class BreakpointTable {
   /// One binary search. Throws std::logic_error on an empty table.
   const sim::PredictionMemo& lookup(double size) const;
   size_t intervals() const { return memos_.size(); }
+  const std::vector<double>& thresholds() const { return thresholds_; }
 
  private:
   std::vector<double> thresholds_;          // ascending, unique
@@ -112,7 +113,9 @@ class Profiler final : public DemandPredictor {
   /// Offline initialization (§8.2.3): trains the per-function models on a
   /// duplicator dataset seeded from a sampled input and fills the histogram
   /// models with historical observations, so the evaluation trace is pure
-  /// held-out test data.
+  /// held-out test data. Functions train on up to four threads; the models
+  /// do not depend on how many (DESIGN.md §5m). A training error is
+  /// rethrown here, the first in catalog order.
   void prewarm(const sim::FunctionCatalog& catalog, uint64_t seed,
                int samples_per_function) override;
 
@@ -124,6 +127,8 @@ class Profiler final : public DemandPredictor {
     bool classified_size_related = false;
   };
   std::optional<TrainMetrics> train_metrics(sim::FunctionId func) const;
+  /// The breakpoint table serving an ML-mode function; nullptr otherwise.
+  const BreakpointTable* ml_table(sim::FunctionId func) const;
 
   /// OOM-mitigation #3 (§5.1): functions that repeatedly trip the memory
   /// safeguard stop having memory harvested; the policy reports strikes.
@@ -154,8 +159,10 @@ class Profiler final : public DemandPredictor {
     double pilot_median_duration = 1.0;
   };
 
+  /// Writes only `state`, so functions can train concurrently.
   void train_function(sim::FunctionId func, const sim::InputSpec& first_input,
-                      FuncState& state);
+                      FuncState& state) const;
+  void log_trained(sim::FunctionId func, const FuncState& state) const;
   /// Pure histogram serving path, shared by predict(), predict_fallback()
   /// and speculate_predict(): builds the memo, never touches state.
   sim::PredictionMemo memo_histogram(const FuncState& state,

@@ -3,18 +3,20 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace libra::ml {
 namespace {
 
-std::vector<size_t> bootstrap_sample(size_t n, double fraction,
-                                     util::Rng& rng) {
+/// Fills `idx` with a bootstrap sample: max(1, fraction * n) rows drawn
+/// with replacement.
+void bootstrap_sample(size_t n, double fraction, util::Rng& rng,
+                      std::vector<size_t>& idx) {
   const size_t m = std::max<size_t>(
       1, static_cast<size_t>(fraction * static_cast<double>(n)));
-  std::vector<size_t> idx(m);
+  idx.resize(m);
   for (size_t i = 0; i < m; ++i)
     idx[i] = static_cast<size_t>(rng.uniform_int(0, static_cast<int64_t>(n) - 1));
-  return idx;
 }
 
 size_t default_max_features(size_t d, size_t requested) {
@@ -25,22 +27,44 @@ size_t default_max_features(size_t d, size_t requested) {
                                  static_cast<double>(d))));
 }
 
+/// Fits `trees` on bootstrap samples of `data`, all through one workspace.
+/// Rejects options a fit would turn into undefined behaviour or an empty
+/// forest.
+void fit_forest(const char* who, const ForestOptions& opt, const Dataset& data,
+                bool classification, int num_classes,
+                std::vector<detail::Cart>& trees) {
+  if (opt.num_trees < 1)
+    throw std::invalid_argument(std::string(who) +
+                                ": num_trees must be >= 1, got " +
+                                std::to_string(opt.num_trees));
+  // fraction * n is cast to size_t: NaN, a negative or a huge fraction
+  // would make that cast undefined.
+  if (!(opt.sample_fraction > 0.0 && opt.sample_fraction <= 1.0))
+    throw std::invalid_argument(std::string(who) +
+                                ": sample_fraction must be in (0, 1], got " +
+                                std::to_string(opt.sample_fraction));
+  detail::CartWorkspace ws(data, classification, num_classes);
+  trees.assign(static_cast<size_t>(opt.num_trees), {});
+  util::Rng rng(opt.seed);
+  TreeOptions topt = opt.tree;
+  topt.max_features = default_max_features(data.num_features(),
+                                           opt.tree.max_features);
+  std::vector<size_t> sample;
+  for (auto& tree : trees) {
+    topt.seed = rng.next_u64();
+    bootstrap_sample(data.size(), opt.sample_fraction, rng, sample);
+    tree.fit(ws, sample, topt);
+  }
+}
+
 }  // namespace
 
 void RandomForestClassifier::fit(const Dataset& data) {
   if (!data.has_labels() || data.size() == 0)
     throw std::invalid_argument("RandomForestClassifier: need labels");
   num_classes_ = data.num_classes();
-  trees_.assign(static_cast<size_t>(opt_.num_trees), {});
-  util::Rng rng(opt_.seed);
-  TreeOptions topt = opt_.tree;
-  topt.max_features = default_max_features(data.num_features(),
-                                           opt_.tree.max_features);
-  for (auto& tree : trees_) {
-    topt.seed = rng.next_u64();
-    const auto sample = bootstrap_sample(data.size(), opt_.sample_fraction, rng);
-    tree.fit(data, sample, /*classification=*/true, num_classes_, topt);
-  }
+  fit_forest("RandomForestClassifier", opt_, data, /*classification=*/true,
+             num_classes_, trees_);
 }
 
 int RandomForestClassifier::predict(const FeatureRow& row) const {
@@ -56,16 +80,8 @@ int RandomForestClassifier::predict(const FeatureRow& row) const {
 void RandomForestRegressor::fit(const Dataset& data) {
   if (!data.has_targets() || data.size() == 0)
     throw std::invalid_argument("RandomForestRegressor: need targets");
-  trees_.assign(static_cast<size_t>(opt_.num_trees), {});
-  util::Rng rng(opt_.seed);
-  TreeOptions topt = opt_.tree;
-  topt.max_features = default_max_features(data.num_features(),
-                                           opt_.tree.max_features);
-  for (auto& tree : trees_) {
-    topt.seed = rng.next_u64();
-    const auto sample = bootstrap_sample(data.size(), opt_.sample_fraction, rng);
-    tree.fit(data, sample, /*classification=*/false, 0, topt);
-  }
+  fit_forest("RandomForestRegressor", opt_, data, /*classification=*/false, 0,
+             trees_);
 }
 
 double RandomForestRegressor::predict(const FeatureRow& row) const {

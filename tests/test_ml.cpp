@@ -231,6 +231,74 @@ TEST(RandomForest, RegressionOnLinearData) {
   EXPECT_GE(r2_score(split.test.targets, rf.predict_all(split.test.x)), 0.9);
 }
 
+TEST(RandomForest, RejectsNonFiniteFeatures) {
+  // A NaN breaks the strict weak ordering the presort relies on, so every
+  // tree and forest fit refuses it, as HistogramModel::observe does.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Dataset clf, reg;
+    for (int i = 0; i < 20; ++i) {
+      const double x = i == 7 ? bad : static_cast<double>(i);
+      clf.add_classification({x, 1.0}, i % 2);
+      reg.add_regression({1.0, x}, 0.5 * i);
+    }
+    EXPECT_THROW(DecisionTreeClassifier().fit(clf), std::invalid_argument);
+    EXPECT_THROW(DecisionTreeRegressor().fit(reg), std::invalid_argument);
+    EXPECT_THROW(RandomForestClassifier().fit(clf), std::invalid_argument);
+    EXPECT_THROW(RandomForestRegressor().fit(reg), std::invalid_argument);
+  }
+}
+
+TEST(RandomForest, RejectsSampleFractionsThatCannotSizeABootstrap) {
+  // The bootstrap size is static_cast<size_t>(fraction * n), undefined for
+  // NaN, a negative or an overflowing product; fits accept (0, 1].
+  util::Rng rng(31);
+  const auto clf = two_blob_classification(30, rng);
+  const auto reg = linear_regression_data(30, rng);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), -0.5, 0.0,
+                     1.5, std::numeric_limits<double>::infinity()}) {
+    ForestOptions opt;
+    opt.sample_fraction = bad;
+    EXPECT_THROW(RandomForestClassifier(opt).fit(clf), std::invalid_argument)
+        << bad;
+    EXPECT_THROW(RandomForestRegressor(opt).fit(reg), std::invalid_argument)
+        << bad;
+  }
+  ForestOptions half;
+  half.sample_fraction = 0.5;
+  RandomForestClassifier rf(half);
+  EXPECT_NO_THROW(rf.fit(clf));
+}
+
+TEST(RandomForest, RejectsAForestWithoutTrees) {
+  // Zero trees used to fit "successfully" and then throw "predict before
+  // fit" at the first prediction.
+  util::Rng rng(37);
+  const auto clf = two_blob_classification(30, rng);
+  const auto reg = linear_regression_data(30, rng);
+  for (int trees : {0, -3}) {
+    ForestOptions opt;
+    opt.num_trees = trees;
+    EXPECT_THROW(RandomForestClassifier(opt).fit(clf), std::invalid_argument);
+    EXPECT_THROW(RandomForestRegressor(opt).fit(reg), std::invalid_argument);
+  }
+}
+
+TEST(DecisionTree, RejectsRaggedRowsAndLabelsOutsideTheClasses) {
+  Dataset ragged;
+  ragged.add_regression({1.0, 2.0}, 1.0);
+  ragged.add_regression({3.0}, 2.0);
+  EXPECT_THROW(DecisionTreeRegressor().fit(ragged), std::invalid_argument);
+  Dataset clf;
+  for (int i = 0; i < 6; ++i)
+    clf.add_classification({static_cast<double>(i)}, i % 3);
+  detail::Cart cart;
+  EXPECT_THROW(cart.fit(clf, {0, 1, 2}, true, /*num_classes=*/2, {}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(cart.fit(clf, {0, 1, 2}, true, /*num_classes=*/3, {}));
+}
+
 TEST(Histogram, ExactPercentilesOnSmallSample) {
   HistogramModel h(0, 100, 10);
   for (double v : {10.0, 20.0, 30.0, 40.0}) h.observe(v);

@@ -1,15 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/profiler.h"
 #include "core/window_predictors.h"
+#include "gen/synthetic_source.h"
 #include "ml/dataset.h"
+#include "size_model_data.h"
 #include "workload/function_catalog.h"
 #include "workload/trace.h"
 
@@ -251,26 +257,8 @@ TEST_F(ProfilerTest, ConcurrentSpeculatePredictMatchesSerial) {
   }
 }
 
-/// Profiler-shaped training data: one feature (input size, log-uniform over
-/// the duplicator's range), CPU and memory classes that step with size plus
-/// noise, and a duration that grows with size.
 SizeModels fit_size_models(uint64_t seed, double mem_class_mb) {
-  util::Rng rng(seed);
-  ml::Dataset cpu, mem, dur;
-  for (int i = 0; i < 70; ++i) {
-    const double size = 4.0 * std::exp(rng.uniform(std::log(0.2),
-                                                   std::log(100.0)));
-    const ml::FeatureRow row = {size};
-    cpu.add_classification(
-        row, static_cast<int>(std::lround(1.0 + std::log2(size) / 2.0 +
-                                          rng.normal(0.0, 0.4))) +
-                 2);
-    mem.add_classification(
-        row, static_cast<int>((64.0 + 6.0 * size + rng.normal(0.0, 40.0)) /
-                              mem_class_mb) +
-                 1);
-    dur.add_regression(row, 0.5 + 0.05 * size + rng.normal(0.0, 0.1));
-  }
+  const auto data = testdata::size_model_data(seed, mem_class_mb);
   ml::ForestOptions opt;
   opt.seed = seed * 7 + 1;
   opt.tree.min_samples_leaf = 3;
@@ -278,9 +266,9 @@ SizeModels fit_size_models(uint64_t seed, double mem_class_mb) {
   SizeModels models{ml::RandomForestClassifier(opt),
                     ml::RandomForestClassifier(opt),
                     ml::RandomForestRegressor(opt)};
-  models.cpu_clf.fit(cpu);
-  models.mem_clf.fit(mem);
-  models.dur_reg.fit(dur);
+  models.cpu_clf.fit(data.cpu);
+  models.mem_clf.fit(data.mem);
+  models.dur_reg.fit(data.dur);
   return models;
 }
 
@@ -314,6 +302,113 @@ TEST(BreakpointTable, LookupEqualsTheForestsEverywhere) {
 
 TEST(BreakpointTable, EmptyTableThrows) {
   EXPECT_THROW(BreakpointTable().lookup(1.0), std::logic_error);
+}
+
+uint64_t fold(uint64_t h, uint64_t v) { return util::mix64(h ^ v); }
+uint64_t bits(double d) { return std::bit_cast<uint64_t>(d); }
+
+uint64_t fold_memo(uint64_t h, const sim::PredictionMemo& m) {
+  h = fold(h, bits(m.pred_demand.cpu));
+  h = fold(h, bits(m.pred_demand.mem));
+  h = fold(h, bits(m.pred_duration));
+  h = fold(h, m.pred_size_related);
+  h = fold(h, m.first_seen);
+  return fold(h, m.profiling_probe);
+}
+
+/// Every function's mode, training metrics and breakpoint table (each
+/// threshold and the memo of each interval), bit for bit, in catalog order.
+uint64_t model_digest(const Profiler& profiler,
+                      const sim::FunctionCatalog& catalog) {
+  uint64_t h = 0x1b7a11ULL;
+  for (const auto& func : catalog.all()) {
+    const auto metrics = profiler.train_metrics(func->id());
+    h = fold(h, metrics.has_value());
+    if (metrics) {
+      h = fold(h, bits(metrics->cpu_accuracy));
+      h = fold(h, bits(metrics->mem_accuracy));
+      h = fold(h, bits(metrics->duration_r2));
+      h = fold(h, metrics->classified_size_related);
+    }
+    const BreakpointTable* table = profiler.ml_table(func->id());
+    h = fold(h, table != nullptr);
+    if (table == nullptr) continue;
+    h = fold(h, table->thresholds().size());
+    for (double t : table->thresholds()) {
+      h = fold(h, bits(t));
+      h = fold_memo(h, table->lookup(t));
+    }
+    h = fold_memo(h, table->lookup(std::numeric_limits<double>::infinity()));
+  }
+  return h;
+}
+
+/// A platform's profiler (exp::make_platform's seed and prewarm).
+uint64_t prewarmed_digest(std::shared_ptr<const sim::FunctionCatalog> catalog) {
+  ProfilerConfig cfg;
+  cfg.seed = 1234;
+  Profiler profiler(cfg, catalog);
+  profiler.prewarm(*catalog, 1234, 30);
+  return model_digest(profiler, *catalog);
+}
+
+// The pinned values are the serial trainer's, before the presorted CART and
+// the training fan-out (DESIGN.md §5m). Both must leave every model as it
+// was, whatever the number of training threads.
+TEST(ProfilerPrewarm, ModelsMatchTheParentSebs) {
+  EXPECT_EQ(prewarmed_digest(std::make_shared<const sim::FunctionCatalog>(
+                workload::sebs_catalog())),
+            0xb82d3f84cc899a90ULL);
+}
+
+TEST(ProfilerPrewarm, ModelsMatchTheParentSynthetic200) {
+  // perfbench's stream catalog.
+  gen::GenConfig g;
+  g.functions = 200;
+  g.seed = 20230616;
+  EXPECT_EQ(prewarmed_digest(std::make_shared<const sim::FunctionCatalog>(
+                gen::synthetic_catalog(g))),
+            0xefe2150579efbd20ULL);
+}
+
+/// A catalog function whose pilot runs fail.
+class FailingFunction final : public sim::FunctionModel {
+ public:
+  FailingFunction(sim::FunctionPtr base, std::string message)
+      : base_(std::move(base)), message_(std::move(message)) {}
+  sim::FunctionId id() const override { return base_->id(); }
+  std::string name() const override { return base_->name(); }
+  Resources user_allocation() const override {
+    return base_->user_allocation();
+  }
+  bool size_related() const override { return base_->size_related(); }
+  sim::DemandProfile evaluate(const sim::InputSpec&) const override {
+    throw std::runtime_error(message_);
+  }
+  sim::InputSpec sample_input(util::Rng& rng) const override {
+    return base_->sample_input(rng);
+  }
+
+ private:
+  sim::FunctionPtr base_;
+  std::string message_;
+};
+
+TEST(ProfilerPrewarm, WorkerExceptionReachesTheCaller) {
+  // Two failing functions: whichever thread trains them, the caller gets
+  // the first one's error in catalog order.
+  std::vector<sim::FunctionPtr> functions = workload::sebs_catalog().all();
+  functions[3] = std::make_shared<FailingFunction>(functions[3], "pilot 3");
+  functions[7] = std::make_shared<FailingFunction>(functions[7], "pilot 7");
+  const auto catalog =
+      std::make_shared<const sim::FunctionCatalog>(std::move(functions));
+  Profiler profiler(ProfilerConfig{}, catalog);
+  try {
+    profiler.prewarm(*catalog, 1234, 5);
+    ADD_FAILURE() << "prewarm swallowed the pilot failure";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "pilot 3");
+  }
 }
 
 }  // namespace
