@@ -22,7 +22,10 @@
 //     the replaced global operator new below);
 //   * the §5d incremental audit: an engine event that marks nothing, and
 //     one that marks one node, each cost at most 2x as much at 1000 nodes
-//     as at 10, and neither allocates after warm-up.
+//     as at 10, and neither allocates after warm-up;
+//   * the §5l capacity index: on a saturated cluster a sticky pick and a
+//     coverage select cost at most 2x as much at 1000 nodes as at 10, and
+//     neither allocates after warm-up.
 //
 // With --json-out PATH (stripped before google-benchmark parses argv) the
 // gate measurements are merged into a BenchArtifact JSON file —
@@ -289,9 +292,10 @@ void BM_ProfilerPredictionMl(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfilerPredictionMl);
 
-/// EngineApi over a frozen cluster, for driving the auditor's sweep without
-/// an engine: nodes, their placed lists and a vector of records indexed by
-/// id (alive = present and not done, as in the engine).
+/// EngineApi over a frozen cluster, for driving the auditor's sweep and the
+/// schedulers without an engine: nodes attached to a capacity index, their
+/// placed lists and a vector of records indexed by id (alive = present and
+/// not done, as in the engine).
 class SweepApi final : public sim::EngineApi {
  public:
   sim::SimTime now() const override { return 50.0; }
@@ -325,7 +329,22 @@ class SweepApi final : public sim::EngineApi {
   const std::vector<sim::InvocationId>& finalized_ids() const override {
     return finalized_;
   }
+  sim::Resources max_shard_free(sim::ShardId shard) const override {
+    return index_.max(shard);
+  }
 
+  /// Adds `count` nodes of backlog-burst's shape (24 cores, 24 GB, 4
+  /// shards), each attached to the index.
+  void add_nodes(int count) {
+    index_ = sim::CapacityIndex(static_cast<size_t>(count), 4);
+    for (int n = 0; n < count; ++n) {
+      nodes_.emplace_back(n, sim::Resources{24.0, 24576.0}, 4);
+      nodes_.back().set_capacity_index(&index_);
+    }
+    placed_.resize(static_cast<size_t>(count));
+  }
+
+  sim::CapacityIndex index_;
   std::vector<sim::Node> nodes_;
   std::vector<std::vector<sim::InvocationId>> placed_;
   std::vector<sim::Invocation> invocations_;
@@ -361,9 +380,7 @@ struct AuditorSweepFixture {
         cfg, std::make_shared<core::UserConfigPredictor>(),
         std::make_shared<baselines::HashScheduler>());
     auditor.attach_policy(policy.get());
-    for (int n = 0; n < nodes; ++n)
-      api.nodes_.emplace_back(n, sim::Resources{24.0, 24576.0}, 4);
-    api.placed_.resize(static_cast<size_t>(nodes));
+    api.add_nodes(nodes);
     api.invocations_.resize(static_cast<size_t>(backlog));
     for (int i = 0; i < backlog; ++i) {
       sim::Invocation& inv = api.invocations_[static_cast<size_t>(i)];
@@ -1047,6 +1064,115 @@ bool check_incremental_audit_cost(exp::BenchArtifact* artifact) {
   return false;
 }
 
+/// backlog-burst's cluster at `nodes` nodes with every shard slice reserved
+/// in full, and eight functions asking for 1 core and 512 MB, each through a
+/// sticky pick and a coverage select (accelerable: it predicts 2 cores).
+struct FullClusterFixture {
+  SweepApi api;
+  core::StickyHashState sticky;
+  core::CoverageScheduler coverage{nullptr, 0.9};
+  std::vector<sim::Invocation> asks;
+
+  explicit FullClusterFixture(int nodes) {
+    api.add_nodes(nodes);
+    for (sim::Node& node : api.nodes_)
+      for (sim::ShardId s = 0; s < node.num_shards(); ++s)
+        if (!node.try_reserve(s, node.shard_capacity())) {
+          std::fprintf(stderr, "full-cluster fixture: node %d refused\n",
+                       static_cast<int>(node.id()));
+          std::exit(1);
+        }
+    for (int f = 0; f < 8; ++f) {
+      sim::Invocation inv;
+      inv.id = f;
+      inv.func = f;
+      inv.shard = f % 4;
+      inv.user_alloc = {1.0, 512.0};
+      inv.pred_demand = {2.0, 512.0};
+      inv.pred_duration = 1.0;
+      asks.push_back(inv);
+    }
+  }
+
+  /// One round: every ask decided by both schedulers. Returns the number
+  /// of nodes found (0 on a full cluster).
+  int decide() {
+    int found = 0;
+    for (sim::Invocation& inv : asks) {
+      found += sticky.pick(inv, api) != sim::kNoNode;
+      found += coverage.select(inv, api) != sim::kNoNode;
+    }
+    return found;
+  }
+  size_t decisions_per_round() const { return 2 * asks.size(); }
+};
+
+/// §5l capacity-index gate: on a saturated cluster a sticky pick and a
+/// coverage select answer "no node fits" from the index's root, so their
+/// cost must not follow the node count. Per size, the best of 7 reps of 1000
+/// rounds (16 decisions each); the 1000-node cost must be at most 2x the
+/// 10-node cost, and after a warm-up round set (which grows the salt table)
+/// no decision may allocate.
+bool check_full_cluster_pick_cost(exp::BenchArtifact* artifact) {
+  constexpr int kRounds = 1000;
+  constexpr int kReps = 7;
+  constexpr int kAttempts = 3;
+  constexpr double kMaxRatio = 2.0;
+  struct Cost {
+    double ns = 0.0;
+    long allocs = 0;
+    long found = 0;
+  };
+  auto measure = [&](int nodes) {
+    FullClusterFixture fx(nodes);
+    Cost c;
+    for (int i = 0; i < kRounds; ++i) c.found += fx.decide();
+    const long before = t_heap_allocs;
+    c.ns = 1e300;
+    for (int r = 0; r < kReps; ++r) {
+      const auto start = std::chrono::steady_clock::now();
+      for (int i = 0; i < kRounds; ++i) c.found += fx.decide();
+      const auto stop = std::chrono::steady_clock::now();
+      c.ns = std::min(c.ns, std::chrono::duration<double>(stop - start).count() *
+                                1e9 /
+                                static_cast<double>(kRounds *
+                                                    fx.decisions_per_round()));
+    }
+    c.allocs = t_heap_allocs - before;
+    return c;
+  };
+  for (int attempt = 1; attempt <= kAttempts; ++attempt) {
+    const Cost small = measure(10);
+    const Cost large = measure(1000);
+    const double scale_x = large.ns / small.ns;
+    std::printf(
+        "full-cluster pick gate (attempt %d): %.1f ns per decision at 10 "
+        "nodes, %.1f ns at 1000 (%.2fx); %ld + %ld heap allocations after "
+        "warm-up\n",
+        attempt, small.ns, large.ns, scale_x, small.allocs, large.allocs);
+    if (small.found != 0 || large.found != 0) {
+      std::printf("full-cluster pick gate: FAIL (a pick found a node on the "
+                  "full cluster)\n");
+      return false;
+    }
+    if (small.allocs != 0 || large.allocs != 0) {
+      std::printf("full-cluster pick gate: FAIL (a warmed pick allocates)\n");
+      return false;
+    }
+    if (scale_x <= kMaxRatio) {
+      std::printf("full-cluster pick gate: PASS (<= 2x from 10 to 1000 "
+                  "nodes, zero allocations)\n");
+      artifact->add("sched_full_pick_10_ns", small.ns, "ns");
+      artifact->add("sched_full_pick_1000_ns", large.ns, "ns");
+      artifact->add("sched_full_pick_scale_x", scale_x, "ratio", "lower");
+      return true;
+    }
+  }
+  std::printf("full-cluster pick gate: FAIL (a pick at 1000 nodes costs > 2x "
+              "one at 10)\n");
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1079,6 +1205,7 @@ int main(int argc, char** argv) {
   const bool depth_ok = check_profiler_hist_depth_cost(&artifact);
   const bool sweep_ok = check_auditor_sweep_allocations(&artifact);
   const bool audit_ok = check_incremental_audit_cost(&artifact);
+  const bool pick_ok = check_full_cluster_pick_cost(&artifact);
   if (!json_out.empty()) {
     std::string error;
     if (!exp::merge_bench_artifact(json_out, artifact, &error)) {
@@ -1090,7 +1217,7 @@ int main(int argc, char** argv) {
                 json_out.c_str());
   }
   return obs_ok && ref_ok && store_ok && walk_ok && scan_ok && depth_ok &&
-                 sweep_ok && audit_ok
+                 sweep_ok && audit_ok && pick_ok
              ? 0
              : 1;
 }

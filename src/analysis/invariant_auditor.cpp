@@ -1,8 +1,12 @@
 #include "analysis/invariant_auditor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <iomanip>
+#include <limits>
 
 #include "util/audit.h"
 
@@ -25,6 +29,11 @@ bool near(double a, double b) {
 /// in.
 bool in_flight(sim::EngineApi& api, InvocationId id) {
   return api.invocation_alive(id) && !api.invocation(id).done;
+}
+
+bool same_bits(const Resources& a, const Resources& b) {
+  return std::bit_cast<uint64_t>(a.cpu) == std::bit_cast<uint64_t>(b.cpu) &&
+         std::bit_cast<uint64_t>(a.mem) == std::bit_cast<uint64_t>(b.mem);
 }
 
 }  // namespace
@@ -148,6 +157,7 @@ void InvariantAuditor::check_marked(sim::EngineApi& api, const char* what) {
   order_.assign(pending_nodes_.ids().begin(), pending_nodes_.ids().end());
   std::sort(order_.begin(), order_.end());
   const auto& nodes = api.nodes();
+  load_roots(api);
   for (const NodeId n : order_)
     if (static_cast<size_t>(n) < nodes.size())
       check_node(api, nodes[static_cast<size_t>(n)], what);
@@ -239,6 +249,19 @@ void InvariantAuditor::check_node(sim::EngineApi& api, const sim::Node& node,
                                << " but references node " << inv->node);
     want += inv->user_alloc + inv->probe_extra;
   }
+  // The capacity index bounds every node's free slice from above: the
+  // direction a scheduler's O(1) "no node fits" proof relies on.
+  for (size_t s = 0; s < roots_.size(); ++s) {
+    const Resources free = node.shard_free(static_cast<sim::ShardId>(s));
+    const Resources& root = roots_[s];
+    LIBRA_AUDIT_CHECK(free.cpu <= root.cpu && free.mem <= root.mem,
+                      "after " << what << ": node " << nid << " shard " << s
+                               << " has more free (cpu " << free.cpu
+                               << ", mem " << free.mem
+                               << ") than the capacity index's root (cpu "
+                               << root.cpu << ", mem " << root.mem << ")");
+    slice_max_[s] = Resources::max(slice_max_[s], free);
+  }
   LIBRA_AUDIT_CHECK(
       near(node.allocated().cpu, want.cpu) &&
           near(node.allocated().mem, want.mem),
@@ -253,6 +276,34 @@ void InvariantAuditor::check_node(sim::EngineApi& api, const sim::Node& node,
                                << " still holds reservations (cpu "
                                << want.cpu << ", mem " << want.mem << ", "
                                << node.running_invocations() << " running)");
+  }
+}
+
+void InvariantAuditor::load_roots(sim::EngineApi& api) {
+  const auto& nodes = api.nodes();
+  const int shards = nodes.empty() ? 0 : nodes.front().num_shards();
+  roots_.resize(static_cast<size_t>(shards));
+  for (sim::ShardId s = 0; s < shards; ++s)
+    roots_[static_cast<size_t>(s)] = api.max_shard_free(s);
+  const double none = -std::numeric_limits<double>::infinity();
+  slice_max_.assign(roots_.size(), Resources{none, none});
+}
+
+void InvariantAuditor::check_capacity_index(const char* what) {
+  for (size_t s = 0; s < roots_.size(); ++s) {
+    const Resources& root = roots_[s];
+    // EngineApi's default, +inf on both axes, means the api keeps no index;
+    // an engine's root is finite (node capacities are validated finite).
+    if (std::isinf(root.cpu) && std::isinf(root.mem) && root.cpu > 0.0 &&
+        root.mem > 0.0)
+      continue;
+    const Resources& want = slice_max_[s];
+    LIBRA_AUDIT_CHECK(same_bits(root, want),
+                      "after " << what << ": capacity index root of shard "
+                               << s << " (cpu " << std::setprecision(17)
+                               << root.cpu << ", mem " << root.mem
+                               << ") != the nodes' largest free slice (cpu "
+                               << want.cpu << ", mem " << want.mem << ")");
   }
 }
 
@@ -328,7 +379,9 @@ void InvariantAuditor::sweep(sim::EngineApi& api, const char* what) {
   collect(api);
   ++stats_.checks;
   ++stats_.sweeps;
+  load_roots(api);
   for (const auto& node : api.nodes()) check_node(api, node, what);
+  check_capacity_index(what);
   if (policy_ != nullptr) {
     check_finalized(what);
     // Bookkeeping boundedness: every stashed raw prediction must belong to

@@ -11,8 +11,9 @@
 //   (EngineApi::touched_nodes — every Node mutator and placed-list edit marks
 //   one) gets its accounting re-derived — every placed invocation is alive
 //   and references that node, allocated totals equal the sum of placed
-//   reservations (user_alloc + probe_extra), a down node holds nothing — and
-//   its pool re-checked: no entry or grant references a completed source, no
+//   reservations (user_alloc + probe_extra), a down node holds nothing, no
+//   free shard slice exceeds the capacity index's root — and its pool
+//   re-checked: no entry or grant references a completed source, no
 //   grant a borrower that is gone, a down node's pool is empty, no entry is
 //   sourced from a function the trust circuit breaker has quarantined. Each
 //   id finalized since the previous check (EngineApi::finalized_ids) must
@@ -21,13 +22,15 @@
 //   event carried no node, every pool is re-checked. An event that changed
 //   nothing costs O(1).
 //
-// The full sweep — every node, every pool, the whole stash — stays as the
-// backstop: it runs every kFullSweepPeriod engine events and on the engine's
-// closing "run_end" event, so a violation planted without going through any
-// mutation site is still caught. Both paths share check_node / check_pool,
-// so their diagnostics are byte-identical. Neither sorts a copy of the
-// placed set, builds a hash map or allocates once the reused scratch (one
-// pool snapshot, one per-entry lent vector, the pending marks) has grown.
+// The full sweep — every node, every pool, the whole stash, and the capacity
+// index's roots against the nodes' largest free slices, bit for bit — stays
+// as the backstop: it runs every kFullSweepPeriod engine events and on the
+// engine's closing "run_end" event, so a violation planted without going
+// through any mutation site is still caught. Both paths share check_node /
+// check_pool, so their diagnostics are byte-identical. Neither sorts a copy
+// of the placed set, builds a hash map or allocates once the reused scratch
+// (one pool snapshot, one per-entry lent vector, the pending marks) has
+// grown.
 //
 // A violation aborts through LIBRA_AUDIT_CHECK with a structured diagnostic
 // carrying the engine event id and sim time (stamped by Engine::notify_audit
@@ -93,9 +96,17 @@ class InvariantAuditor final : public core::PoolEventListener,
   /// non-negative and traced to an entry, idle + lent == harvested.
   void check_conservation(const char* origin);
   /// Node accounting for one node: its placed list against its allocated
-  /// totals and up flag.
+  /// totals and up flag, and each of its free shard slices against the
+  /// capacity index's root (no slice above it; roots_ must be loaded).
   void check_node(sim::EngineApi& api, const sim::Node& node,
                   const char* what);
+  /// Reads the capacity index's roots into roots_ and resets slice_max_,
+  /// which check_node folds each checked node's free slices into.
+  void load_roots(sim::EngineApi& api);
+  /// The capacity index, exactly: after check_node ran on every node, each
+  /// shard's root equals the largest free slice, bit for bit, per axis.
+  /// Full sweep only.
+  void check_capacity_index(const char* what);
   /// Everything about node n's pool: conservation, entry and grant
   /// liveness, quarantine, down-node emptiness. No-op without a pool.
   void check_pool(sim::EngineApi& api, size_t n, const char* what);
@@ -133,6 +144,10 @@ class InvariantAuditor final : public core::PoolEventListener,
   std::vector<sim::NodeId> order_;
   core::HarvestResourcePool::DebugState snap_;
   std::vector<sim::Resources> lent_;
+  /// Per shard: the capacity index's root, read once per check, and the
+  /// largest free slice over the nodes checked since.
+  std::vector<sim::Resources> roots_;
+  std::vector<sim::Resources> slice_max_;
 };
 
 }  // namespace libra::analysis

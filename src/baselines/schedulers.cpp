@@ -4,13 +4,19 @@
 
 namespace libra::baselines {
 
+using core::no_node_fits;
 using core::shard_feasible;
 using sim::EngineApi;
 using sim::Invocation;
 using sim::kNoNode;
 using sim::NodeId;
 
+// Each scan first asks the capacity index: on a full shard it returns
+// kNoNode without walking, leaving the state a failed scan leaves (RR's
+// cursor moves only on success).
+
 NodeId RoundRobinScheduler::select(Invocation& inv, EngineApi& api) {
+  if (no_node_fits(inv, api)) return kNoNode;
   const auto& nodes = api.nodes();
   for (size_t attempt = 0; attempt < nodes.size(); ++attempt) {
     const size_t idx = (cursor_ + attempt) % nodes.size();
@@ -23,6 +29,7 @@ NodeId RoundRobinScheduler::select(Invocation& inv, EngineApi& api) {
 }
 
 NodeId JsqScheduler::select(Invocation& inv, EngineApi& api) {
+  if (no_node_fits(inv, api)) return kNoNode;
   NodeId best = kNoNode;
   int best_queue = std::numeric_limits<int>::max();
   for (const auto& node : api.nodes()) {
@@ -36,6 +43,7 @@ NodeId JsqScheduler::select(Invocation& inv, EngineApi& api) {
 }
 
 NodeId MwsScheduler::select(Invocation& inv, EngineApi& api) {
+  if (no_node_fits(inv, api)) return kNoNode;
   NodeId best = kNoNode;
   double best_pressure = std::numeric_limits<double>::infinity();
   for (const auto& node : api.nodes()) {

@@ -26,6 +26,8 @@ class RoundRobinScheduler final : public core::SchedulerStrategy {
  public:
   std::string name() const override { return "rr"; }
   sim::NodeId select(sim::Invocation& inv, sim::EngineApi& api) override;
+  /// Where the next scan starts (one past the last pick).
+  size_t cursor() const { return cursor_; }
 
  private:
   size_t cursor_ = 0;

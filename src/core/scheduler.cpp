@@ -1,5 +1,7 @@
 #include "core/scheduler.h"
 
+#include <stdexcept>
+
 #include "core/coverage.h"
 #include "util/rng.h"
 
@@ -19,11 +21,42 @@ bool shard_feasible(const sim::Node& node, const Invocation& inv,
   return !api.node_suspected_down(node.id()) && shard_feasible(node, inv);
 }
 
+bool no_node_fits(const Invocation& inv, const sim::EngineApi& api) {
+  return !inv.user_alloc.fits_in(api.max_shard_free(inv.shard));
+}
+
+int& StickyHashState::salt_slot(sim::FunctionId func) {
+  if (func < 0)
+    throw std::out_of_range("StickyHashState: negative function id " +
+                            std::to_string(func));
+  const auto i = static_cast<size_t>(func);
+  if (i >= salt_.size()) salt_.resize(i + 1, 0);
+  return salt_[i];
+}
+
+int StickyHashState::salt(sim::FunctionId func) const {
+  util::MutexLock lock(mu_);
+  const auto i = static_cast<size_t>(func);
+  return func >= 0 && i < salt_.size() ? salt_[i] : 0;
+}
+
 NodeId StickyHashState::pick(Invocation& inv, EngineApi& api) {
   util::MutexLock lock(mu_);
   const auto& nodes = api.nodes();
   const auto n = static_cast<uint64_t>(nodes.size());
-  int& salt = salt_[inv.func];
+  int& salt = salt_slot(inv.func);
+  // The salt wraps like two's complement, so n failed probes and one
+  // `salt += n` leave the same value.
+  auto advance = [&salt](uint64_t k) {
+    salt = static_cast<int>(static_cast<uint32_t>(salt) +
+                            static_cast<uint32_t>(k));
+  };
+  if (no_node_fits(inv, api)) {
+    // The scan below would probe n nodes, find none feasible and advance
+    // the salt once per probe.
+    advance(n);
+    return kNoNode;
+  }
   // Advance the function's sticky target until a feasible node is found;
   // the new target persists so upcoming invocations follow (§6.3).
   for (size_t attempt = 0; attempt < nodes.size(); ++attempt) {
@@ -33,13 +66,15 @@ NodeId StickyHashState::pick(Invocation& inv, EngineApi& api) {
     const auto candidate = static_cast<NodeId>(h % n);
     if (shard_feasible(nodes[static_cast<size_t>(candidate)], inv, api))
       return candidate;
-    ++salt;
+    advance(1);
   }
   return kNoNode;
 }
 
 NodeId CoverageScheduler::coverage_pick(const Invocation& inv,
                                         const sim::EngineApi& api) const {
+  // On a full shard no node is feasible, so the scan would find none.
+  if (no_node_fits(inv, api)) return kNoNode;
   // Extra demand beyond the user allocation, and the window it is needed for.
   const sim::Resources extra =
       (inv.pred_demand - inv.user_alloc).clamped_non_negative();

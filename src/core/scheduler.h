@@ -7,7 +7,7 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "core/pool_status.h"
 #include "sim/policy.h"
@@ -44,9 +44,16 @@ bool shard_feasible(const sim::Node& node, const sim::Invocation& inv);
 bool shard_feasible(const sim::Node& node, const sim::Invocation& inv,
                     const sim::EngineApi& api);
 
+/// True when the capacity index proves that no node's slice of the
+/// invocation's shard can hold its user-defined allocation
+/// (EngineApi::max_shard_free): O(1), sound, never complete. False means a
+/// scan must look. Health suspicion only removes nodes, so the proof holds
+/// for the controller-side overload of shard_feasible too.
+bool no_node_fits(const sim::Invocation& inv, const sim::EngineApi& api);
+
 /// OpenWhisk-style sticky hashing: invocations of a function go to the same
 /// node (container reuse); when the target lacks capacity the hash advances
-/// and upcoming invocations of the function follow (§6.3). The salt map is
+/// and upcoming invocations of the function follow (§6.3). The salt table is
 /// shared scheduler-shard state — every decentralized shard advances the
 /// same per-function target — so it is mutex-protected and annotated.
 class StickyHashState {
@@ -55,12 +62,20 @@ class StickyHashState {
   StickyHashState(const StickyHashState&) = delete;
   StickyHashState& operator=(const StickyHashState&) = delete;
 
+  /// Throws std::out_of_range on a negative function id.
   sim::NodeId pick(sim::Invocation& inv, sim::EngineApi& api)
       LIBRA_EXCLUDES(mu_);
 
+  /// The function's current salt: 0 before its first pick.
+  int salt(sim::FunctionId func) const LIBRA_EXCLUDES(mu_);
+
  private:
-  util::Mutex mu_;
-  std::unordered_map<sim::FunctionId, int> salt_ LIBRA_GUARDED_BY(mu_);
+  int& salt_slot(sim::FunctionId func) LIBRA_REQUIRES(mu_);
+
+  mutable util::Mutex mu_;
+  /// Indexed by function id (catalog ids are dense); grows on the first
+  /// sight of a larger id.
+  std::vector<int> salt_ LIBRA_GUARDED_BY(mu_);
 };
 
 /// Libra's timeliness-aware greedy scheduler (§6.3):
@@ -83,6 +98,8 @@ class CoverageScheduler final : public SchedulerStrategy {
                                        const sim::EngineApi& api) const override;
 
   double alpha() const { return alpha_; }
+  /// The sticky hash the non-accelerable and no-coverage paths fall back to.
+  const StickyHashState& sticky() const { return hash_; }
 
  private:
   /// The pure greedy max-coverage scan shared by select and speculate.

@@ -7,13 +7,17 @@
 namespace libra::sim {
 
 ClusterState::ClusterState(Engine& host)
-    : host_(host), touched_(host.config().node_capacities.size()) {
+    : host_(host),
+      touched_(host.config().node_capacities.size()),
+      capacity_(host.config().node_capacities.size(),
+                host.config().num_shards) {
   const EngineConfig& cfg = host_.config();
   nodes_.reserve(cfg.node_capacities.size());
   for (size_t i = 0; i < cfg.node_capacities.size(); ++i) {
     nodes_.emplace_back(static_cast<NodeId>(i), cfg.node_capacities[i],
                         cfg.num_shards, cfg.container);
     nodes_.back().set_touch_log(&touched_);
+    nodes_.back().set_capacity_index(&capacity_);
     host_.metrics().total_capacity += cfg.node_capacities[i];
   }
   draining_until_.assign(nodes_.size(), 0.0);

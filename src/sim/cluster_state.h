@@ -1,8 +1,8 @@
 // Cluster layer: owns the worker nodes, the per-node placed lists, the
-// controller's ping-based health view, the churn bookkeeping and the
-// cluster-wide usage/allocation series. Everything node- or cluster-scoped
-// that the old monolithic engine tracked lives here; the other layers reach
-// it through Engine::cluster().
+// free-capacity index, the controller's ping-based health view, the churn
+// bookkeeping and the cluster-wide usage/allocation series. Everything node-
+// or cluster-scoped that the old monolithic engine tracked lives here; the
+// other layers reach it through Engine::cluster().
 #pragma once
 
 #include <vector>
@@ -45,6 +45,20 @@ class ClusterState {
   /// its node (see InvocationLifecycle::finalize_record).
   void mark_touched(NodeId node) { touched_.mark(node); }
 
+  /// {largest free cpu, largest free mem} over the nodes' slices of `shard`:
+  /// the capacity index's root, maintained by the nodes themselves.
+  Resources max_shard_free(ShardId shard) const {
+    return capacity_.max(shard);
+  }
+  /// Test hook modelling a reservation change whose index write went wrong:
+  /// overwrites `node`'s leaf of `shard` with `free` and marks the node, as
+  /// the mutation would have.
+  void stale_capacity_for_audit_test(NodeId node, ShardId shard,
+                                     const Resources& free) {
+    capacity_.update(node, shard, free);
+    touched_.mark(node);
+  }
+
   /// Initializes the health view and schedules the staggered per-node ping
   /// loops. Called once from Engine::run after the fault injector exists.
   void start_health_pings(SimTime first_arrival);
@@ -83,8 +97,9 @@ class ClusterState {
 
  private:
   Engine& host_;
-  /// Declared before nodes_: every node holds a pointer to it.
+  /// Declared before nodes_: every node holds a pointer to each.
   TouchLog touched_;
+  CapacityIndex capacity_;
   std::vector<Node> nodes_;
 
   std::vector<SimTime> last_ping_delivered_;  // controller health view

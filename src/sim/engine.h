@@ -80,6 +80,9 @@ class Engine final : public EngineApi {
   bool node_suspected_down(NodeId id) const override {
     return cluster_->node_suspected_down(id);
   }
+  Resources max_shard_free(ShardId shard) const override {
+    return cluster_->max_shard_free(shard);
+  }
   const std::vector<InvocationId>& placed_on(NodeId node) const override {
     return cluster_->placed_on(node);
   }
@@ -102,6 +105,13 @@ class Engine final : public EngineApi {
   /// pool entries behind. Audit tests call it from an audit hook.
   void lose_for_audit_test(InvocationId id) {
     lifecycle_->lose_invocation(invocation(id));
+  }
+  /// Test hook modelling a reservation change whose capacity-index write
+  /// went wrong: overwrites `node`'s leaf of `shard` with `free` and marks
+  /// the node touched. Audit tests call it from an audit hook.
+  void stale_capacity_for_audit_test(NodeId node, ShardId shard,
+                                     const Resources& free) {
+    cluster_->stale_capacity_for_audit_test(node, shard, free);
   }
 
  private:

@@ -6,6 +6,8 @@
 // coverage are observed for the node as a whole.
 #pragma once
 
+#include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "sim/container_pool.h"
@@ -46,6 +48,46 @@ class TouchLog {
   std::vector<NodeId> ids_;
 };
 
+/// The free-capacity index (DESIGN.md §5l): per shard, a max-tree over the
+/// nodes' free slices (Node::shard_free) that keeps the largest free CPU and,
+/// separately, the largest free memory. Its root bounds every node's slice
+/// from above on both axes, and Resources::fits_in is monotone in the free
+/// values, so an allocation that does not fit the root fits no node.
+/// ClusterState owns the run's index, sized once for the fleet; a node's
+/// try_reserve and release, the only writers of its shard reservations,
+/// rewrite its leaf and climb only while a parent's value changes, so an
+/// update never allocates and costs O(log n) at worst.
+class CapacityIndex {
+ public:
+  /// Every leaf starts at -inf on both axes (no capacity) until its node is
+  /// attached (Node::set_capacity_index).
+  explicit CapacityIndex(size_t num_nodes = 0, int num_shards = 0);
+
+  size_t num_nodes() const { return n_; }
+  int num_shards() const { return num_shards_; }
+
+  /// Writes node `id`'s free slice of `shard` and repairs its path to the
+  /// root.
+  void update(NodeId id, ShardId shard, const Resources& free);
+
+  /// {largest free cpu, largest free mem} over every node's slice of
+  /// `shard`; -inf on both axes for an empty fleet.
+  Resources max(ShardId shard) const {
+    if (n_ == 0) {
+      const double none = -std::numeric_limits<double>::infinity();
+      return {none, none};
+    }
+    return tree_.at(static_cast<size_t>(shard) * 2 * n_ + 1);
+  }
+
+ private:
+  size_t n_ = 0;
+  int num_shards_ = 0;
+  /// Shard-major, 2n entries per shard: an implicit binary heap with the
+  /// root at offset 1, node i's leaf at offset n + i and offset 0 unused.
+  std::vector<Resources> tree_;
+};
+
 class Node {
  public:
   Node(NodeId id, Resources capacity, int num_shards,
@@ -55,9 +97,7 @@ class Node {
   const Resources& capacity() const { return capacity_; }
 
   /// Capacity slice owned by one scheduler shard.
-  Resources shard_capacity() const {
-    return capacity_ / static_cast<double>(num_shards_);
-  }
+  Resources shard_capacity() const { return shard_capacity_; }
 
   /// Free resources within one shard's slice.
   Resources shard_free(ShardId shard) const;
@@ -70,7 +110,8 @@ class Node {
 
   /// Attempts to reserve `r` from the shard's slice; false if it won't fit.
   /// Every mutator below marks the node in the attached TouchLog (a
-  /// successful reservation only).
+  /// successful reservation only). try_reserve (on success) and release also
+  /// rewrite the node's leaf of the shard in the attached CapacityIndex.
   bool try_reserve(ShardId shard, const Resources& r);
 
   /// Releases a prior reservation back to the shard's slice.
@@ -98,6 +139,12 @@ class Node {
   /// outlive the node; standalone nodes keep none.
   void set_touch_log(TouchLog* log) { touch_log_ = log; }
 
+  /// Attaches the capacity index whose leaves for this node try_reserve and
+  /// release rewrite, and writes the node's current free slices into it
+  /// (nullptr detaches). The index must cover this node's id and shard
+  /// count, and outlive the node; standalone nodes keep none.
+  void set_capacity_index(CapacityIndex* index);
+
   /// Audits reservation/release symmetry: after the engine reaps a crashed
   /// node, nothing may remain reserved or running. Always compiled in; a
   /// violation aborts with a LIBRA_AUDIT_CHECK diagnostic naming the node,
@@ -113,15 +160,23 @@ class Node {
   void touch() {
     if (touch_log_ != nullptr) touch_log_->mark(id_);
   }
+  /// Writes the shard's free slice, exactly as shard_free computes it, into
+  /// the attached index.
+  void reindex(ShardId shard, const Resources& used) {
+    if (capacity_index_ != nullptr)
+      capacity_index_->update(id_, shard, shard_capacity() - used);
+  }
 
   NodeId id_;
   Resources capacity_;
   int num_shards_;
+  Resources shard_capacity_;  // capacity_ / num_shards_, divided once
   std::vector<Resources> shard_allocated_;
   Resources allocated_total_;
   int running_ = 0;
   bool up_ = true;
   TouchLog* touch_log_ = nullptr;
+  CapacityIndex* capacity_index_ = nullptr;
   ContainerPool containers_;
 };
 

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,6 +64,17 @@ class EngineApi {
   virtual bool node_suspected_down(NodeId node) const {
     (void)node;
     return false;
+  }
+
+  /// An upper bound, per axis, on every node's free slice of `shard`
+  /// (Node::shard_free): the engine's capacity index (DESIGN.md §5l). An
+  /// allocation that does not fit it fits no node, so a scheduler can answer
+  /// "no node fits" without a scan. The default, +inf on both axes, proves
+  /// nothing: an api without an index keeps the full scan.
+  virtual Resources max_shard_free(ShardId shard) const {
+    (void)shard;
+    const double inf = std::numeric_limits<double>::infinity();
+    return {inf, inf};
   }
 
   /// Invocations currently holding a reservation on `node` (live, placed),

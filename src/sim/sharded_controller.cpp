@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "sim/engine.h"
+#include "util/audit.h"
 #include "util/log.h"
 
 namespace libra::sim {
@@ -156,14 +157,12 @@ void ShardedController::run_barrier(SimTime at) {
   // earlier sibling commits away, but commit-time try_reserve validation
   // catches the conflict and parks the loser — the documented stale-view
   // path, never an over-commit.
-  struct Item {
-    InvocationId inv = kNoInvocation;
-    std::optional<NodeId> speculated;
-    double decision_seconds = 0.0;
-  };
+  LIBRA_AUDIT_CHECK(items_.empty(),
+                    "decision barrier at t=" << at << " started while "
+                                             << items_.size()
+                                             << " items of another are live");
+  std::vector<BarrierItem>& items = items_;
   const int depth = std::max(1, host_.config().sched_batch_depth);
-  std::vector<Item> items;
-  items.reserve(members.size() * static_cast<size_t>(depth));
   for (ShardId shard : members) {
     const auto s = static_cast<size_t>(shard);
     shard_registered_[s] = false;
@@ -204,8 +203,9 @@ void ShardedController::run_barrier(SimTime at) {
   }
 
   // Phase 2 — commit serially in registration order.
-  for (const Item& item : items)
+  for (const BarrierItem& item : items)
     commit_one(item.inv, item.speculated, item.decision_seconds);
+  items.clear();
 
   // Phase 3 — re-pump the member shards, in the same order the serial
   // engine's per-shard events would have re-armed themselves.

@@ -104,6 +104,18 @@ class ShardedController {
   /// Retired member vectors, recycled to keep the hot path allocation-free.
   std::vector<std::vector<ShardId>> batch_spare_;
 
+  /// One invocation a decision barrier popped, and its speculated pick.
+  struct BarrierItem {
+    InvocationId inv = 0;
+    std::optional<NodeId> speculated;
+    double decision_seconds = 0.0;
+  };
+  /// The running barrier's items, one buffer reused by every barrier so a
+  /// barrier allocates nothing once it has grown. It is free between
+  /// barriers: run_barrier runs only as its own queue event, and the commits
+  /// and re-pumps inside it only schedule events (run_barrier checks).
+  std::vector<BarrierItem> items_;
+
   /// Pending prediction barriers, same flat layout and erase-before-process
   /// discipline as batches_.
   std::vector<std::pair<SimTime, std::vector<InvocationId>>> pred_batches_;

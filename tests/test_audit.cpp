@@ -1036,6 +1036,13 @@ enum class Plant {
   /// The scenario's armed chaos injection (chaos::arm_injection), written
   /// into pool 0 with no pool event: nothing marks it.
   kScenarioInjection,
+  /// Node 0's capacity-index leaf of shard 0 rewritten one whole slice below
+  /// its free slice (Engine::stale_capacity_for_audit_test): a reservation
+  /// change whose index write went wrong. The hook marks the node.
+  kCapacityLeafBelow,
+  /// The same leaf rewritten one core and 1 MB above its free slice: still a
+  /// sound bound, but no longer the nodes' maximum.
+  kCapacityLeafAbove,
 };
 
 /// Engine event from which a leg plants kLeakedReservation / kLostInPlace.
@@ -1137,6 +1144,16 @@ class DifferentialLeg final : public sim::EngineAuditHook {
         }
         return false;
       }
+      case Plant::kCapacityLeafBelow:
+      case Plant::kCapacityLeafAbove: {
+        const sim::Node& node = api.nodes().front();
+        const Resources shift = plant_ == Plant::kCapacityLeafBelow
+                                    ? node.shard_capacity() * -1.0
+                                    : Resources{1.0, 1.0};
+        engine_->stale_capacity_for_audit_test(0, 0,
+                                               node.shard_free(0) + shift);
+        return true;
+      }
       case Plant::kScenarioInjection: {
         core::HarvestResourcePool& pool = policy_->pool(0);
         if (inject_.kind == chaos::InjectKind::kConservation)
@@ -1187,6 +1204,67 @@ TEST(AuditMarks, FinalizedStillPlacedRecordFiresAtThatEvent) {
                               std::to_string(leg.victim()) +
                               " is completed or gone"),
             first.detail.find(": ") + 2)
+      << first.detail;
+}
+
+/// One Libra run on a single node, audited per event by the incremental
+/// check or by a full sweep, with `plant` planted at kPlantAt or soon after.
+struct OneNodeRun {
+  long planted_at = -1;
+  std::vector<EngineDiag> diags;
+};
+OneNodeRun run_one_node(Plant plant, bool full_sweep) {
+  auto policy = make_libra_policy();
+  analysis::InvariantAuditor auditor;
+  auditor.attach_policy(policy.get());
+  DifferentialLeg leg(auditor, policy.get(), full_sweep, plant,
+                      chaos::InjectSpec{});
+  auto cfg = exp::multi_node_config();
+  cfg.node_capacities.resize(1);
+  cfg.audit_hook = &leg;
+  sim::Engine engine(cfg, policy);
+  leg.set_engine(&engine);
+  workload::MaterializedSource source(workload::multi_trace(*catalog(), 60, 5));
+  engine.run(source);
+  return {leg.planted_at(), leg.diags()};
+}
+
+TEST(AuditMarks, StaleCapacityLeafFiresAtThatEvent) {
+  // A leaf left below its node's free slice: on one node the root is that
+  // leaf, so the index would prove "no node fits" where one does. The index
+  // write happens where the node is marked, so the check of that very event
+  // reports the slice above the root.
+  const OneNodeRun run = run_one_node(Plant::kCapacityLeafBelow, false);
+  ASSERT_GE(run.planted_at, kPlantAt);
+  ASSERT_FALSE(run.diags.empty());
+  const EngineDiag& first = run.diags.front();
+  EXPECT_EQ(first.event_id, run.planted_at);
+  EXPECT_NE(first.detail.find(": node 0 shard 0 has more free (cpu "),
+            std::string::npos)
+      << first.detail;
+  EXPECT_NE(first.detail.find(") than the capacity index's root (cpu "),
+            std::string::npos)
+      << first.detail;
+}
+
+TEST(AuditMarks, CapacityRootAboveTheNodesOnlyFailsTheSweep) {
+  // A leaf raised above its node's free slice keeps the root a sound bound,
+  // so the incremental check stays silent; the full sweep compares each
+  // root with the nodes' maximum bit for bit and reports it at that event.
+  const OneNodeRun inc = run_one_node(Plant::kCapacityLeafAbove, false);
+  ASSERT_GE(inc.planted_at, kPlantAt);
+  for (const EngineDiag& d : inc.diags)
+    EXPECT_NE(d.event_id, inc.planted_at) << d.detail;
+  const OneNodeRun full = run_one_node(Plant::kCapacityLeafAbove, true);
+  ASSERT_EQ(full.planted_at, inc.planted_at);
+  ASSERT_FALSE(full.diags.empty());
+  const EngineDiag& first = full.diags.front();
+  EXPECT_EQ(first.event_id, full.planted_at);
+  EXPECT_NE(first.detail.find(": capacity index root of shard 0 (cpu "),
+            std::string::npos)
+      << first.detail;
+  EXPECT_NE(first.detail.find(") != the nodes' largest free slice (cpu "),
+            std::string::npos)
       << first.detail;
 }
 
