@@ -25,7 +25,11 @@
 //     as at 10, and neither allocates after warm-up;
 //   * the §5l capacity index: on a saturated cluster a sticky pick and a
 //     coverage select cost at most 2x as much at 1000 nodes as at 10, and
-//     neither allocates after warm-up.
+//     neither allocates after warm-up;
+//   * the §5l coverage candidate set: on an unsaturated cluster with the
+//     same eight occupied pool views, an accelerable coverage select costs
+//     at most 2x as much at 1000 nodes as at 10 and does not allocate after
+//     warm-up.
 //
 // With --json-out PATH (stripped before google-benchmark parses argv) the
 // gate measurements are merged into a BenchArtifact JSON file —
@@ -63,6 +67,7 @@
 #include "sim/invocation.h"
 #include "util/rng.h"
 #include "util/dense_id_map.h"
+#include "util/id_bitset.h"
 #include "util/stats.h"
 #include "workload/function_catalog.h"
 #include "workload/trace.h"
@@ -1173,6 +1178,125 @@ bool check_full_cluster_pick_cost(exp::BenchArtifact* artifact) {
   return false;
 }
 
+/// An unsaturated cluster of backlog-burst's node shape at `nodes` nodes
+/// whose pool views are empty except the same eight (ids 0-3, 5-7 and 9),
+/// each holding three live entries, and eight accelerable asks (1 core and
+/// 512 MB, predicted 2 cores) decided by a coverage select.
+struct CoveragePickFixture {
+  struct Views final : core::PoolStatusProvider {
+    std::vector<core::PoolStatus> statuses;
+    util::IdBitset occupied;
+    const core::PoolStatus& pool_status(sim::NodeId node) const override {
+      return statuses[static_cast<size_t>(node)];
+    }
+    const util::IdBitset* occupied_views() const override { return &occupied; }
+  };
+
+  SweepApi api;
+  Views views;
+  core::CoverageScheduler coverage{&views, 0.9};
+  std::vector<sim::Invocation> asks;
+
+  explicit CoveragePickFixture(int nodes) {
+    api.add_nodes(nodes);
+    views.statuses.resize(static_cast<size_t>(nodes));
+    views.occupied = util::IdBitset(static_cast<size_t>(nodes));
+    for (const size_t n : {0, 1, 2, 3, 5, 6, 7, 9}) {
+      core::PoolStatus& st = views.statuses[n];
+      for (int k = 0; k < 3; ++k)
+        st.entries.push_back({{0.5 + 0.25 * static_cast<double>(k), 256.0},
+                              api.now() + 2.0 + static_cast<double>(n + k)});
+      views.occupied.set(n, true);
+    }
+    for (int f = 0; f < 8; ++f) {
+      sim::Invocation inv;
+      inv.id = f;
+      inv.func = f;
+      inv.shard = f % 4;
+      inv.user_alloc = {1.0, 512.0};
+      inv.pred_demand = {2.0, 512.0};
+      inv.pred_duration = 1.0;
+      asks.push_back(inv);
+    }
+  }
+
+  /// One round: every ask decided once. Returns the number of nodes found
+  /// (every ask finds one).
+  int decide() {
+    int found = 0;
+    for (sim::Invocation& inv : asks)
+      found += coverage.select(inv, api) != sim::kNoNode;
+    return found;
+  }
+};
+
+/// §5l coverage candidate-set gate: on an unsaturated cluster an
+/// accelerable coverage select scores the feasible nodes up to the first
+/// empty view and then only the occupied views, so with the same eight
+/// occupied views its cost must not follow the node count. Per size, the
+/// best of 7 reps of 1000 rounds (8 decisions each); the 1000-node cost
+/// must be at most 2x the 10-node cost, and after a warm-up round set no
+/// decision may allocate.
+bool check_coverage_pick_cost(exp::BenchArtifact* artifact) {
+  constexpr int kRounds = 1000;
+  constexpr int kReps = 7;
+  constexpr int kAttempts = 3;
+  constexpr double kMaxRatio = 2.0;
+  struct Cost {
+    double ns = 0.0;
+    long allocs = 0;
+    long missed = 0;
+  };
+  auto measure = [&](int nodes) {
+    CoveragePickFixture fx(nodes);
+    const int per_round = static_cast<int>(fx.asks.size());
+    Cost c;
+    for (int i = 0; i < kRounds; ++i) c.missed += per_round - fx.decide();
+    const long before = t_heap_allocs;
+    c.ns = 1e300;
+    for (int r = 0; r < kReps; ++r) {
+      const auto start = std::chrono::steady_clock::now();
+      for (int i = 0; i < kRounds; ++i) c.missed += per_round - fx.decide();
+      const auto stop = std::chrono::steady_clock::now();
+      const double seconds =
+          std::chrono::duration<double>(stop - start).count();
+      c.ns = std::min(
+          c.ns, seconds * 1e9 / static_cast<double>(kRounds * per_round));
+    }
+    c.allocs = t_heap_allocs - before;
+    return c;
+  };
+  for (int attempt = 1; attempt <= kAttempts; ++attempt) {
+    const Cost small = measure(10);
+    const Cost large = measure(1000);
+    const double scale_x = large.ns / small.ns;
+    std::printf(
+        "coverage pick gate (attempt %d): %.1f ns per decision at 10 nodes, "
+        "%.1f ns at 1000 (%.2fx); %ld + %ld heap allocations after warm-up\n",
+        attempt, small.ns, large.ns, scale_x, small.allocs, large.allocs);
+    if (small.missed != 0 || large.missed != 0) {
+      std::printf("coverage pick gate: FAIL (a pick found no node on the "
+                  "unsaturated cluster)\n");
+      return false;
+    }
+    if (small.allocs != 0 || large.allocs != 0) {
+      std::printf("coverage pick gate: FAIL (a warmed pick allocates)\n");
+      return false;
+    }
+    if (scale_x <= kMaxRatio) {
+      std::printf("coverage pick gate: PASS (<= 2x from 10 to 1000 nodes, "
+                  "zero allocations)\n");
+      artifact->add("sched_coverage_pick_10_ns", small.ns, "ns");
+      artifact->add("sched_coverage_pick_1000_ns", large.ns, "ns");
+      artifact->add("sched_coverage_pick_scale_x", scale_x, "ratio", "lower");
+      return true;
+    }
+  }
+  std::printf("coverage pick gate: FAIL (a pick at 1000 nodes costs > 2x one "
+              "at 10)\n");
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1206,6 +1330,7 @@ int main(int argc, char** argv) {
   const bool sweep_ok = check_auditor_sweep_allocations(&artifact);
   const bool audit_ok = check_incremental_audit_cost(&artifact);
   const bool pick_ok = check_full_cluster_pick_cost(&artifact);
+  const bool coverage_ok = check_coverage_pick_cost(&artifact);
   if (!json_out.empty()) {
     std::string error;
     if (!exp::merge_bench_artifact(json_out, artifact, &error)) {
@@ -1217,7 +1342,7 @@ int main(int argc, char** argv) {
                 json_out.c_str());
   }
   return obs_ok && ref_ok && store_ok && walk_ok && scan_ok && depth_ok &&
-                 sweep_ok && audit_ok && pick_ok
+                 sweep_ok && audit_ok && pick_ok && coverage_ok
              ? 0
              : 1;
 }

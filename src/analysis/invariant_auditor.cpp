@@ -7,6 +7,7 @@
 #include <cstring>
 #include <iomanip>
 #include <limits>
+#include <ostream>
 
 #include "util/audit.h"
 
@@ -34,6 +35,36 @@ bool in_flight(sim::EngineApi& api, InvocationId id) {
 bool same_bits(const Resources& a, const Resources& b) {
   return std::bit_cast<uint64_t>(a.cpu) == std::bit_cast<uint64_t>(b.cpu) &&
          std::bit_cast<uint64_t>(a.mem) == std::bit_cast<uint64_t>(b.mem);
+}
+
+/// Names the owner of a set of pool views in a diagnostic: a controller's
+/// cache, or the policy's own snapshots (controller -1).
+struct ViewOwner {
+  int controller;
+};
+std::ostream& operator<<(std::ostream& os, ViewOwner owner) {
+  if (owner.controller < 0) return os << "the policy's";
+  return os << "controller " << owner.controller << "'s";
+}
+
+/// Bit n of `bits` against view_of(n) for every node: set exactly when the
+/// view holds an entry.
+template <typename ViewOf>
+void check_view_bits(size_t nodes, const util::IdBitset& bits,
+                     ViewOf&& view_of, ViewOwner owner, const char* what) {
+  for (size_t n = 0; n < nodes; ++n) {
+    const size_t entries = view_of(static_cast<NodeId>(n)).entries.size();
+    const bool bit = bits.test(n);
+    LIBRA_AUDIT_CHECK(entries == 0 || bit,
+                      "after " << what << ": " << owner << " pool view of node "
+                               << n << " holds " << entries
+                               << " entries but its occupancy bit is clear: "
+                                  "coverage picks skip it");
+    LIBRA_AUDIT_CHECK(entries != 0 || !bit,
+                      "after " << what << ": " << owner << " pool view of node "
+                               << n
+                               << " is empty but its occupancy bit is set");
+  }
 }
 
 }  // namespace
@@ -307,6 +338,28 @@ void InvariantAuditor::check_capacity_index(const char* what) {
   }
 }
 
+void InvariantAuditor::check_occupancy(sim::EngineApi& api,
+                                       const char* what) {
+  const size_t nodes = api.nodes().size();
+  if (policy_ != nullptr)
+    check_view_bits(
+        nodes, *policy_->occupied_views(),
+        [this](NodeId n) -> const core::PoolStatus& {
+          return policy_->pool_status(n);
+        },
+        ViewOwner{-1}, what);
+  for (int c = 0;; ++c) {
+    const util::IdBitset* bits = api.controller_occupied_views(c);
+    if (bits == nullptr) break;
+    check_view_bits(
+        nodes, *bits,
+        [&api, c](NodeId n) -> const core::PoolStatus& {
+          return *api.controller_pool_view(n, c);
+        },
+        ViewOwner{c}, what);
+  }
+}
+
 void InvariantAuditor::check_finalized(const char* what) {
   // Every terminal path funnels through finalize_record, which must drop the
   // id from the stash (on_finalized): this is where the stash would start to
@@ -382,6 +435,7 @@ void InvariantAuditor::sweep(sim::EngineApi& api, const char* what) {
   load_roots(api);
   for (const auto& node : api.nodes()) check_node(api, node, what);
   check_capacity_index(what);
+  check_occupancy(api, what);
   if (policy_ != nullptr) {
     check_finalized(what);
     // Bookkeeping boundedness: every stashed raw prediction must belong to

@@ -22,15 +22,16 @@
 //   event carried no node, every pool is re-checked. An event that changed
 //   nothing costs O(1).
 //
-// The full sweep — every node, every pool, the whole stash, and the capacity
-// index's roots against the nodes' largest free slices, bit for bit — stays
-// as the backstop: it runs every kFullSweepPeriod engine events and on the
-// engine's closing "run_end" event, so a violation planted without going
-// through any mutation site is still caught. Both paths share check_node /
-// check_pool, so their diagnostics are byte-identical. Neither sorts a copy
-// of the placed set, builds a hash map or allocates once the reused scratch
-// (one pool snapshot, one per-entry lent vector, the pending marks) has
-// grown.
+// The full sweep — every node, every pool, the whole stash, the capacity
+// index's roots against the nodes' largest free slices, bit for bit, and the
+// occupancy bits of the policy's snapshots and of every controller cache
+// against the views they summarize — stays as the backstop: it runs every
+// kFullSweepPeriod engine events and on the engine's closing "run_end"
+// event, so a violation planted without going through any mutation site is
+// still caught. Both paths share check_node / check_pool, so their
+// diagnostics are byte-identical. Neither sorts a copy of the placed set,
+// builds a hash map or allocates once the reused buffers (one pool
+// snapshot, one per-entry lent vector, the pending marks) have grown.
 //
 // A violation aborts through LIBRA_AUDIT_CHECK with a structured diagnostic
 // carrying the engine event id and sim time (stamped by Engine::notify_audit
@@ -107,6 +108,11 @@ class InvariantAuditor final : public core::PoolEventListener,
   /// shard's root equals the largest free slice, bit for bit, per axis.
   /// Full sweep only.
   void check_capacity_index(const char* what);
+  /// The coverage pick's candidate sets (DESIGN.md §5l): for the policy's
+  /// snapshots and for every controller cache, bit n is set exactly when
+  /// view n holds an entry. A missing bit would drop a candidate; a stale
+  /// set bit only costs time. Both are reported. Full sweep only.
+  void check_occupancy(sim::EngineApi& api, const char* what);
   /// Everything about node n's pool: conservation, entry and grant
   /// liveness, quarantine, down-node emptiness. No-op without a pool.
   void check_pool(sim::EngineApi& api, size_t n, const char* what);

@@ -40,6 +40,9 @@ std::shared_ptr<LibraPolicy> LibraPolicy::with_coverage_scheduler(
       static const PoolStatus kEmpty;
       return policy ? policy->pool_status(node) : kEmpty;
     }
+    const util::IdBitset* occupied_views() const override {
+      return policy ? policy->occupied_views() : nullptr;
+    }
   };
   auto provider = std::make_shared<LatePolicyProvider>();
   struct ProviderKeepAlive final : SchedulerStrategy {
@@ -524,9 +527,14 @@ void LibraPolicy::on_health_ping(NodeId node, EngineApi& api) {
                         ? backfill_candidates_[static_cast<size_t>(node)].size()
                         : 0);
   if (cfg_.runtime_backfill) backfill_node(node, api);
-  if (static_cast<size_t>(node) >= snapshots_.size())
-    snapshots_.resize(static_cast<size_t>(node) + 1);
-  snapshots_[static_cast<size_t>(node)] = pool_for(node).snapshot(api.now());
+  set_snapshot(node, pool_for(node).snapshot(api.now()));
+}
+
+void LibraPolicy::set_snapshot(NodeId node, PoolStatus status) {
+  const auto n = static_cast<size_t>(node);
+  if (n >= snapshots_.size()) snapshots_.resize(n + 1);
+  occupied_.set(n, !status.entries.empty());
+  snapshots_[n] = std::move(status);
 }
 
 void LibraPolicy::pull_back_pool(NodeId node, EngineApi& api) {
@@ -564,9 +572,7 @@ void LibraPolicy::on_node_up(NodeId node, EngineApi& api) {
   last_seen_now_ = api.now();
   // The node rejoins with an empty pool; drop the pre-crash snapshot so the
   // first post-recovery ping advertises reality, not ghost inventory.
-  if (static_cast<size_t>(node) >= snapshots_.size())
-    snapshots_.resize(static_cast<size_t>(node) + 1);
-  snapshots_[static_cast<size_t>(node)] = PoolStatus{};
+  set_snapshot(node, PoolStatus{});
 }
 
 void LibraPolicy::on_drain_notice(NodeId node, sim::SimTime deadline,
@@ -583,9 +589,7 @@ void LibraPolicy::on_drain_notice(NodeId node, sim::SimTime deadline,
   // Unlike a crash — where the controller's snapshot deliberately goes stale
   // until pings catch up — the notice is platform-delivered, so stop
   // advertising inventory from the departing node immediately.
-  if (static_cast<size_t>(node) >= snapshots_.size())
-    snapshots_.resize(static_cast<size_t>(node) + 1);
-  snapshots_[static_cast<size_t>(node)] = PoolStatus{};
+  set_snapshot(node, PoolStatus{});
 }
 
 const PoolStatus& LibraPolicy::pool_status(NodeId node) const {

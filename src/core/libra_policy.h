@@ -121,8 +121,18 @@ class LibraPolicy final : public sim::Policy, public PoolStatusProvider {
   sim::PolicyStats stats() const override;
 
   // PoolStatusProvider: piggybacked (possibly stale) snapshot, by reference
-  // into snapshots_ (valid until the node's next ping refresh).
+  // into snapshots_ (valid until the node's next ping refresh), and the
+  // nodes whose snapshot holds an entry.
   const PoolStatus& pool_status(sim::NodeId node) const override;
+  const util::IdBitset* occupied_views() const override { return &occupied_; }
+
+  /// Test hook modelling a snapshot write that forgot its occupancy bit:
+  /// flips bit `node` without touching the snapshot. Audit tests call it
+  /// from an audit hook.
+  void flip_occupied_for_audit_test(sim::NodeId node) {
+    const auto n = static_cast<size_t>(node);
+    occupied_.set(n, !occupied_.test(n));
+  }
 
   /// Direct pool access for tests and white-box benches.
   HarvestResourcePool& pool(sim::NodeId node) { return pool_for(node); }
@@ -200,6 +210,9 @@ class LibraPolicy final : public sim::Policy, public PoolStatusProvider {
   /// Single creation point for per-node pools: lazily constructs the pool
   /// and attaches the registered event listener.
   HarvestResourcePool& pool_for(sim::NodeId node);
+  /// Replaces the node's piggybacked snapshot and its occupancy bit: every
+  /// snapshot write goes through here.
+  void set_snapshot(sim::NodeId node, PoolStatus status);
   /// Fires a PolicyEvent at the registered listener (no-op when unset).
   void emit_policy_event(PolicyEventKind kind, const sim::Invocation& inv,
                          sim::SimTime now);
@@ -221,6 +234,8 @@ class LibraPolicy final : public sim::Policy, public PoolStatusProvider {
   /// Piggybacked pool-status snapshots, indexed by node id. A never-pinged
   /// node's default-constructed entry equals the empty status.
   std::vector<PoolStatus> snapshots_;
+  /// Bit n set exactly while snapshots_[n] holds an entry (set_snapshot).
+  util::IdBitset occupied_;
   /// Freyr mode: functions whose next invocation must run un-harvested.
   std::unordered_set<sim::FunctionId> suppress_next_;
   /// Profiler hook for per-function memory-strike mitigation (may be null

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "sim/types.h"
+#include "util/id_bitset.h"
 
 namespace libra::core {
 
@@ -30,6 +31,11 @@ class PoolStatusProvider {
   /// snapshot refresh for `node`) — the scheduling hot path reads one status
   /// per candidate node per decision and must not copy the entries vector.
   virtual const PoolStatus& pool_status(sim::NodeId node) const = 0;
+  /// The node ids whose status holds at least one entry, kept beside the
+  /// statuses (valid as long as they are), or nullptr when the provider
+  /// keeps no such set: every node then counts as occupied, and a coverage
+  /// pick scores every feasible node (DESIGN.md §5l).
+  virtual const util::IdBitset* occupied_views() const { return nullptr; }
 };
 
 }  // namespace libra::core

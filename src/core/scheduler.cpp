@@ -71,10 +71,21 @@ NodeId StickyHashState::pick(Invocation& inv, EngineApi& api) {
   return kNoNode;
 }
 
+CoverageScheduler::CoverageScheduler(const PoolStatusProvider* provider,
+                                     double alpha)
+    : provider_(provider), alpha_(alpha) {
+  if (!(alpha >= 0.0 && alpha <= 1.0))
+    throw std::invalid_argument(
+        "CoverageScheduler: coverage alpha must be in [0, 1], got " +
+        std::to_string(alpha));
+}
+
 NodeId CoverageScheduler::coverage_pick(const Invocation& inv,
                                         const sim::EngineApi& api) const {
   // On a full shard no node is feasible, so the scan would find none.
   if (no_node_fits(inv, api)) return kNoNode;
+  const auto& nodes = api.nodes();
+  if (nodes.empty()) return kNoNode;
   // Extra demand beyond the user allocation, and the window it is needed for.
   const sim::Resources extra =
       (inv.pred_demand - inv.user_alloc).clamped_non_negative();
@@ -85,10 +96,28 @@ NodeId CoverageScheduler::coverage_pick(const Invocation& inv,
   const double window = api.exec_model().exec_time(
       sim::Resources::max(inv.user_alloc, inv.pred_demand), pred_profile);
 
+  // Which views hold an entry: the owning controller's cache when it keeps
+  // one (every node or none does), else the policy's snapshots. Null means
+  // unknown, and every view counts as occupied.
+  const util::IdBitset* occupied =
+      api.controller_pool_view(nodes.front().id(), inv.controller) != nullptr
+          ? api.controller_occupied_views(inv.controller)
+          : (provider_ ? provider_->occupied_views() : nullptr);
+
+  // Candidate set. Every empty view scores the same floor c0 (per axis, 1
+  // without extra demand, else 0), and with alpha in [0, 1] every other
+  // score is c0 or more, or NaN. Once one empty view has been scored,
+  // c0 <= best_score + 1e-12 holds for good (the ratchet only rises), so no
+  // later empty view can pass it: past the first feasible empty view only
+  // the occupied views are scored, in id order (node ids are indices),
+  // which returns exactly what the full scan did.
   static const PoolStatus kEmpty;
   NodeId best = kNoNode;
   double best_score = -1.0;
-  for (const auto& node : api.nodes()) {
+  bool floor_scored = false;
+  for (size_t i = 0; i < nodes.size();
+       i = floor_scored ? occupied->next(i + 1) : i + 1) {
+    const sim::Node& node = nodes[i];
     if (!shard_feasible(node, inv, api)) continue;
     // Owning controller's gossip-fed cache first (src/sim/ctrl); fall back to
     // the policy's own piggybacked snapshot when the control plane is
@@ -103,6 +132,7 @@ NodeId CoverageScheduler::coverage_pick(const Invocation& inv,
       best_score = score;
       best = node.id();
     }
+    if (occupied != nullptr && !occupied->test(i)) floor_scored = true;
   }
   return best;
 }

@@ -84,8 +84,10 @@ class StickyHashState {
 ///    demand coverage computed from the piggybacked pool snapshots.
 class CoverageScheduler final : public SchedulerStrategy {
  public:
-  CoverageScheduler(const PoolStatusProvider* provider, double alpha)
-      : provider_(provider), alpha_(alpha) {}
+  /// Throws std::invalid_argument unless alpha is in [0, 1]: the pick skips
+  /// empty views on the strength of both coverage weights being
+  /// non-negative.
+  CoverageScheduler(const PoolStatusProvider* provider, double alpha);
 
   std::string name() const override { return "libra-coverage"; }
   sim::NodeId select(sim::Invocation& inv, sim::EngineApi& api) override;
@@ -102,7 +104,10 @@ class CoverageScheduler final : public SchedulerStrategy {
   const StickyHashState& sticky() const { return hash_; }
 
  private:
-  /// The pure greedy max-coverage scan shared by select and speculate.
+  /// The pure greedy max-coverage pick shared by select and speculate: the
+  /// first feasible node, in id order, with the highest score. It scores
+  /// the feasible nodes up to the first one whose view is empty, then only
+  /// the occupied views (DESIGN.md §5l, "Coverage candidate set").
   sim::NodeId coverage_pick(const sim::Invocation& inv,
                             const sim::EngineApi& api) const;
 

@@ -45,6 +45,8 @@ void ControlPlane::start(SimTime first_arrival) {
   const size_t nodes = host_.config().node_capacities.size();
   caches_.assign(static_cast<size_t>(cfg_.num_controllers),
                  std::vector<core::PoolStatus>(nodes));
+  occupied_.assign(static_cast<size_t>(cfg_.num_controllers),
+                   util::IdBitset(nodes));
   reset_floor_.assign(nodes, 0.0);
   if (cfg_.gossip_period <= 0.0) return;  // pass-through: fed by on_gossip
   // Periodic refresh per controller, staggered like the health-ping loops so
@@ -111,6 +113,8 @@ void ControlPlane::apply_gossip(int controller, NodeId node,
     return;
   }
   slot = status;  // copy-on-gossip: the only copy a view refresh pays
+  occupied_[static_cast<size_t>(controller)].set(static_cast<size_t>(node),
+                                                 !slot.entries.empty());
   ++cs.gossip_updates;
 }
 
@@ -133,11 +137,23 @@ void ControlPlane::on_node_view_reset(NodeId node) {
   if (caches_.empty()) return;
   reset_floor_[static_cast<size_t>(node)] = host_.queue().now();
   for (auto& cache : caches_) cache[static_cast<size_t>(node)] = {};
+  for (auto& bits : occupied_) bits.set(static_cast<size_t>(node), false);
 }
 
 const core::PoolStatus* ControlPlane::view(NodeId node, int controller) const {
   if (caches_.empty()) return nullptr;
   return &caches_[static_cast<size_t>(controller)][static_cast<size_t>(node)];
+}
+
+const util::IdBitset* ControlPlane::occupied(int controller) const {
+  if (controller < 0 || static_cast<size_t>(controller) >= occupied_.size())
+    return nullptr;
+  return &occupied_[static_cast<size_t>(controller)];
+}
+
+void ControlPlane::flip_occupied_for_audit_test(int controller, NodeId node) {
+  util::IdBitset& bits = occupied_.at(static_cast<size_t>(controller));
+  bits.set(static_cast<size_t>(node), !bits.test(static_cast<size_t>(node)));
 }
 
 void ControlPlane::on_admit(Invocation& inv) {
@@ -149,11 +165,11 @@ void ControlPlane::on_admit(Invocation& inv) {
 
 void ControlPlane::on_enqueued(InvocationId id) {
   if (cfg_.num_controllers <= 1) return;
-  const Invocation* inv = host_.find_invocation(id);
+  Invocation* inv = host_.find_invocation(id);
   if (!inv) return;
   const auto c = static_cast<size_t>(inv->controller);
   queues_[c].push_back(id);
-  where_[id] = inv->controller;
+  inv->queued_controller = inv->controller;
   ControllerStats& cs = stats_.controllers[c];
   cs.peak_queue_depth = std::max(cs.peak_queue_depth, ++depth_[c]);
   maybe_steal();
@@ -161,10 +177,10 @@ void ControlPlane::on_enqueued(InvocationId id) {
 
 void ControlPlane::on_dequeued(InvocationId id) {
   if (cfg_.num_controllers <= 1) return;
-  auto it = where_.find(id);
-  if (it == where_.end()) return;
-  const auto c = static_cast<size_t>(it->second);
-  where_.erase(it);
+  Invocation* inv = host_.find_invocation(id);
+  if (!inv || inv->queued_controller < 0) return;
+  const auto c = static_cast<size_t>(inv->queued_controller);
+  inv->queued_controller = -1;
   --depth_[c];
   // Fast path: the popped invocation is usually the queue front. Otherwise
   // the deque entry goes stale and is dropped lazily during stealing.
@@ -224,14 +240,14 @@ void ControlPlane::maybe_steal() {
     while (moved < quota && !vq.empty()) {
       const InvocationId id = vq.front();
       vq.pop_front();
-      auto it = where_.find(id);
-      if (it == where_.end() || it->second != victim) continue;  // stale entry
+      Invocation* inv = host_.find_invocation(id);
+      if (!inv || inv->queued_controller != victim) continue;  // stale entry
       // Re-stamp ONLY the owning controller: which cached view the decision
       // reads and where it is attributed. The engine-level shard, the queue
       // position and every event time are untouched, so RunMetrics stay
       // bit-identical across controller counts.
-      it->second = thief;
-      host_.invocation(id).controller = thief;
+      inv->queued_controller = thief;
+      inv->controller = thief;
       queues_[static_cast<size_t>(thief)].push_back(id);
       --depth_[static_cast<size_t>(victim)];
       ++depth_[static_cast<size_t>(thief)];

@@ -22,13 +22,13 @@
 #pragma once
 
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "core/pool_status.h"
 #include "sim/ctrl/ctrl_config.h"
 #include "sim/ctrl/ctrl_stats.h"
 #include "sim/types.h"
+#include "util/id_bitset.h"
 
 namespace libra::sim {
 class Engine;
@@ -80,6 +80,13 @@ class ControlPlane {
   /// The controller's cached pool view, or nullptr in transparent mode (the
   /// scheduler then reads the policy's own snapshot — the legacy path).
   const core::PoolStatus* view(NodeId node, int controller) const;
+  /// The nodes whose view in the controller's cache holds an entry, or
+  /// nullptr when there are no caches or no such controller.
+  const util::IdBitset* occupied(int controller) const;
+
+  /// Test hook modelling a cache write that forgot its occupancy bit: flips
+  /// bit `node` of the controller's set without touching the view.
+  void flip_occupied_for_audit_test(int controller, NodeId node);
 
   /// Snapshot for RunMetrics (digest-excluded section).
   const ControlPlaneStats& stats() const { return stats_; }
@@ -105,6 +112,9 @@ class ControlPlane {
 
   /// caches_[controller][node]: copy-on-gossip pool views.
   std::vector<std::vector<core::PoolStatus>> caches_;
+  /// occupied_[controller]: bit n set exactly while caches_[controller][n]
+  /// holds an entry (apply_gossip, on_node_view_reset).
+  std::vector<util::IdBitset> occupied_;
   /// Per node: taken_at floor set by the last view reset; older in-flight
   /// delayed payloads are discarded.
   std::vector<SimTime> reset_floor_;
@@ -113,13 +123,10 @@ class ControlPlane {
 
   // ---- Steal bookkeeping (num_controllers > 1 only) ----
   /// Per-controller admission queues (oldest first). Entries go stale when
-  /// an invocation is dequeued or stolen; `where_` is the source of truth
-  /// and stale deque entries are dropped lazily.
+  /// an invocation is dequeued or stolen; Invocation::queued_controller is
+  /// the source of truth and stale deque entries are dropped lazily.
   std::vector<std::deque<InvocationId>> queues_;
   std::vector<long> depth_;
-  /// Current owning controller of each queued invocation. Lookup-only —
-  /// never iterated, so hash order cannot leak into behaviour.
-  std::unordered_map<InvocationId, int> where_;
 
   ControlPlaneStats stats_;
 };

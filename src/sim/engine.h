@@ -90,6 +90,10 @@ class Engine final : public EngineApi {
                                                int controller) const override {
     return ctrlplane_->view(node, controller);
   }
+  const util::IdBitset* controller_occupied_views(
+      int controller) const override {
+    return ctrlplane_->occupied(controller);
+  }
   const std::vector<NodeId>& touched_nodes() const override {
     return cluster_->touched_nodes();
   }
@@ -112,6 +116,12 @@ class Engine final : public EngineApi {
   void stale_capacity_for_audit_test(NodeId node, ShardId shard,
                                      const Resources& free) {
     cluster_->stale_capacity_for_audit_test(node, shard, free);
+  }
+  /// Test hook modelling a gossip write that forgot its occupancy bit:
+  /// flips bit `node` of the controller's cache set without touching the
+  /// view. Audit tests call it from an audit hook.
+  void flip_controller_occupied_for_audit_test(int controller, NodeId node) {
+    ctrlplane_->flip_occupied_for_audit_test(controller, node);
   }
 
  private:

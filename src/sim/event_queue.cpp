@@ -1,10 +1,15 @@
 #include "sim/event_queue.h"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace libra::sim {
 
 EventId EventQueue::schedule_lane(SimTime t, uint64_t lane, Callback fn) {
+  // A NaN time passes every ordered comparison below and would dispatch
+  // before every finite event, setting now() to NaN; +inf would never come.
+  if (!std::isfinite(t))
+    throw std::invalid_argument("EventQueue: scheduling at a non-finite time");
   if (t < now_ - 1e-9)
     throw std::invalid_argument("EventQueue: scheduling into the past");
   if (t < now_) t = now_;  // absorb float noise

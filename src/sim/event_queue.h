@@ -34,7 +34,8 @@ class EventQueue {
   SimTime now() const { return now_; }
 
   /// Schedules `fn` at absolute time `t` (>= now). Returns a handle usable
-  /// with cancel().
+  /// with cancel(). Throws std::invalid_argument when `t` is in the past or
+  /// not finite (NaN, ±inf), here and in the two forms below.
   EventId schedule(SimTime t, Callback fn) {
     return schedule_lane(t, kNormalLane, std::move(fn));
   }

@@ -67,6 +67,10 @@ struct Invocation {
   /// Selects which cached pool view the scheduler reads and where decisions
   /// are attributed; never affects shard assignment or event timing.
   int controller = 0;
+  /// The controller whose admission queue holds the invocation, -1 while it
+  /// is in none: the control plane's steal bookkeeping (set on enqueue,
+  /// cleared on dequeue, moved by a steal; num_controllers > 1 only).
+  int queued_controller = -1;
   bool cold_start = false;
 
   // ---- Execution state (owned by the engine) ----

@@ -15,6 +15,7 @@
 #include "sim/invocation.h"
 #include "sim/node.h"
 #include "sim/types.h"
+#include "util/id_bitset.h"
 
 namespace libra::core {
 struct PoolStatus;
@@ -115,13 +116,25 @@ class EngineApi {
   /// The owning controller's cached pool-status view of `node` (src/sim/ctrl,
   /// DESIGN.md §5k), or nullptr when the control plane is transparent (one
   /// controller, pass-through gossip) — schedulers then fall back to the
-  /// policy's own piggybacked snapshot, the legacy single-view path. The
-  /// returned view may be staler than the policy's snapshot (periodic or
-  /// lossy gossip); commit-time validation against ground truth makes that
-  /// safe. Stable for the duration of one decision batch.
+  /// policy's own piggybacked snapshot, the legacy single-view path. Either
+  /// every node has a cached view or none has. The returned view may be
+  /// staler than the policy's snapshot (periodic or lossy gossip);
+  /// commit-time validation against ground truth makes that safe. Stable for
+  /// the duration of one decision batch.
   virtual const core::PoolStatus* controller_pool_view(NodeId node,
                                                        int controller) const {
     (void)node;
+    (void)controller;
+    return nullptr;
+  }
+
+  /// The nodes whose view in `controller`'s cache holds at least one entry
+  /// (bit n for controller_pool_view(n, controller)), or nullptr when that
+  /// controller keeps no cache — or keeps no such set, in which case a
+  /// coverage pick counts every cached view as occupied. Stable for the
+  /// duration of one decision batch.
+  virtual const util::IdBitset* controller_occupied_views(
+      int controller) const {
     (void)controller;
     return nullptr;
   }

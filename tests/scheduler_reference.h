@@ -4,6 +4,9 @@
 // the Round Robin, JSQ and MWS scans. Each walks the cluster on every call,
 // including when no node can fit. CapacityIndexScan.* requires the
 // schedulers to return the same picks and leave the same salt and cursor.
+// Coverage, which scores every feasible node, is also the scan the
+// candidate-set pick replaced (DESIGN.md §5l): CoverageCandidates.* and
+// CoverageCandidatesFuzz.* hold the pick and Libra's digests against it.
 #pragma once
 
 #include <algorithm>

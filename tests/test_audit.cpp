@@ -1043,6 +1043,13 @@ enum class Plant {
   /// The same leaf rewritten one core and 1 MB above its free slice: still a
   /// sound bound, but no longer the nodes' maximum.
   kCapacityLeafAbove,
+  /// Node 0's occupancy bit cleared while its pool view holds an entry
+  /// (LibraPolicy / Engine flip_*_occupied_for_audit_test): coverage picks
+  /// would skip a candidate. Nothing marks it.
+  kViewBitDropped,
+  /// Node 0's occupancy bit set while its pool view is empty: picks only
+  /// score one view too many. Nothing marks it.
+  kViewBitStale,
 };
 
 /// Engine event from which a leg plants kLeakedReservation / kLostInPlace.
@@ -1094,6 +1101,9 @@ class DifferentialLeg final : public sim::EngineAuditHook {
 
   /// The engine under audit (kLostInPlace loses through it).
   void set_engine(sim::Engine* engine) { engine_ = engine; }
+  /// Whose view the kViewBit* plants flip: a controller's cache, or the
+  /// policy's snapshots (-1, the default).
+  void set_view_owner(int controller) { view_owner_ = controller; }
 
   void on_engine_event(sim::EngineApi& api,
                        const sim::EngineEvent& ev) override {
@@ -1154,6 +1164,19 @@ class DifferentialLeg final : public sim::EngineAuditHook {
                                                node.shard_free(0) + shift);
         return true;
       }
+      case Plant::kViewBitDropped:
+      case Plant::kViewBitStale: {
+        const core::PoolStatus& view =
+            view_owner_ < 0 ? policy_->pool_status(0)
+                            : *api.controller_pool_view(0, view_owner_);
+        if (view.entries.empty() != (plant_ == Plant::kViewBitStale))
+          return false;
+        if (view_owner_ < 0)
+          policy_->flip_occupied_for_audit_test(0);
+        else
+          engine_->flip_controller_occupied_for_audit_test(view_owner_, 0);
+        return true;
+      }
       case Plant::kScenarioInjection: {
         core::HarvestResourcePool& pool = policy_->pool(0);
         if (inject_.kind == chaos::InjectKind::kConservation)
@@ -1174,6 +1197,7 @@ class DifferentialLeg final : public sim::EngineAuditHook {
   chaos::InjectSpec inject_;
   const std::vector<long>* keep_;
   sim::Engine* engine_ = nullptr;
+  int view_owner_ = -1;
   util::audit::FailureHandler prev_;
   bool recording_ = false;
   long planted_at_ = -1;
@@ -1213,14 +1237,18 @@ struct OneNodeRun {
   long planted_at = -1;
   std::vector<EngineDiag> diags;
 };
-OneNodeRun run_one_node(Plant plant, bool full_sweep) {
+/// `view_owner` >= 0 runs two controllers (so each keeps a cache) and
+/// plants in that controller's cache.
+OneNodeRun run_one_node(Plant plant, bool full_sweep, int view_owner = -1) {
   auto policy = make_libra_policy();
   analysis::InvariantAuditor auditor;
   auditor.attach_policy(policy.get());
   DifferentialLeg leg(auditor, policy.get(), full_sweep, plant,
                       chaos::InjectSpec{});
+  leg.set_view_owner(view_owner);
   auto cfg = exp::multi_node_config();
   cfg.node_capacities.resize(1);
+  if (view_owner >= 0) cfg.control.num_controllers = 2;
   cfg.audit_hook = &leg;
   sim::Engine engine(cfg, policy);
   leg.set_engine(&engine);
@@ -1266,6 +1294,47 @@ TEST(AuditMarks, CapacityRootAboveTheNodesOnlyFailsTheSweep) {
   EXPECT_NE(first.detail.find(") != the nodes' largest free slice (cpu "),
             std::string::npos)
       << first.detail;
+}
+
+TEST(AuditMarks, OccupancyBitsOnlyFailTheSweep) {
+  // A bit flipped without its view changing goes through no mutation site,
+  // so the incremental check stays silent; the full sweep compares every
+  // bit with its view, for the policy's snapshots and for each controller
+  // cache, and reports a missing bit and a stale one at that event.
+  struct Case {
+    Plant plant;
+    int owner;
+    const char* text;
+  };
+  for (const Case& c :
+       {Case{Plant::kViewBitDropped, -1,
+             ": the policy's pool view of node 0 holds "},
+        Case{Plant::kViewBitStale, -1,
+             ": the policy's pool view of node 0 is empty but its occupancy "
+             "bit is set"},
+        Case{Plant::kViewBitDropped, 1,
+             ": controller 1's pool view of node 0 holds "},
+        Case{Plant::kViewBitStale, 1,
+             ": controller 1's pool view of node 0 is empty but its "
+             "occupancy bit is set"}}) {
+    SCOPED_TRACE(c.text);
+    const OneNodeRun inc = run_one_node(c.plant, false, c.owner);
+    ASSERT_GE(inc.planted_at, kPlantAt);
+    for (const EngineDiag& d : inc.diags)
+      EXPECT_NE(d.event_id, inc.planted_at) << d.detail;
+    const OneNodeRun full = run_one_node(c.plant, true, c.owner);
+    ASSERT_EQ(full.planted_at, inc.planted_at);
+    ASSERT_FALSE(full.diags.empty());
+    const EngineDiag& first = full.diags.front();
+    EXPECT_EQ(first.event_id, full.planted_at);
+    EXPECT_NE(first.detail.find(c.text), std::string::npos) << first.detail;
+    if (c.plant == Plant::kViewBitDropped) {
+      EXPECT_NE(first.detail.find(" entries but its occupancy bit is clear: "
+                                  "coverage picks skip it"),
+                std::string::npos)
+          << first.detail;
+    }
+  }
 }
 
 struct AuditedLeg {

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -29,6 +28,7 @@
 #include "workload/function_catalog.h"
 #include "workload/materialized_source.h"
 #include "workload/trace.h"
+#include "fleet_api.h"
 #include "scheduler_reference.h"
 
 namespace libra {
@@ -37,51 +37,10 @@ namespace {
 using sim::NodeId;
 using sim::Resources;
 using sim::ShardId;
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-bool same_bits(const Resources& a, const Resources& b) {
-  return std::bit_cast<uint64_t>(a.cpu) == std::bit_cast<uint64_t>(b.cpu) &&
-         std::bit_cast<uint64_t>(a.mem) == std::bit_cast<uint64_t>(b.mem);
-}
-
-/// n nodes of random capacity (0.5–32 cores, 128 MB–32 GB) attached to one
-/// index. Not movable: every node points at `index`.
-struct Fleet {
-  sim::CapacityIndex index;
-  std::vector<sim::Node> nodes;
-
-  Fleet(size_t n, int shards, util::Rng& rng) : index(n, shards) {
-    nodes.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      const Resources cap{0.5 * static_cast<double>(rng.uniform_int(1, 64)),
-                          128.0 * static_cast<double>(rng.uniform_int(1, 256))};
-      nodes.emplace_back(static_cast<NodeId>(i), cap, shards);
-      nodes.back().set_capacity_index(&index);
-    }
-  }
-  Fleet(const Fleet&) = delete;
-  Fleet& operator=(const Fleet&) = delete;
-
-  /// The largest free slice of `shard` over the nodes, per axis.
-  Resources brute_max(ShardId shard) const {
-    Resources m{-kInf, -kInf};
-    for (const auto& node : nodes) m = Resources::max(m, node.shard_free(shard));
-    return m;
-  }
-
-  ::testing::AssertionResult roots_exact() const {
-    for (ShardId s = 0; s < index.num_shards(); ++s) {
-      const Resources root = index.max(s);
-      const Resources want = brute_max(s);
-      if (!same_bits(root, want))
-        return ::testing::AssertionFailure()
-               << "shard " << s << ": root " << root.to_string()
-               << " != brute-force max " << want.to_string();
-    }
-    return ::testing::AssertionSuccess();
-  }
-};
+using test::Fleet;
+using test::FleetApi;
+using test::kInf;
+using test::same_bits;
 
 // ---------------------------------------------------------------------------
 // The index against a brute-force maximum
@@ -150,54 +109,6 @@ TEST(CapacityIndex, EmptyIndexAndAttachBounds) {
 // ---------------------------------------------------------------------------
 // The schedulers against their scans before the index
 // ---------------------------------------------------------------------------
-
-/// EngineApi over a Fleet: its nodes, a suspected-down set, and the index
-/// root as max_shard_free. Counts the health-view probes, which a scan makes
-/// for every node it considers.
-class FleetApi final : public sim::EngineApi {
- public:
-  explicit FleetApi(Fleet& fleet)
-      : fleet_(fleet), suspected_(fleet.nodes.size(), 0) {}
-
-  sim::SimTime now() const override { return 10.0; }
-  const std::vector<sim::Node>& nodes() const override { return fleet_.nodes; }
-  sim::Node& node(NodeId id) override {
-    return fleet_.nodes.at(static_cast<size_t>(id));
-  }
-  sim::Invocation& invocation(sim::InvocationId) override {
-    throw std::out_of_range("FleetApi: no invocation records");
-  }
-  bool invocation_alive(sim::InvocationId) const override { return false; }
-  const sim::ExecutionModel& exec_model() const override { return exec_; }
-  void update_effective(sim::InvocationId, const Resources&) override {}
-  void sync_accounting(sim::InvocationId) override {}
-  Resources observed_usage(sim::InvocationId) const override { return {}; }
-  Resources observed_peak(sim::InvocationId) const override { return {}; }
-  bool node_suspected_down(NodeId id) const override {
-    ++probes;
-    return suspected_[static_cast<size_t>(id)] != 0;
-  }
-  Resources max_shard_free(ShardId shard) const override {
-    return fleet_.index.max(shard);
-  }
-  const std::vector<NodeId>& touched_nodes() const override { return none_; }
-  const std::vector<sim::InvocationId>& finalized_ids() const override {
-    return finalized_;
-  }
-
-  void set_suspected(size_t node, bool suspected) {
-    suspected_[node] = suspected ? 1 : 0;
-  }
-
-  mutable long probes = 0;
-
- private:
-  Fleet& fleet_;
-  std::vector<char> suspected_;
-  std::vector<NodeId> none_;
-  std::vector<sim::InvocationId> finalized_;
-  sim::ExecutionModel exec_;
-};
 
 /// Random ping-time pool snapshots: about half the nodes advertise one to
 /// three entries, some already expired.

@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "analysis/invariant_auditor.h"
 #include "core/libra_policy.h"
@@ -278,6 +279,38 @@ TEST(CtrlSteal, AttributionMovesToTheThief) {
   for (const auto& c : m.control.controllers)
     if (c.steals_in > 0 || c.steals_out > 0) any_moved = true;
   EXPECT_TRUE(any_moved);
+}
+
+TEST(CtrlSteal, StealAndQueueCountsArePinned) {
+  // Eager stealing over periodic gossip. The steal pass's stale-entry rule
+  // (a queue entry counts only while its invocation is still queued at that
+  // controller) decides every count below; they were captured with the
+  // queue tracking kept in a hash map keyed by invocation id.
+  EngineConfig cfg = exp::multi_node_config();
+  cfg.control.num_controllers = 4;
+  cfg.control.steal_watermark = 0;
+  cfg.control.steal_batch = 2;
+  cfg.control.gossip_period = 1.0;
+  const RunMetrics m = run_libra_burst(cfg);
+  EXPECT_EQ(exp::run_metrics_digest(m), 0x85243c1d4be5d5a6ULL);
+  EXPECT_EQ(m.control.steal_batches, 8);
+  EXPECT_EQ(m.control.total_stolen, 10);
+  struct Counts {
+    long admitted, decisions, conflicts, steals_in, steals_out, peak_depth;
+    bool operator==(const Counts&) const = default;
+  };
+  const std::vector<Counts> want = {{48, 2284, 0, 3, 4, 48},
+                                    {48, 1730, 0, 2, 1, 48},
+                                    {32, 1377, 0, 3, 4, 32},
+                                    {32, 1126, 0, 2, 1, 32}};
+  ASSERT_EQ(m.control.controllers.size(), want.size());
+  for (size_t c = 0; c < want.size(); ++c) {
+    const auto& got = m.control.controllers[c];
+    EXPECT_EQ((Counts{got.admitted, got.decisions, got.conflicts,
+                      got.steals_in, got.steals_out, got.peak_queue_depth}),
+              want[c])
+        << "controller " << c;
+  }
 }
 
 // ------------------------------------------------------- stale-view conflicts

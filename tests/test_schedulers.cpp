@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <stdexcept>
 
 #include "baselines/default_policy.h"
 #include "baselines/schedulers.h"
@@ -168,6 +170,27 @@ TEST_F(SchedulerFixture, CoverageRespectsAlphaWeighting) {
   EXPECT_EQ(cpu_heavy.select(inv, engine_), 1);
   core::CoverageScheduler mem_heavy(&provider, 0.05);
   EXPECT_EQ(mem_heavy.select(inv, engine_), 2);
+}
+
+TEST(CoverageSchedulerConfig, RejectsAlphaOutsideTheUnitInterval) {
+  // The pick skips empty views because both coverage weights, alpha and
+  // 1 - alpha, are non-negative; fig16's sweep spans exactly [0, 1].
+  for (const double alpha :
+       {-1e-9, 1.0 + 1e-9, -1.0, 2.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(alpha);
+    EXPECT_THROW(core::CoverageScheduler(nullptr, alpha),
+                 std::invalid_argument);
+  }
+  for (const double alpha : {0.0, 0.05, 0.5, 0.9, 1.0})
+    EXPECT_EQ(core::CoverageScheduler(nullptr, alpha).alpha(), alpha);
+  // The platform knob reaches the constructor unchecked before it.
+  exp::PlatformTuning tuning;
+  tuning.coverage_alpha = 1.5;
+  EXPECT_THROW(
+      exp::make_platform(exp::PlatformKind::kLibraNP, catalog(), tuning),
+      std::invalid_argument);
 }
 
 // Integration: the five §8.4 scheduling platforms all complete a multi-node

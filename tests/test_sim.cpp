@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "sim/container_pool.h"
 #include "sim/event_queue.h"
@@ -78,6 +80,28 @@ TEST(EventQueue, SchedulingIntoThePastThrows) {
   q.schedule(5.0, [] {});
   q.run();
   EXPECT_THROW(q.schedule(1.0, [] {}), std::invalid_argument);
+}
+
+TEST(EventQueue, NonFiniteTimeThrows) {
+  // A NaN time used to pass the past-time check, dispatch before every
+  // finite event and set now() to NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(1.0, [&] { order.push_back(1); });
+  for (const double t : {nan, inf, -inf}) {
+    EXPECT_THROW(q.schedule(t, [&] { order.push_back(0); }),
+                 std::invalid_argument);
+    EXPECT_THROW(q.schedule_arrival(t, [&] { order.push_back(0); }),
+                 std::invalid_argument);
+    EXPECT_THROW(q.schedule_after(t, [&] { order.push_back(0); }),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(q.pending(), 1u);
+  q.run();
+  EXPECT_EQ(order, std::vector<int>{1});
+  EXPECT_DOUBLE_EQ(q.now(), 1.0);
 }
 
 // ---------------- Resources ----------------

@@ -23,8 +23,8 @@
 //   flat-hot-path           no std map or set data members (ordered or
 //                           unordered, multi or not) in the designated
 //                           hot-path files (engine, cluster_state,
-//                           sharded_controller, harvest_pool,
-//                           scheduler): per-decision
+//                           sharded_controller, ctrl/control_plane,
+//                           harvest_pool, scheduler, coverage): per-decision
 //                           state lives in flat index-addressed vectors/slabs
 //                           or sorted vectors (DESIGN.md §5l); such a member
 //                           needs a reasoned ALLOW.

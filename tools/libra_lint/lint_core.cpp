@@ -187,8 +187,10 @@ bool in_hot_path_files(const std::string& rule_path) {
   return rule_path.rfind("src/sim/engine.", 0) == 0 ||
          rule_path.rfind("src/sim/cluster_state", 0) == 0 ||
          rule_path.rfind("src/sim/sharded_controller", 0) == 0 ||
+         rule_path.rfind("src/sim/ctrl/control_plane", 0) == 0 ||
          rule_path.rfind("src/core/harvest_pool", 0) == 0 ||
-         rule_path.rfind("src/core/scheduler", 0) == 0;
+         rule_path.rfind("src/core/scheduler", 0) == 0 ||
+         rule_path.rfind("src/core/coverage", 0) == 0;
 }
 
 // ---- compile_commands.json ----
