@@ -29,7 +29,10 @@
 //   * the §5l coverage candidate set: on an unsaturated cluster with the
 //     same eight occupied pool views, an accelerable coverage select costs
 //     at most 2x as much at 1000 nodes as at 10 and does not allocate after
-//     warm-up.
+//     warm-up;
+//   * the §5h engine events: after warm-up, 10^5 schedule-and-step cycles
+//     with the engine's capture shapes, a tenth of them also cancelling and
+//     re-arming a pending event, make zero heap allocations.
 //
 // With --json-out PATH (stripped before google-benchmark parses argv) the
 // gate measurements are merged into a BenchArtifact JSON file —
@@ -64,6 +67,7 @@
 #include "ml/forest.h"
 #include "obs/obs_config.h"
 #include "obs/obs_session.h"
+#include "sim/event_queue.h"
 #include "sim/invocation.h"
 #include "util/rng.h"
 #include "util/dense_id_map.h"
@@ -1297,6 +1301,98 @@ bool check_coverage_pick_cost(exp::BenchArtifact* artifact) {
   return false;
 }
 
+/// The engine's event shapes on one queue: kPending invocations, each with
+/// one pending event that re-arms itself a short delay ahead when it fires.
+/// Even ids capture `[this, id]` (an admission or profiler hand-off), odd
+/// ids `[this, id, epoch]` (a placement's begin_execution); a cancelled
+/// event's epoch is stale, so a dispatch that ignored a cancel is counted.
+struct EngineEventFixture {
+  static constexpr int64_t kPending = 64;
+  sim::EventQueue queue;
+  std::vector<sim::EventId> armed = std::vector<sim::EventId>(kPending);
+  std::vector<uint64_t> epochs = std::vector<uint64_t>(kPending);
+  uint64_t lcg = 0x9e3779b97f4a7c15ULL;
+  long cycles = 0;
+  long stale_dispatches = 0;
+
+  EngineEventFixture() {
+    for (int64_t id = 0; id < kPending; ++id) arm(id);
+  }
+  // Queued callbacks hold `this`.
+  EngineEventFixture(const EngineEventFixture&) = delete;
+  EngineEventFixture& operator=(const EngineEventFixture&) = delete;
+
+  /// 1 to 1000 ms, from a fixed LCG so every run sees the same sequence.
+  double next_delay() {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return 1e-3 * static_cast<double>((lcg >> 33) % 1000 + 1);
+  }
+  void arm(int64_t id) {
+    const auto i = static_cast<size_t>(id);
+    if (id % 2 == 0) {
+      armed[i] = queue.schedule_after(next_delay(), [this, id] { arm(id); });
+    } else {
+      const uint64_t epoch = ++epochs[i];
+      armed[i] = queue.schedule_after(next_delay(), [this, id, epoch] {
+        if (epoch != epochs[static_cast<size_t>(id)]) ++stale_dispatches;
+        arm(id);
+      });
+    }
+  }
+  /// One cycle: the next event is dispatched and schedules its successor;
+  /// every tenth cycle also re-arms a pending event the way a completion
+  /// is re-armed when an allocation changes: cancel, then schedule again.
+  void cycle() {
+    queue.step();
+    if (++cycles % 10 == 0) {
+      const int64_t id = (cycles / 10) % kPending;
+      queue.cancel(armed[static_cast<size_t>(id)]);
+      arm(id);
+    }
+  }
+};
+
+/// §5h engine-event gate: an event's capture lives inline in its queue slot
+/// and fired slots are reused, so once the queue has grown, scheduling and
+/// dispatching allocate nothing. 10^5 warm-up cycles, then 10^5 counted
+/// cycles and 5 timed reps of 10^5 more must make zero heap allocations.
+/// The best rep's ns per cycle is exported for same-machine comparison and
+/// is not gated (bench/baselines/README.md).
+bool check_engine_event_allocations(exp::BenchArtifact* artifact) {
+  constexpr long kCycles = 100000;
+  constexpr int kReps = 5;
+  EngineEventFixture fx;
+  for (long i = 0; i < kCycles; ++i) fx.cycle();
+  const long before = t_heap_allocs;
+  for (long i = 0; i < kCycles; ++i) fx.cycle();
+  double best = 1e300;
+  for (int r = 0; r < kReps; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    for (long i = 0; i < kCycles; ++i) fx.cycle();
+    const auto stop = std::chrono::steady_clock::now();
+    best = std::min(
+        best, std::chrono::duration<double>(stop - start).count() / kCycles);
+  }
+  const long allocs = t_heap_allocs - before;
+  std::printf(
+      "engine event gate: %ld heap allocations over %ld warmed cycles (%lld "
+      "pending, 1 in 10 cancelled and re-armed), %.1f ns/cycle\n",
+      allocs, kCycles * (kReps + 1),
+      static_cast<long long>(EngineEventFixture::kPending), best * 1e9);
+  artifact->add("engine_event_cycle_ns", best * 1e9, "ns");
+  if (fx.stale_dispatches != 0) {
+    std::printf("engine event gate: FAIL (%ld cancelled events dispatched)\n",
+                fx.stale_dispatches);
+    return false;
+  }
+  if (allocs == 0) {
+    std::printf("engine event gate: PASS (zero allocations)\n");
+    return true;
+  }
+  std::printf("engine event gate: FAIL (a warmed event cycle allocates)\n");
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1331,6 +1427,7 @@ int main(int argc, char** argv) {
   const bool audit_ok = check_incremental_audit_cost(&artifact);
   const bool pick_ok = check_full_cluster_pick_cost(&artifact);
   const bool coverage_ok = check_coverage_pick_cost(&artifact);
+  const bool event_ok = check_engine_event_allocations(&artifact);
   if (!json_out.empty()) {
     std::string error;
     if (!exp::merge_bench_artifact(json_out, artifact, &error)) {
@@ -1342,7 +1439,7 @@ int main(int argc, char** argv) {
                 json_out.c_str());
   }
   return obs_ok && ref_ok && store_ok && walk_ok && scan_ok && depth_ok &&
-                 sweep_ok && audit_ok && pick_ok && coverage_ok
+                 sweep_ok && audit_ok && pick_ok && coverage_ok && event_ok
              ? 0
              : 1;
 }

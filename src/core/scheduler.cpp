@@ -35,13 +35,11 @@ int& StickyHashState::salt_slot(sim::FunctionId func) {
 }
 
 int StickyHashState::salt(sim::FunctionId func) const {
-  util::MutexLock lock(mu_);
   const auto i = static_cast<size_t>(func);
   return func >= 0 && i < salt_.size() ? salt_[i] : 0;
 }
 
 NodeId StickyHashState::pick(Invocation& inv, EngineApi& api) {
-  util::MutexLock lock(mu_);
   const auto& nodes = api.nodes();
   const auto n = static_cast<uint64_t>(nodes.size());
   int& salt = salt_slot(inv.func);

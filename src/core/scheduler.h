@@ -11,8 +11,6 @@
 
 #include "core/pool_status.h"
 #include "sim/policy.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace libra::core {
 
@@ -55,27 +53,23 @@ bool no_node_fits(const sim::Invocation& inv, const sim::EngineApi& api);
 /// node (container reuse); when the target lacks capacity the hash advances
 /// and upcoming invocations of the function follow (§6.3). The salt table is
 /// shared scheduler-shard state — every decentralized shard advances the
-/// same per-function target — so it is mutex-protected and annotated.
+/// same per-function target. It takes no lock: picks run only on the event
+/// loop, because every speculation declines before it reaches the hash
+/// (CoverageScheduler::speculate, DESIGN.md §5l "The salt table").
 class StickyHashState {
  public:
-  StickyHashState() = default;
-  StickyHashState(const StickyHashState&) = delete;
-  StickyHashState& operator=(const StickyHashState&) = delete;
-
   /// Throws std::out_of_range on a negative function id.
-  sim::NodeId pick(sim::Invocation& inv, sim::EngineApi& api)
-      LIBRA_EXCLUDES(mu_);
+  sim::NodeId pick(sim::Invocation& inv, sim::EngineApi& api);
 
   /// The function's current salt: 0 before its first pick.
-  int salt(sim::FunctionId func) const LIBRA_EXCLUDES(mu_);
+  int salt(sim::FunctionId func) const;
 
  private:
-  int& salt_slot(sim::FunctionId func) LIBRA_REQUIRES(mu_);
+  int& salt_slot(sim::FunctionId func);
 
-  mutable util::Mutex mu_;
   /// Indexed by function id (catalog ids are dense); grows on the first
   /// sight of a larger id.
-  std::vector<int> salt_ LIBRA_GUARDED_BY(mu_);
+  std::vector<int> salt_;
 };
 
 /// Libra's timeliness-aware greedy scheduler (§6.3):

@@ -72,7 +72,6 @@ double TrustManager::decayed_boost(const FuncTrust& s, SimTime now) const {
 }
 
 bool TrustManager::strike(FunctionId func, SimTime now) {
-  util::MutexLock lock(mu_);
   FuncTrust& s = functions_[func];
   materialize(s, now);
   // Widen the margin immediately: the boost survives demotion/promotion so a
@@ -118,40 +117,35 @@ bool TrustManager::record_oom(FunctionId func, SimTime now) {
 bool TrustManager::record_completion(FunctionId func,
                                      double rel_underprediction, SimTime now) {
   const double err = std::max(0.0, rel_underprediction);
-  {
-    util::MutexLock lock(mu_);
-    FuncTrust& s = functions_[func];
-    materialize(s, now);
-    if (s.errors.size() < static_cast<size_t>(cfg_.error_window)) {
-      s.errors.push_back(err);
-    } else {
-      s.errors[s.errors_next] = err;
-      s.errors_next = (s.errors_next + 1) % s.errors.size();
+  FuncTrust& s = functions_[func];
+  materialize(s, now);
+  if (s.errors.size() < static_cast<size_t>(cfg_.error_window)) {
+    s.errors.push_back(err);
+  } else {
+    s.errors[s.errors_next] = err;
+    s.errors_next = (s.errors_next + 1) % s.errors.size();
+  }
+  if (err <= cfg_.error_strike_threshold) {
+    // Clean sample: advance probation, forgive one old strike.
+    s.strikes = std::max(0, s.strikes - 1);
+    if (s.stored == TrustState::kHalfOpen &&
+        ++s.clean_streak >= cfg_.probation_clean) {
+      s.stored = TrustState::kClosed;
+      s.clean_streak = 0;
+      ++promotions_;
     }
-    if (err <= cfg_.error_strike_threshold) {
-      // Clean sample: advance probation, forgive one old strike.
-      s.strikes = std::max(0, s.strikes - 1);
-      if (s.stored == TrustState::kHalfOpen &&
-          ++s.clean_streak >= cfg_.probation_clean) {
-        s.stored = TrustState::kClosed;
-        s.clean_streak = 0;
-        ++promotions_;
-      }
-      return false;
-    }
+    return false;
   }
   return strike(func, now);
 }
 
 TrustState TrustManager::state(FunctionId func, SimTime now) const {
-  util::MutexLock lock(mu_);
   auto it = functions_.find(func);
   if (it == functions_.end()) return TrustState::kClosed;
   return effective_state(it->second, now);
 }
 
 double TrustManager::harvest_margin(FunctionId func, SimTime now) const {
-  util::MutexLock lock(mu_);
   auto it = functions_.find(func);
   if (it == functions_.end()) return cfg_.margin_min;
   const FuncTrust& s = it->second;
@@ -172,23 +166,7 @@ double TrustManager::harvest_margin(FunctionId func, SimTime now) const {
                     cfg_.margin_max);
 }
 
-long TrustManager::demotions() const {
-  util::MutexLock lock(mu_);
-  return demotions_;
-}
-
-long TrustManager::promotions() const {
-  util::MutexLock lock(mu_);
-  return promotions_;
-}
-
-long TrustManager::quarantine_transitions() const {
-  util::MutexLock lock(mu_);
-  return quarantine_transitions_;
-}
-
 void TrustManager::quarantine_for_audit_test(FunctionId func, SimTime now) {
-  util::MutexLock lock(mu_);
   FuncTrust& s = functions_[func];
   s.stored = TrustState::kOpen;
   s.opened_at = now;
@@ -196,8 +174,8 @@ void TrustManager::quarantine_for_audit_test(FunctionId func, SimTime now) {
 }
 
 long TrustManager::quarantined_count(SimTime now) const {
-  util::MutexLock lock(mu_);
   long n = 0;
+  // LIBRA_LINT_ALLOW(unordered-iteration): an integer count, the same in any order
   for (const auto& [func, s] : functions_)
     if (effective_state(s, now) == TrustState::kOpen) ++n;
   return n;

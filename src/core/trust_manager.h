@@ -18,17 +18,16 @@
 // errors yields the p95 base margin; each strike adds a boost that decays
 // exponentially with half-life `margin_decay_halflife`.
 //
-// Thread-safety: all state is guarded by an annotated mutex, matching the
-// HarvestResourcePool idiom — in a real deployment completions, monitor
-// ticks and OOM kills land from different worker threads.
+// Threading: the manager takes no lock. Completions, monitor ticks and OOM
+// kills are engine events, so only the event loop reaches it; the one
+// parallel path, LibraPolicy::speculate_predict, declines whenever a
+// TrustManager exists (DESIGN.md §5d, "Which state locks").
 #pragma once
 
 #include <unordered_map>
 #include <vector>
 
 #include "sim/types.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace libra::core {
 
@@ -68,12 +67,11 @@ class TrustManager {
   /// The safeguard fired for an invocation of `func`. Returns true when this
   /// strike demoted the function to quarantine (caller must then enforce the
   /// no-pool-entries-from-quarantined-functions invariant).
-  bool record_safeguard(sim::FunctionId func, sim::SimTime now)
-      LIBRA_EXCLUDES(mu_);
+  bool record_safeguard(sim::FunctionId func, sim::SimTime now);
 
   /// The container of an invocation of `func` was OOM-killed. Same demotion
   /// contract as record_safeguard.
-  bool record_oom(sim::FunctionId func, sim::SimTime now) LIBRA_EXCLUDES(mu_);
+  bool record_oom(sim::FunctionId func, sim::SimTime now);
 
   /// An invocation completed with the given relative under-prediction error
   /// (max over axes, 0 when the prediction covered the observed peak). Feeds
@@ -81,41 +79,37 @@ class TrustManager {
   /// anything else counts as clean (advancing probation / forgiving old
   /// strikes). Returns true when the sample demoted the function.
   bool record_completion(sim::FunctionId func, double rel_underprediction,
-                         sim::SimTime now) LIBRA_EXCLUDES(mu_);
+                         sim::SimTime now);
 
   /// Effective state at `now` (applies the OPEN -> HALF_OPEN cooldown
   /// transition lazily).
-  TrustState state(sim::FunctionId func, sim::SimTime now) const
-      LIBRA_EXCLUDES(mu_);
+  TrustState state(sim::FunctionId func, sim::SimTime now) const;
 
-  bool quarantined(sim::FunctionId func, sim::SimTime now) const
-      LIBRA_EXCLUDES(mu_) {
+  bool quarantined(sim::FunctionId func, sim::SimTime now) const {
     return state(func, now) == TrustState::kOpen;
   }
 
   /// Adaptive harvest margin for `func` at `now`:
   ///   clamp(max(margin_min, p{error_quantile}(errors)) + decayed boost,
   ///         margin_min, margin_max)
-  double harvest_margin(sim::FunctionId func, sim::SimTime now) const
-      LIBRA_EXCLUDES(mu_);
+  double harvest_margin(sim::FunctionId func, sim::SimTime now) const;
 
-  long demotions() const LIBRA_EXCLUDES(mu_);
-  long promotions() const LIBRA_EXCLUDES(mu_);
+  long demotions() const { return demotions_; }
+  long promotions() const { return promotions_; }
   /// Transitions into quarantine so far: every demotion plus every
   /// quarantine_for_audit_test. The invariant auditor re-checks every pool
   /// when this moves. Leaving quarantine (the cooldown's lazy OPEN ->
   /// HALF_OPEN) only relaxes the no-harvest invariant, so it is not counted.
-  long quarantine_transitions() const LIBRA_EXCLUDES(mu_);
+  long quarantine_transitions() const { return quarantine_transitions_; }
   /// Functions whose effective state at `now` is quarantine.
-  long quarantined_count(sim::SimTime now) const LIBRA_EXCLUDES(mu_);
+  long quarantined_count(sim::SimTime now) const;
 
   const TrustConfig& config() const { return cfg_; }
 
   /// Test-only (corrupt_for_audit_test idiom): forces `func` straight into
   /// quarantine WITHOUT the policy-side harvest pullback, seeding exactly the
   /// violation the invariant auditor's quarantine sweep must catch.
-  void quarantine_for_audit_test(sim::FunctionId func, sim::SimTime now)
-      LIBRA_EXCLUDES(mu_);
+  void quarantine_for_audit_test(sim::FunctionId func, sim::SimTime now);
 
  private:
   struct FuncTrust {
@@ -134,21 +128,18 @@ class TrustManager {
 
   /// Stored state folded through the cooldown clock — the single source of
   /// truth for "what tier is this function on right now".
-  TrustState effective_state(const FuncTrust& s, sim::SimTime now) const
-      LIBRA_REQUIRES(mu_);
+  TrustState effective_state(const FuncTrust& s, sim::SimTime now) const;
   /// Writes the lazy OPEN -> HALF_OPEN transition back into the entry.
-  void materialize(FuncTrust& s, sim::SimTime now) LIBRA_REQUIRES(mu_);
+  void materialize(FuncTrust& s, sim::SimTime now);
   /// Shared strike path for all three evidence sources.
-  bool strike(sim::FunctionId func, sim::SimTime now) LIBRA_EXCLUDES(mu_);
-  double decayed_boost(const FuncTrust& s, sim::SimTime now) const
-      LIBRA_REQUIRES(mu_);
+  bool strike(sim::FunctionId func, sim::SimTime now);
+  double decayed_boost(const FuncTrust& s, sim::SimTime now) const;
 
   const TrustConfig cfg_;
-  mutable util::Mutex mu_;
-  std::unordered_map<sim::FunctionId, FuncTrust> functions_ LIBRA_GUARDED_BY(mu_);
-  long demotions_ LIBRA_GUARDED_BY(mu_) = 0;
-  long promotions_ LIBRA_GUARDED_BY(mu_) = 0;
-  long quarantine_transitions_ LIBRA_GUARDED_BY(mu_) = 0;
+  std::unordered_map<sim::FunctionId, FuncTrust> functions_;
+  long demotions_ = 0;
+  long promotions_ = 0;
+  long quarantine_transitions_ = 0;
 };
 
 }  // namespace libra::core

@@ -4,19 +4,8 @@
 
 namespace libra::sim {
 
-ContainerPool::ContainerPool(ContainerPool&& other) noexcept
-    : cfg_(other.cfg_) {
-  // Setup-time only (vector<Node> growth); the source holds no concurrent
-  // users, but take its lock anyway so the analysis stays honest.
-  util::MutexLock lock(other.mu_);
-  warm_ = std::move(other.warm_);
-  cold_starts_ = other.cold_starts_;
-  warm_starts_ = other.warm_starts_;
-  last_sweep_ = other.last_sweep_;
-}
-
-void ContainerPool::evict_expired_locked(std::vector<SimTime>& stack,
-                                         SimTime now) const {
+void ContainerPool::evict_expired(std::vector<SimTime>& stack,
+                                  SimTime now) const {
   // Warm containers idle longer than keep_alive are reclaimed by the node.
   stack.erase(std::remove_if(stack.begin(), stack.end(),
                              [&](SimTime paused_at) {
@@ -25,11 +14,12 @@ void ContainerPool::evict_expired_locked(std::vector<SimTime>& stack,
               stack.end());
 }
 
-void ContainerPool::sweep_locked(SimTime now) {
+void ContainerPool::sweep(SimTime now) {
   if (now - last_sweep_ < cfg_.keep_alive) return;
   last_sweep_ = now;
+  // LIBRA_LINT_ALLOW(unordered-iteration): each function's stack is pruned on its own; nothing carries from one entry to the next
   for (auto it = warm_.begin(); it != warm_.end();) {
-    evict_expired_locked(it->second, now);
+    evict_expired(it->second, now);
     if (it->second.empty())
       it = warm_.erase(it);
     else
@@ -39,11 +29,10 @@ void ContainerPool::sweep_locked(SimTime now) {
 
 ContainerPool::Acquisition ContainerPool::acquire(FunctionId func,
                                                   SimTime now) {
-  util::MutexLock lock(mu_);
-  sweep_locked(now);
+  sweep(now);
   auto it = warm_.find(func);
   if (it != warm_.end()) {
-    evict_expired_locked(it->second, now);
+    evict_expired(it->second, now);
     if (!it->second.empty()) {
       it->second.pop_back();
       if (it->second.empty()) warm_.erase(it);
@@ -57,17 +46,15 @@ ContainerPool::Acquisition ContainerPool::acquire(FunctionId func,
 }
 
 void ContainerPool::release(FunctionId func, SimTime now) {
-  util::MutexLock lock(mu_);
-  sweep_locked(now);
+  sweep(now);
   auto& stack = warm_[func];
-  evict_expired_locked(stack, now);
+  evict_expired(stack, now);
   if (static_cast<int>(stack.size()) < cfg_.max_warm_per_function)
     stack.push_back(now);
   if (stack.empty()) warm_.erase(func);
 }
 
 int ContainerPool::warm_count(FunctionId func, SimTime now) const {
-  util::MutexLock lock(mu_);
   auto it = warm_.find(func);
   if (it == warm_.end()) return 0;
   int live = 0;

@@ -4,18 +4,16 @@
 // warm starts. The hash-affinity behaviour of §6.3 exists precisely to
 // exploit this.
 //
-// Mutex-protected: the real system's per-node invoker agent serves container
-// acquire/release from several scheduler shards and the crash-reap path
-// concurrently (§5.2, §6.4). All state is LIBRA_GUARDED_BY(mu_) so clang's
-// -Wthread-safety proves the discipline.
+// No lock: the real system's per-node invoker agent serves acquire and
+// release from several scheduler shards and the crash-reap path, but here
+// every one of those is an engine event on the event loop, and no
+// speculation touches containers (DESIGN.md §5d, "Which state locks").
 #pragma once
 
 #include <unordered_map>
 #include <vector>
 
 #include "sim/types.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace libra::sim {
 
@@ -29,12 +27,10 @@ struct ContainerPoolConfig {
 class ContainerPool {
  public:
   explicit ContainerPool(ContainerPoolConfig cfg = {}) : cfg_(cfg) {}
-  /// Nodes live in a std::vector; moving transfers the warm set (the source
-  /// must not be in concurrent use — the engine only moves during setup).
-  ContainerPool(ContainerPool&& other) noexcept;
+  /// Move-only, like the Node that owns it (nodes live in a std::vector).
+  ContainerPool(ContainerPool&&) noexcept = default;
   ContainerPool(const ContainerPool&) = delete;
   ContainerPool& operator=(const ContainerPool&) = delete;
-  ContainerPool& operator=(ContainerPool&&) = delete;
 
   struct Acquisition {
     double delay = 0.0;
@@ -43,49 +39,37 @@ class ContainerPool {
 
   /// Takes a container for `func` at time `now`: reuses a warm one when
   /// available (and not expired), otherwise reports a cold start.
-  Acquisition acquire(FunctionId func, SimTime now) LIBRA_EXCLUDES(mu_);
+  Acquisition acquire(FunctionId func, SimTime now);
 
   /// Returns a container to the warm set at time `now`.
-  void release(FunctionId func, SimTime now) LIBRA_EXCLUDES(mu_);
+  void release(FunctionId func, SimTime now);
 
   /// Number of currently warm (non-expired) containers for `func`.
-  int warm_count(FunctionId func, SimTime now) const LIBRA_EXCLUDES(mu_);
+  int warm_count(FunctionId func, SimTime now) const;
 
   /// Drops every warm container (node crash: the container runtime state is
   /// gone). Start counters are cumulative and survive.
-  void clear() LIBRA_EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    warm_.clear();
-  }
+  void clear() { warm_.clear(); }
 
-  long total_cold_starts() const LIBRA_EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    return cold_starts_;
-  }
-  long total_warm_starts() const LIBRA_EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    return warm_starts_;
-  }
+  long total_cold_starts() const { return cold_starts_; }
+  long total_warm_starts() const { return warm_starts_; }
 
  private:
-  void evict_expired_locked(std::vector<SimTime>& stack, SimTime now) const
-      LIBRA_REQUIRES(mu_);
+  void evict_expired(std::vector<SimTime>& stack, SimTime now) const;
   /// Amortized whole-map reclamation, at most once per keep_alive of sim
   /// time: drops expired containers AND erases empty per-function entries,
   /// so map size tracks the active working set instead of every function
   /// the node has ever run (1000 nodes x 10k functions otherwise grows
   /// without bound on long streaming runs).
-  void sweep_locked(SimTime now) LIBRA_REQUIRES(mu_);
+  void sweep(SimTime now);
 
   const ContainerPoolConfig cfg_;  // immutable after construction
-  SimTime last_sweep_ LIBRA_GUARDED_BY(mu_) = 0.0;
-  mutable util::Mutex mu_;
+  SimTime last_sweep_ = 0.0;
   /// Per function: stack of pause timestamps of warm containers (LIFO reuse
   /// keeps the most recently used container hottest).
-  std::unordered_map<FunctionId, std::vector<SimTime>> warm_
-      LIBRA_GUARDED_BY(mu_);
-  long cold_starts_ LIBRA_GUARDED_BY(mu_) = 0;
-  long warm_starts_ LIBRA_GUARDED_BY(mu_) = 0;
+  std::unordered_map<FunctionId, std::vector<SimTime>> warm_;
+  long cold_starts_ = 0;
+  long warm_starts_ = 0;
 };
 
 }  // namespace libra::sim

@@ -88,15 +88,28 @@ void ControlPlane::deliver_gossip(int controller, NodeId node) {
       ++cs.gossip_delays;
       // Copy the payload NOW: a delayed gossip message carries the snapshot
       // as of send time; the pool may look different by delivery time.
-      core::PoolStatus payload = status;
-      host_.queue().schedule_after(
-          delay, [this, controller, node, payload = std::move(payload)] {
-            apply_gossip(controller, node, payload);
-          });
+      if (delayed_free_.empty()) {
+        delayed_free_.push_back(static_cast<uint32_t>(delayed_.size()));
+        delayed_.emplace_back();
+      }
+      const uint32_t slot = delayed_free_.back();
+      delayed_free_.pop_back();
+      DelayedGossip& d = delayed_[slot];
+      d.controller = controller;
+      d.node = node;
+      d.payload = status;
+      host_.queue().schedule_after(delay,
+                                   [this, slot] { deliver_delayed(slot); });
       return;
     }
   }
   apply_gossip(controller, node, status);
+}
+
+void ControlPlane::deliver_delayed(uint32_t slot) {
+  const DelayedGossip& d = delayed_[slot];
+  apply_gossip(d.controller, d.node, d.payload);
+  delayed_free_.push_back(slot);
 }
 
 void ControlPlane::apply_gossip(int controller, NodeId node,

@@ -21,6 +21,7 @@
 // attributed), never the engine-level shard or any event timing.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <vector>
 
@@ -100,8 +101,11 @@ class ControlPlane {
   /// payload must not resurrect ghost inventory).
   void apply_gossip(int controller, NodeId node, const core::PoolStatus& status);
   /// Fault-gated delivery of the provider's current snapshot of `node` to
-  /// controller `c`: may drop, delay (scheduling a by-value copy), or apply.
+  /// controller `c`: may drop, delay (parking a by-value copy in delayed_),
+  /// or apply.
   void deliver_gossip(int controller, NodeId node);
+  /// The delivery event of a delayed payload: applies it, frees its slot.
+  void deliver_delayed(uint32_t slot);
 
   Engine& host_;
   ControlPlaneConfig cfg_;
@@ -118,6 +122,16 @@ class ControlPlane {
   /// Per node: taken_at floor set by the last view reset; older in-flight
   /// delayed payloads are discarded.
   std::vector<SimTime> reset_floor_;
+  /// Delayed gossip in flight, by slot. A payload is too large for an
+  /// inline event capture, so its delivery event captures the slot index;
+  /// freed slots (and their entry buffers) are reused.
+  struct DelayedGossip {
+    int controller = 0;
+    NodeId node = 0;
+    core::PoolStatus payload;
+  };
+  std::vector<DelayedGossip> delayed_;
+  std::vector<uint32_t> delayed_free_;
   /// Pass-through fan-out rotation cursor.
   int fanout_cursor_ = 0;
 

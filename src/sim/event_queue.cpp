@@ -5,7 +5,8 @@
 
 namespace libra::sim {
 
-EventId EventQueue::schedule_lane(SimTime t, uint64_t lane, Callback fn) {
+EventId EventQueue::schedule_lane(SimTime t, uint64_t lane,
+                                  const Callback& fn) {
   // A NaN time passes every ordered comparison below and would dispatch
   // before every finite event, setting now() to NaN; +inf would never come.
   if (!std::isfinite(t))
@@ -22,16 +23,32 @@ EventId EventQueue::schedule_lane(SimTime t, uint64_t lane, Callback fn) {
     slots_.emplace_back();
   }
   Slot& s = slots_[slot];
-  s.fn = std::move(fn);
-  heap_.push(Entry{t, (lane << 62) | next_seq_++, slot, s.gen});
+  s.fn = fn;
+  const Entry e{t, (lane << 62) | next_seq_++, slot, s.gen};
   ++live_;
+  if (has_front_) {
+    // An entry earlier than the (live) front is earlier than every live
+    // entry; the front it displaces still precedes every heap entry.
+    if (Later{}(front_, e)) {
+      heap_.push(front_);
+      front_ = e;
+    } else {
+      heap_.push(e);
+    }
+  } else {
+    prune_stale();
+    if (heap_.empty() || Later{}(heap_.top(), e)) {
+      front_ = e;
+      has_front_ = true;
+    } else {
+      heap_.push(e);
+    }
+  }
   return (static_cast<EventId>(s.gen) << 32) | (slot + 1);
 }
 
 void EventQueue::release_slot(uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.fn = nullptr;
-  ++s.gen;
+  ++slots_[slot].gen;
   free_.push_back(slot);
 }
 
@@ -43,7 +60,9 @@ void EventQueue::cancel(EventId id) {
     return;  // already fired or cancelled (possibly reused since)
   release_slot(slot);
   --live_;
-  // The heap entry stays behind; step()/prune_stale() skip it by generation.
+  // A live front is exactly the event its slot holds.
+  if (has_front_ && front_.slot == slot) has_front_ = false;
+  // A heap entry stays behind; step()/prune_stale() skip it by generation.
 }
 
 void EventQueue::prune_stale() {
@@ -51,24 +70,28 @@ void EventQueue::prune_stale() {
 }
 
 SimTime EventQueue::next_time() {
+  if (has_front_) return front_.time;
   prune_stale();
   return heap_.empty() ? std::numeric_limits<SimTime>::infinity()
                        : heap_.top().time;
 }
 
 bool EventQueue::step() {
-  while (!heap_.empty()) {
-    const Entry top = heap_.top();
+  if (!has_front_) {
+    prune_stale();
+    if (heap_.empty()) return false;
+    front_ = heap_.top();
     heap_.pop();
-    if (stale(top)) continue;
-    Callback fn = std::move(slots_[top.slot].fn);
-    release_slot(top.slot);
-    --live_;
-    now_ = top.time;
-    fn();
-    return true;
   }
-  return false;
+  has_front_ = false;
+  const Entry next = front_;
+  // Copied out first: the callback may schedule into this very slot.
+  const Callback fn = slots_[next.slot].fn;
+  release_slot(next.slot);
+  --live_;
+  now_ = next.time;
+  fn();
+  return true;
 }
 
 void EventQueue::run() {
@@ -77,11 +100,7 @@ void EventQueue::run() {
 }
 
 void EventQueue::run_until(SimTime t) {
-  for (;;) {
-    prune_stale();
-    if (heap_.empty() || heap_.top().time > t) break;
-    step();
-  }
+  while (live_ > 0 && !(next_time() > t)) step();
   if (t > now_) now_ = t;
 }
 

@@ -4,18 +4,31 @@
 // the real system), so cancellation is on the hot path.
 //
 // Storage is slot-based with a free list: a fired or cancelled event's slot
-// (and its std::function buffer) is recycled for the next schedule() instead
-// of round-tripping through unordered_map nodes, so steady-state scheduling
-// allocates nothing and live memory tracks the number of PENDING events —
-// the property the planet-scale streaming runs rely on. Handles pack a
-// per-slot generation so a stale EventId (already fired, cancelled, or its
-// slot reused) is always recognized and cancel() stays a safe no-op.
+// is recycled for the next schedule(), so live memory tracks the number of
+// PENDING events — the property the planet-scale streaming runs rely on.
+// Handles pack a per-slot generation so a stale EventId (already fired,
+// cancelled, or its slot reused) is always recognized and cancel() stays a
+// safe no-op.
+//
+// An event pays only for what it changes (DESIGN.md §5h, "Free lists"):
+//  * Inline closures. A callback's capture is copied into a fixed buffer in
+//    its slot. A static_assert requires it to be trivially copyable and to
+//    fit, so scheduling never allocates. A payload that does not fit lives
+//    with its owner and the event captures an index into it.
+//  * The front slot. The earliest pending entry is held outside the binary
+//    heap. An event scheduled ahead of everything pending goes there and is
+//    dispatched next without touching the heap; the entry it displaces is
+//    pushed. Dispatch takes the front when it holds one, else the heap's
+//    top: either way the least live (time, lane, seq) key, which is unique,
+//    so the dispatch order is the heap-only order by construction.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
+#include <new>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "sim/types.h"
@@ -28,7 +41,40 @@ inline constexpr EventId kInvalidEvent = 0;
 
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
+  /// A `void()` callable whose capture lives inline: no heap, nothing to
+  /// destroy, copied as bytes. Converts implicitly from any trivially
+  /// copyable callable of at most kCaptureBytes — the engine's largest
+  /// capture is `[this, id, epoch]`.
+  class Callback {
+   public:
+    static constexpr size_t kCaptureBytes = 24;
+    static constexpr size_t kCaptureAlign = alignof(uint64_t);
+
+    Callback() = default;
+    template <class F, class = std::enable_if_t<
+                           !std::is_same_v<std::decay_t<F>, Callback>>>
+    Callback(F fn) : invoke_(&invoke<F>) {
+      static_assert(std::is_trivially_copyable_v<F>,
+                    "event captures must be trivially copyable: capture "
+                    "ids and pointers, and keep payloads with their owner");
+      static_assert(sizeof(F) <= kCaptureBytes,
+                    "event capture larger than Callback::kCaptureBytes");
+      static_assert(alignof(F) <= kCaptureAlign,
+                    "event capture over-aligned for Callback's buffer");
+      ::new (static_cast<void*>(buf_)) F(fn);
+    }
+
+    void operator()() const { invoke_(buf_); }
+
+   private:
+    template <class F>
+    static void invoke(const unsigned char* buf) {
+      (*std::launder(reinterpret_cast<const F*>(buf)))();
+    }
+
+    alignas(kCaptureAlign) unsigned char buf_[kCaptureBytes]{};
+    void (*invoke_)(const unsigned char*) = nullptr;
+  };
 
   /// Current simulated time (time of the last dispatched event).
   SimTime now() const { return now_; }
@@ -36,13 +82,13 @@ class EventQueue {
   /// Schedules `fn` at absolute time `t` (>= now). Returns a handle usable
   /// with cancel(). Throws std::invalid_argument when `t` is in the past or
   /// not finite (NaN, ±inf), here and in the two forms below.
-  EventId schedule(SimTime t, Callback fn) {
-    return schedule_lane(t, kNormalLane, std::move(fn));
+  EventId schedule(SimTime t, const Callback& fn) {
+    return schedule_lane(t, kNormalLane, fn);
   }
 
   /// Schedules `fn` after a relative delay.
-  EventId schedule_after(SimTime delay, Callback fn) {
-    return schedule(now_ + delay, std::move(fn));
+  EventId schedule_after(SimTime delay, const Callback& fn) {
+    return schedule(now_ + delay, fn);
   }
 
   /// Schedules an ARRIVAL: at equal timestamps it dispatches before every
@@ -50,8 +96,8 @@ class EventQueue {
   /// just-in-time admission uses this to keep the event order the pinned
   /// golden digests were captured under, when every trace arrival was
   /// scheduled ahead of every dynamic event and so won every same-time tie.
-  EventId schedule_arrival(SimTime t, Callback fn) {
-    return schedule_lane(t, kArrivalLane, std::move(fn));
+  EventId schedule_arrival(SimTime t, const Callback& fn) {
+    return schedule_lane(t, kArrivalLane, fn);
   }
 
   /// Cancels a pending event; no-op if already fired or cancelled.
@@ -67,7 +113,7 @@ class EventQueue {
   void run_until(SimTime t);
 
   /// Time of the next pending event; +infinity when the queue is empty.
-  /// Prunes cancelled entries off the top, hence non-const.
+  /// Prunes cancelled entries off the top of the heap, hence non-const.
   SimTime next_time();
 
   /// Number of pending (non-cancelled) events.
@@ -102,7 +148,7 @@ class EventQueue {
     }
   };
 
-  EventId schedule_lane(SimTime t, uint64_t lane, Callback fn);
+  EventId schedule_lane(SimTime t, uint64_t lane, const Callback& fn);
   bool stale(const Entry& e) const { return slots_[e.slot].gen != e.gen; }
   /// Disarms a slot and returns it to the free list.
   void release_slot(uint32_t slot);
@@ -114,6 +160,10 @@ class EventQueue {
   size_t live_ = 0;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_;
+  /// When has_front_: a live entry earlier than every live heap entry.
+  /// cancel() empties it, so it never holds a stale entry.
+  Entry front_{};
+  bool has_front_ = false;
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
 };
 

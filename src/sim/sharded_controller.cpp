@@ -83,19 +83,20 @@ void ShardedController::requeue_after_fault(InvocationId id) {
 
 void ShardedController::retry_waiting() {
   if (waiting_.empty()) return;
-  std::deque<InvocationId> parked;
+  std::vector<InvocationId>& parked = waiting_scratch_;
   parked.swap(waiting_);
   for (auto it = parked.rbegin(); it != parked.rend(); ++it) {
     const Invocation& inv = host_.invocation(*it);
     shard_queues_[static_cast<size_t>(inv.shard)].push_front(*it);
     host_.control().on_enqueued(*it);
   }
+  parked.clear();
   for (ShardId s = 0; s < host_.config().num_shards; ++s) pump(s);
 }
 
 void ShardedController::expire_overdue_waiting() {
   if (waiting_.empty()) return;
-  std::deque<InvocationId> keep;
+  std::vector<InvocationId>& keep = waiting_scratch_;
   for (InvocationId id : waiting_) {
     Invocation& inv = host_.invocation(id);
     if (inv.done) continue;
@@ -106,6 +107,7 @@ void ShardedController::expire_overdue_waiting() {
       keep.push_back(id);
   }
   waiting_.swap(keep);
+  keep.clear();
 }
 
 void ShardedController::pump(ShardId shard) {

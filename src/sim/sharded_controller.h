@@ -121,7 +121,11 @@ class ShardedController {
   std::vector<std::pair<SimTime, std::vector<InvocationId>>> pred_batches_;
   std::vector<std::vector<InvocationId>> pred_spare_;
 
-  std::deque<InvocationId> waiting_;  // parked until capacity frees
+  std::vector<InvocationId> waiting_;  // parked until capacity frees
+  /// Scratch for retry_waiting and expire_overdue_waiting, empty between
+  /// calls: swapped with waiting_, so neither call allocates once both
+  /// buffers have grown.
+  std::vector<InvocationId> waiting_scratch_;
 
   /// Lazily created on the first multi-member batch when sched_workers > 1.
   std::unique_ptr<SchedWorkerPool> pool_;

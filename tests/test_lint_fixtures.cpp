@@ -173,11 +173,12 @@ TEST(LintLedger, OnlyAppliesToLedgerFiles) {
 TEST(LintFlatHotPath, FiresOnMapMembersIncludingNested) {
   // unordered_map member, std::map member, vector-of-maps member; the local
   // scratch map and the flat vector member stay clean. The scheduler's
-  // per-function sticky salt, the control plane's queue tracking and the
-  // coverage code are hot-path members too.
+  // per-function sticky salt, the control plane's queue tracking, the
+  // coverage code and the event queue are hot-path members too.
   for (const char* path :
        {"src/sim/engine.h", "src/core/scheduler.h",
-        "src/sim/ctrl/control_plane.h", "src/core/coverage.cpp"}) {
+        "src/sim/ctrl/control_plane.h", "src/core/coverage.cpp",
+        "src/sim/event_queue.h"}) {
     SCOPED_TRACE(path);
     const auto fs = run_fixture("flathot_fire.cpp", path, Check::kFlatHotPath);
     EXPECT_EQ(count_of(fs, Check::kFlatHotPath, false), 3);

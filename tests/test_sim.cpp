@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -56,9 +57,9 @@ TEST(EventQueue, EventsCanScheduleEvents) {
   EventQueue q;
   int count = 0;
   std::function<void()> chain = [&] {
-    if (++count < 5) q.schedule_after(1.0, chain);
+    if (++count < 5) q.schedule_after(1.0, [&chain] { chain(); });
   };
-  q.schedule(0.0, chain);
+  q.schedule(0.0, [&chain] { chain(); });
   q.run();
   EXPECT_EQ(count, 5);
   EXPECT_DOUBLE_EQ(q.now(), 4.0);

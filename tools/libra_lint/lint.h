@@ -22,11 +22,12 @@
 //                           conservation-ledger arithmetic files.
 //   flat-hot-path           no std map or set data members (ordered or
 //                           unordered, multi or not) in the designated
-//                           hot-path files (engine, cluster_state,
-//                           sharded_controller, ctrl/control_plane,
-//                           harvest_pool, scheduler, coverage): per-decision
-//                           state lives in flat index-addressed vectors/slabs
-//                           or sorted vectors (DESIGN.md §5l); such a member
+//                           hot-path files (engine, event_queue,
+//                           cluster_state, sharded_controller,
+//                           ctrl/control_plane, harvest_pool, scheduler,
+//                           coverage): per-decision state lives in flat
+//                           index-addressed vectors/slabs or sorted
+//                           vectors (DESIGN.md §5l); such a member
 //                           needs a reasoned ALLOW.
 //
 // Suppressions: `// LIBRA_LINT_ALLOW(<check>): <reason>` on the finding line

@@ -185,6 +185,7 @@ bool in_hot_path_files(const std::string& rule_path) {
   // "engine." (with the dot) keeps engine_config out of the engine stem;
   // engine.h holds the invocation store alias, the hot-path contract.
   return rule_path.rfind("src/sim/engine.", 0) == 0 ||
+         rule_path.rfind("src/sim/event_queue", 0) == 0 ||
          rule_path.rfind("src/sim/cluster_state", 0) == 0 ||
          rule_path.rfind("src/sim/sharded_controller", 0) == 0 ||
          rule_path.rfind("src/sim/ctrl/control_plane", 0) == 0 ||
