@@ -32,7 +32,10 @@
 //     warm-up;
 //   * the §5h engine events: after warm-up, 10^5 schedule-and-step cycles
 //     with the engine's capture shapes, a tenth of them also cancelling and
-//     re-arming a pending event, make zero heap allocations.
+//     re-arming a pending event, make zero heap allocations;
+//   * the §5e adaptive harvest margin: after warm-up, 10^5
+//     TrustManager::harvest_margin calls over full error rings make zero
+//     heap allocations.
 //
 // With --json-out PATH (stripped before google-benchmark parses argv) the
 // gate measurements are merged into a BenchArtifact JSON file —
@@ -60,6 +63,7 @@
 #include "core/pool_status.h"
 #include "core/predictor.h"
 #include "core/profiler.h"
+#include "core/trust_manager.h"
 #include "exp/bench_artifact.h"
 #include "exp/platforms.h"
 #include "exp/report.h"
@@ -423,8 +427,12 @@ struct AuditorSweepFixture {
   /// backstop).
   void sweep() { auditor.sweep(api, "test"); }
   /// One sampled engine event marking api.touched_: the incremental check.
+  /// A monitor tick stands in for any event that is neither a recycle nor
+  /// the run's end.
   void event() {
-    auditor.on_engine_event(api, sim::EngineEvent{"test", ++event_id});
+    auditor.on_engine_event(
+        api,
+        sim::EngineEvent{sim::EngineEventKind::kMonitor, "test", ++event_id});
   }
 };
 
@@ -1393,6 +1401,52 @@ bool check_engine_event_allocations(exp::BenchArtifact* artifact) {
   return false;
 }
 
+/// §5e zero-allocation gate: Libra+Trust reads the adaptive harvest margin
+/// on every placement, and its p95 needs a copy of the function's error ring
+/// to select in. One warm-up call grows the manager's scratch to a full
+/// ring; after that, 10^5 calls over kFunctions functions with full rings
+/// and 5 timed reps of 10^5 more must make zero heap allocations. The best
+/// rep's ns per call is exported for same-machine comparison and is not
+/// gated (bench/baselines/README.md).
+bool check_trust_margin_allocations(exp::BenchArtifact* artifact) {
+  constexpr long kCalls = 100000;
+  constexpr int kReps = 5;
+  constexpr int kFunctions = 64;
+  const core::TrustConfig cfg;
+  core::TrustManager trust(cfg);
+  // Clean samples in [0, 0.48], below the 0.5 strike threshold, so every
+  // function stays trusted and its ring fills.
+  for (int f = 0; f < kFunctions; ++f)
+    for (int i = 0; i < cfg.error_window; ++i)
+      trust.record_completion(f, 0.005 * ((f * 31 + i * 17) % 97), 1.0);
+  double sink = trust.harvest_margin(0, 2.0);
+  const long before = t_heap_allocs;
+  for (long i = 0; i < kCalls; ++i)
+    sink += trust.harvest_margin(static_cast<int>(i % kFunctions), 2.0);
+  double best = 1e300;
+  for (int r = 0; r < kReps; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    for (long i = 0; i < kCalls; ++i)
+      sink += trust.harvest_margin(static_cast<int>(i % kFunctions), 2.0);
+    const auto stop = std::chrono::steady_clock::now();
+    best = std::min(
+        best, std::chrono::duration<double>(stop - start).count() / kCalls);
+  }
+  const long allocs = t_heap_allocs - before;
+  benchmark::DoNotOptimize(sink);
+  std::printf(
+      "trust margin gate: %ld heap allocations over %ld warmed calls (%d "
+      "functions, %d-sample rings), %.1f ns/call\n",
+      allocs, kCalls * (kReps + 1), kFunctions, cfg.error_window, best * 1e9);
+  artifact->add("trust_margin_ns", best * 1e9, "ns");
+  if (allocs == 0) {
+    std::printf("trust margin gate: PASS (zero allocations)\n");
+    return true;
+  }
+  std::printf("trust margin gate: FAIL (a warmed margin read allocates)\n");
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1428,6 +1482,7 @@ int main(int argc, char** argv) {
   const bool pick_ok = check_full_cluster_pick_cost(&artifact);
   const bool coverage_ok = check_coverage_pick_cost(&artifact);
   const bool event_ok = check_engine_event_allocations(&artifact);
+  const bool margin_ok = check_trust_margin_allocations(&artifact);
   if (!json_out.empty()) {
     std::string error;
     if (!exp::merge_bench_artifact(json_out, artifact, &error)) {
@@ -1439,7 +1494,8 @@ int main(int argc, char** argv) {
                 json_out.c_str());
   }
   return obs_ok && ref_ok && store_ok && walk_ok && scan_ok && depth_ok &&
-                 sweep_ok && audit_ok && pick_ok && coverage_ok && event_ok
+                 sweep_ok && audit_ok && pick_ok && coverage_ok && event_ok &&
+                 margin_ok
              ? 0
              : 1;
 }

@@ -125,6 +125,11 @@ class InvariantAuditor final : public core::PoolEventListener,
   void check_marked(sim::EngineApi& api, const char* what);
   /// True when a function entered quarantine since the last call.
   bool quarantine_moved();
+  /// Counts one engine event down; true when it is sampled, which is
+  /// exactly when its id is a multiple of every_n. Engine ids arrive one
+  /// apart, so the countdown finds them without a division; any other step
+  /// restarts it from the id.
+  bool sample_due(long id);
   void clear_pending();
   /// Recycle-safety check (streaming runs): a record about to be returned to
   /// the engine's free list must be terminal and unreferenced — not placed,
@@ -143,6 +148,10 @@ class InvariantAuditor final : public core::PoolEventListener,
   bool all_pools_pending_ = false;
   /// TrustManager::quarantine_transitions at the previous check.
   long quarantines_seen_ = 0;
+  /// The previous engine event's id, and how many events after it until
+  /// the next sampled one.
+  long last_event_id_ = 0;
+  long sample_countdown_ = 0;
   /// Scratch reused by every check (capacity only grows): the pending nodes
   /// in ascending order (the full sweep's diagnostic order), the snapshot of
   /// the pool under audit, and its per-entry lent totals (index-aligned

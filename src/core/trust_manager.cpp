@@ -151,9 +151,11 @@ double TrustManager::harvest_margin(FunctionId func, SimTime now) const {
   const FuncTrust& s = it->second;
   double base = cfg_.margin_min;
   if (!s.errors.empty()) {
-    // p95 over a <= error_window ring: nth_element on a copy. The tracker is
+    // p95 over a <= error_window ring: nth_element on a copy in the reused
+    // scratch buffer, so no call allocates once it has grown. The tracker is
     // deliberately windowed — ancient errors should stop taxing the margin.
-    std::vector<double> sorted = s.errors;
+    std::vector<double>& sorted = quantile_scratch_;
+    sorted.assign(s.errors.begin(), s.errors.end());
     const double rank = cfg_.error_quantile / 100.0 *
                         static_cast<double>(sorted.size() - 1);
     const auto k = static_cast<size_t>(std::llround(rank));

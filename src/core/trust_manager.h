@@ -137,6 +137,9 @@ class TrustManager {
 
   const TrustConfig cfg_;
   std::unordered_map<sim::FunctionId, FuncTrust> functions_;
+  /// harvest_margin's copy of one error ring for nth_element, reused by
+  /// every call (the manager takes no lock, see the header comment).
+  mutable std::vector<double> quantile_scratch_;
   long demotions_ = 0;
   long promotions_ = 0;
   long quarantine_transitions_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "core/harvest_pool.h"
 #include "obs/exporters.h"
@@ -19,8 +18,6 @@ constexpr int kControllerPid = 0;
 int pid_of(sim::NodeId node) {
   return node == sim::kNoNode ? kControllerPid : static_cast<int>(node) + 1;
 }
-
-bool is(const char* a, const char* b) { return std::strcmp(a, b) == 0; }
 
 std::string fmt3(double v) {
   char buf[64];
@@ -121,77 +118,95 @@ void ObsSession::close_spans_on_node(double ts, sim::NodeId node) {
 
 void ObsSession::on_engine_event(sim::EngineApi& api,
                                  const sim::EngineEvent& ev) {
+  using Kind = sim::EngineEventKind;
   if (inner_hook_ != nullptr) inner_hook_->on_engine_event(api, ev);
   // run_end only closes the audit (the auditor's final sweep); it is not a
   // cluster event and must not move the trace's last timestamp.
-  if (!cfg_.enabled || is(ev.what, "run_end")) return;
+  if (!cfg_.enabled || ev.kind == Kind::kRunEnd) return;
   ensure_metadata(api);
   const double ts = api.now();
   last_ts_ = std::max(last_ts_, ts);
 
-  if (is(ev.what, "arrival")) {
-    c_arrivals_->inc();
-    open_span(ts, ev.inv, "queued");
-  } else if (is(ev.what, "placement")) {
-    c_placements_->inc();
-    if (ev.inv >= 0) {
-      const auto& inv = api.invocation(ev.inv);
-      const double wait = std::max(0.0, inv.t_sched_done - inv.t_sched_enqueue);
-      h_queue_wait_->record(wait);
-      shard_decision_hist(static_cast<int>(inv.shard)).record(wait);
+  switch (ev.kind) {
+    case Kind::kArrival:
+      c_arrivals_->inc();
+      open_span(ts, ev.inv, "queued");
+      break;
+    case Kind::kPlacement:
+      c_placements_->inc();
+      if (ev.inv >= 0) {
+        const auto& inv = api.invocation(ev.inv);
+        const double wait =
+            std::max(0.0, inv.t_sched_done - inv.t_sched_enqueue);
+        h_queue_wait_->record(wait);
+        shard_decision_hist(static_cast<int>(inv.shard)).record(wait);
+        close_span(ts, ev.inv);
+        open_span(ts, ev.inv, "startup",
+                  "{\"node\":" + std::to_string(ev.node) +
+                      ",\"cold\":" + (inv.cold_start ? "true" : "false") +
+                      "}",
+                  ev.node);
+      }
+      break;
+    case Kind::kExecStart:
       close_span(ts, ev.inv);
-      open_span(ts, ev.inv, "startup",
-                "{\"node\":" + std::to_string(ev.node) +
-                    ",\"cold\":" + (inv.cold_start ? "true" : "false") + "}",
-                ev.node);
+      open_span(ts, ev.inv, "running",
+                "{\"node\":" + std::to_string(ev.node) + "}", ev.node);
+      break;
+    case Kind::kCompletion:
+      c_completions_->inc();
+      close_span(ts, ev.inv);
+      if (ev.inv >= 0)
+        h_latency_->record(api.invocation(ev.inv).response_latency());
+      break;
+    case Kind::kOom: {
+      c_ooms_->inc();
+      // Redispatch mode evicts the invocation (running cleared); classic
+      // mode restarts it in place, so the "running" span stays open.
+      const bool evicted = ev.inv >= 0 && !api.invocation(ev.inv).running;
+      if (cfg_.spans)
+        trace_.instant(ts, pid_of(ev.node), ev.inv >= 0 ? ev.inv : 0,
+                       ev.what, "engine",
+                       std::string("{\"evicted\":") +
+                           (evicted ? "true" : "false") + "}");
+      if (evicted) close_span(ts, ev.inv);
+      break;
     }
-  } else if (is(ev.what, "exec_start")) {
-    close_span(ts, ev.inv);
-    open_span(ts, ev.inv, "running",
-              "{\"node\":" + std::to_string(ev.node) + "}", ev.node);
-  } else if (is(ev.what, "completion")) {
-    c_completions_->inc();
-    close_span(ts, ev.inv);
-    if (ev.inv >= 0)
-      h_latency_->record(api.invocation(ev.inv).response_latency());
-  } else if (is(ev.what, "oom")) {
-    c_ooms_->inc();
-    // Redispatch mode evicts the invocation (running cleared); classic mode
-    // restarts it in place, so the "running" span stays open.
-    const bool evicted = ev.inv >= 0 && !api.invocation(ev.inv).running;
-    if (cfg_.spans)
-      trace_.instant(ts, pid_of(ev.node), ev.inv >= 0 ? ev.inv : 0, "oom",
-                     "engine",
-                     std::string("{\"evicted\":") +
-                         (evicted ? "true" : "false") + "}");
-    if (evicted) close_span(ts, ev.inv);
-  } else if (is(ev.what, "park")) {
-    c_parks_->inc();
-    if (cfg_.spans && ev.inv >= 0)
-      trace_.instant(ts, kControllerPid, ev.inv, "park", "engine");
-  } else if (is(ev.what, "requeue")) {
-    close_span(ts, ev.inv);
-    open_span(ts, ev.inv, "queued");
-  } else if (is(ev.what, "cold_start_failure")) {
-    if (cfg_.spans && ev.inv >= 0)
-      trace_.instant(ts, pid_of(ev.node), ev.inv, "cold_start_failure",
-                     "fault");
-  } else if (is(ev.what, "node_down")) {
-    c_node_down_->inc();
-    if (cfg_.spans)
-      trace_.instant(ts, pid_of(ev.node), 0, "node_down", "fault");
-    close_spans_on_node(ts, ev.node);
-  } else if (is(ev.what, "node_up")) {
-    c_node_up_->inc();
-    if (cfg_.spans)
-      trace_.instant(ts, pid_of(ev.node), 0, "node_up", "fault");
-  } else if (is(ev.what, "health_ping")) {
-    if (++ping_seq_ % cfg_.series_every_n == 0) {
-      size_t placed = 0;
-      for (const auto& n : api.nodes()) placed += api.placed_on(n.id()).size();
-      metrics_.series("cluster.placed_invocations")
-          .sample(ts, static_cast<double>(placed));
-    }
+    case Kind::kPark:
+      c_parks_->inc();
+      if (cfg_.spans && ev.inv >= 0)
+        trace_.instant(ts, kControllerPid, ev.inv, ev.what, "engine");
+      break;
+    case Kind::kRequeue:
+      close_span(ts, ev.inv);
+      open_span(ts, ev.inv, "queued");
+      break;
+    case Kind::kColdStartFailure:
+      if (cfg_.spans && ev.inv >= 0)
+        trace_.instant(ts, pid_of(ev.node), ev.inv, ev.what, "fault");
+      break;
+    case Kind::kNodeDown:
+      c_node_down_->inc();
+      if (cfg_.spans)
+        trace_.instant(ts, pid_of(ev.node), 0, ev.what, "fault");
+      close_spans_on_node(ts, ev.node);
+      break;
+    case Kind::kNodeUp:
+      c_node_up_->inc();
+      if (cfg_.spans)
+        trace_.instant(ts, pid_of(ev.node), 0, ev.what, "fault");
+      break;
+    case Kind::kHealthPing:
+      if (++ping_seq_ % cfg_.series_every_n == 0) {
+        size_t placed = 0;
+        for (const auto& n : api.nodes())
+          placed += api.placed_on(n.id()).size();
+        metrics_.series("cluster.placed_invocations")
+            .sample(ts, static_cast<double>(placed));
+      }
+      break;
+    default:
+      break;
   }
 }
 

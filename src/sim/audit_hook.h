@@ -2,9 +2,14 @@
 // auditor (src/analysis) and the observability session (src/obs). The engine
 // cannot depend on either layer, so it only knows this interface: after fully
 // dispatching an event it hands the hook a view of itself plus a small
-// structured description of what happened. Production runs leave the hook
-// unset — the cost is a null check per event.
+// structured description of what happened. The description carries an enum
+// kind, so an observer dispatches with a switch and never compares strings,
+// and the kind's name (engine_event_name), which diagnostics and traces
+// print. Production runs leave the hook unset — the cost is a null check per
+// event.
 #pragma once
+
+#include <cstdint>
 
 #include "sim/types.h"
 
@@ -12,13 +17,56 @@ namespace libra::sim {
 
 class EngineApi;
 
-/// One fully dispatched engine event. `what` names the event kind
-/// ("completion", "node_down", ...); `id` is the engine's global dispatch
+/// What a dispatched engine event was about.
+enum class EngineEventKind : uint8_t {
+  kArrival,           // the front end took the invocation
+  kPlacement,         // a decision reserved a node
+  kPark,              // a decision found no node; the invocation waits
+  kRequeue,           // a fault backoff expired; back on its shard queue
+  kColdStartFailure,  // the chosen node failed to start the container
+  kExecStart,
+  kMonitor,
+  kOom,
+  kCompletion,
+  kRecycle,  // a terminal record is about to return to the free list
+  kHealthPing,
+  kNodeDown,
+  kNodeUp,
+  kDrainNotice,
+  kRunEnd,  // after the straggler sweep: closes the run
+};
+
+/// The kind's name, as diagnostics and traces print it.
+constexpr const char* engine_event_name(EngineEventKind kind) {
+  switch (kind) {
+    case EngineEventKind::kArrival: return "arrival";
+    case EngineEventKind::kPlacement: return "placement";
+    case EngineEventKind::kPark: return "park";
+    case EngineEventKind::kRequeue: return "requeue";
+    case EngineEventKind::kColdStartFailure: return "cold_start_failure";
+    case EngineEventKind::kExecStart: return "exec_start";
+    case EngineEventKind::kMonitor: return "monitor";
+    case EngineEventKind::kOom: return "oom";
+    case EngineEventKind::kCompletion: return "completion";
+    case EngineEventKind::kRecycle: return "recycle";
+    case EngineEventKind::kHealthPing: return "health_ping";
+    case EngineEventKind::kNodeDown: return "node_down";
+    case EngineEventKind::kNodeUp: return "node_up";
+    case EngineEventKind::kDrainNotice: return "drain_notice";
+    case EngineEventKind::kRunEnd: return "run_end";
+  }
+  return "unknown";
+}
+
+/// One fully dispatched engine event. Observers dispatch on `kind`; `what`
+/// is its name (the engine always passes engine_event_name(kind)), which
+/// only labels diagnostics and traces. `id` is the engine's global dispatch
 /// counter (matches the audit-context stamp in diagnostics). The subject
 /// fields identify which invocation / node the event was about, when that is
 /// meaningful — observability consumers stamp spans and point events with
 /// them; the auditor ignores them.
 struct EngineEvent {
+  EngineEventKind kind = EngineEventKind::kArrival;
   const char* what = "";
   long id = 0;
   /// Subject invocation, or kNoInvocation for cluster-level events

@@ -102,7 +102,7 @@ void ClusterState::health_ping(NodeId node_id) {
     host_.queue().schedule_after(host_.config().health_ping_interval,
                                  [this, node_id] { health_ping(node_id); });
   }
-  host_.notify_audit("health_ping", kNoInvocation, node_id);
+  host_.notify_audit(EngineEventKind::kHealthPing, kNoInvocation, node_id);
 }
 
 void ClusterState::on_node_down(NodeId node_id) {
@@ -121,7 +121,7 @@ void ClusterState::on_node_down(NodeId node_id) {
   n.containers().clear();
   n.check_quiescent();
   record_series();
-  host_.notify_audit("node_down", kNoInvocation, node_id);
+  host_.notify_audit(EngineEventKind::kNodeDown, kNoInvocation, node_id);
 }
 
 void ClusterState::on_drain_notice(NodeId node_id, SimTime down_at) {
@@ -146,7 +146,7 @@ void ClusterState::on_drain_notice(NodeId node_id, SimTime down_at) {
   const std::vector<InvocationId> victims = placed_on(node_id);
   for (InvocationId id : victims) host_.lifecycle().drain_invocation(id);
   record_series();
-  host_.notify_audit("drain_notice", kNoInvocation, node_id);
+  host_.notify_audit(EngineEventKind::kDrainNotice, kNoInvocation, node_id);
 }
 
 bool ClusterState::node_draining(NodeId id) const {
@@ -170,7 +170,7 @@ void ClusterState::on_node_up(NodeId node_id) {
   // from before the crash must not survive the recovery.
   host_.control().on_node_view_reset(node_id);
   host_.controller().retry_waiting();
-  host_.notify_audit("node_up", kNoInvocation, node_id);
+  host_.notify_audit(EngineEventKind::kNodeUp, kNoInvocation, node_id);
 }
 
 void ClusterState::refresh_usage(Invocation& inv, bool stopping) {

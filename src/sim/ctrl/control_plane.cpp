@@ -188,16 +188,15 @@ void ControlPlane::on_enqueued(InvocationId id) {
   maybe_steal();
 }
 
-void ControlPlane::on_dequeued(InvocationId id) {
-  if (cfg_.num_controllers <= 1) return;
-  Invocation* inv = host_.find_invocation(id);
-  if (!inv || inv->queued_controller < 0) return;
-  const auto c = static_cast<size_t>(inv->queued_controller);
-  inv->queued_controller = -1;
+void ControlPlane::on_dequeued(Invocation& inv) {
+  if (cfg_.num_controllers <= 1 || inv.queued_controller < 0) return;
+  const auto c = static_cast<size_t>(inv.queued_controller);
+  inv.queued_controller = -1;
   --depth_[c];
   // Fast path: the popped invocation is usually the queue front. Otherwise
   // the deque entry goes stale and is dropped lazily during stealing.
-  if (!queues_[c].empty() && queues_[c].front() == id) queues_[c].pop_front();
+  if (!queues_[c].empty() && queues_[c].front() == inv.id)
+    queues_[c].pop_front();
 }
 
 void ControlPlane::on_decision(const Invocation& inv, NodeId first_choice,

@@ -60,7 +60,9 @@ class ControlPlane {
   void on_admit(Invocation& inv);
   /// Queue-depth tracking for the steal heuristic; paired per invocation.
   void on_enqueued(InvocationId id);
-  void on_dequeued(InvocationId id);
+  /// The decision barrier popped `inv` off its shard queue (it resolved the
+  /// record once and hands it over).
+  void on_dequeued(Invocation& inv);
   /// One committed scheduling decision: attribution, conflict counting
   /// (first_choice != kNoNode but ground truth rejected it) and a staleness
   /// sample of the view the choice was made from.

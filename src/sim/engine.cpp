@@ -32,12 +32,14 @@ bool Engine::invocation_alive(InvocationId id) const {
   return p && !p->done;
 }
 
-void Engine::notify_audit(const char* what, InvocationId inv, NodeId node_id) {
+void Engine::notify_audit(EngineEventKind kind, InvocationId inv,
+                          NodeId node_id) {
   ++audit_event_id_;
   util::audit::set_context(audit_event_id_, now());
   if (cfg_.audit_hook)
     cfg_.audit_hook->on_engine_event(
-        *this, EngineEvent{what, audit_event_id_, inv, node_id});
+        *this, EngineEvent{kind, engine_event_name(kind), audit_event_id_,
+                           inv, node_id});
   // The marks describe what this event (and any unaudited work since the
   // previous one) changed; the hook has consumed them.
   cluster_->clear_touched();
@@ -137,7 +139,7 @@ void Engine::drain_recycle() {
                           inv.monitor_event == kInvalidEvent,
                       "recycling invocation " << inv.id
                                               << " with armed events");
-    notify_audit("recycle", id);
+    notify_audit(EngineEventKind::kRecycle, id);
     invocations_.erase(id);
   }
   pending_recycle_.clear();
@@ -157,7 +159,7 @@ RunMetrics Engine::finish_run() {
   for (InvocationId id : unfinished) lifecycle_->finalize_record(invocation(id));
   // After the stragglers, so the auditor's closing full sweep sees the
   // run's final state.
-  notify_audit("run_end");
+  notify_audit(EngineEventKind::kRunEnd);
   // Every record was finalized exactly once, so the finalize-time counter
   // is the incomplete count whether or not the records were retained.
   metrics_.incomplete = metrics_.finalized_incomplete;
@@ -183,7 +185,7 @@ void Engine::on_arrival(InvocationId id) {
   Invocation& inv = invocation(id);
   inv.t_frontend_done = now() + cfg_.frontend_delay;
   queue_.schedule(inv.t_frontend_done, [this, id] { on_profiled(id); });
-  notify_audit("arrival", id);
+  notify_audit(EngineEventKind::kArrival, id);
 }
 
 void Engine::on_profiled(InvocationId id) {

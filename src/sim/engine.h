@@ -167,7 +167,7 @@ class Engine final : public EngineApi {
   /// Forwards an engine-level event to the invariant auditor (no-op when no
   /// audit hook is configured), then clears the touched-node and finalized
   /// marks the hook consumed.
-  void notify_audit(const char* what, InvocationId inv = kNoInvocation,
+  void notify_audit(EngineEventKind kind, InvocationId inv = kNoInvocation,
                     NodeId node_id = kNoNode);
 
   void on_arrival(InvocationId id);

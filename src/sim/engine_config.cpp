@@ -56,10 +56,6 @@ void EngineConfig::validate() const {
     throw std::invalid_argument(
         "EngineConfig: sched_workers must be >= 1, got " +
         std::to_string(sched_workers));
-  if (sched_batch_depth < 1)
-    throw std::invalid_argument(
-        "EngineConfig: sched_batch_depth must be >= 1, got " +
-        std::to_string(sched_batch_depth));
   require_finite_non_negative(retry_backoff_base, "retry_backoff_base");
   require_finite_non_negative(retry_backoff_cap, "retry_backoff_cap");
   if (max_fault_retries < 0 || max_oom_retries < 0)

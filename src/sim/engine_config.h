@@ -30,26 +30,18 @@ struct EngineConfig {
   double monitor_interval = 0.1;         // §5.2 monitor window
   double health_ping_interval = 1.0;     // pool-status piggyback period
   double oom_restart_penalty = 1.0;      // container kill + restart cost
-  /// When true, times each scheduling decision (speculation or serial
-  /// select) with a real clock (Fig. 12c).
+  /// When true, times each scheduling decision (the worker pool's
+  /// speculation, or the serial select) with a real clock (Fig. 12c).
   bool measure_real_sched_overhead = false;
 
-  /// Worker threads for the parallel shard-decision phase (§6.4). Each event
-  /// barrier speculates the independent shard decisions of the batch across
-  /// this many threads (the calling thread participates), then commits the
-  /// grants serially in registration order — RunMetrics are bit-identical
-  /// for any value (asserted by the golden-replay test). 1 = decisions are
-  /// speculated inline, no threads are spawned.
+  /// Worker threads for the parallel shard-decision phase (§6.4). Above 1,
+  /// each event barrier speculates the independent shard decisions (and
+  /// predictions) of the batch across this many threads (the calling thread
+  /// participates), then commits them serially in registration order —
+  /// RunMetrics are bit-identical for any value (asserted by the
+  /// golden-replay test). 1 = no speculation and no threads: every decision
+  /// is a serial select_node, every prediction a serial predict.
   int sched_workers = 1;
-
-  /// Maximum scheduling decisions a shard serves per barrier event (§5l).
-  /// 1 (default) reproduces the legacy one-decision-per-barrier engine
-  /// bit-for-bit. Higher depths amortize barrier overhead over up to k
-  /// queued invocations per shard: each decision still pays
-  /// sched_decision_delay (busy_until advances by depth * delay), and
-  /// same-shard conflicts are caught by commit-time try_reserve validation.
-  /// Changes event timing when > 1, so golden digests only pin depth 1.
-  int sched_batch_depth = 1;
 
   /// Multi-controller control plane (src/sim/ctrl, DESIGN.md §5k): number
   /// of front-end controllers, gossip feeding of their pool-view caches and

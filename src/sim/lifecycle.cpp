@@ -30,7 +30,7 @@ void InvocationLifecycle::begin_execution(InvocationId id, uint64_t epoch) {
     inv.monitor_event = host_.queue().schedule_after(
         host_.config().monitor_interval, [this, id] { monitor_tick(id); });
   }
-  host_.notify_audit("exec_start", id, inv.node);
+  host_.notify_audit(EngineEventKind::kExecStart, id, inv.node);
 }
 
 void InvocationLifecycle::schedule_progress_events(Invocation& inv) {
@@ -151,7 +151,7 @@ void InvocationLifecycle::monitor_tick(InvocationId id) {
     inv.monitor_event = host_.queue().schedule_after(
         host_.config().monitor_interval, [this, id] { monitor_tick(id); });
   }
-  host_.notify_audit("monitor", id, inv.node);
+  host_.notify_audit(EngineEventKind::kMonitor, id, inv.node);
 }
 
 void InvocationLifecycle::handle_oom(InvocationId id, uint64_t generation) {
@@ -169,7 +169,7 @@ void InvocationLifecycle::handle_oom(InvocationId id, uint64_t generation) {
     // Graceful degradation: tear the container down and re-dispatch on the
     // dedicated OOM budget instead of restarting in place.
     redispatch_after_oom(inv);
-    host_.notify_audit("oom");
+    host_.notify_audit(EngineEventKind::kOom);
     return;
   }
   // Restart: lose all progress, pay the restart penalty, resume with the
@@ -188,7 +188,7 @@ void InvocationLifecycle::handle_oom(InvocationId id, uint64_t generation) {
         if (!v || v->done || next_gen != v->completion_generation) return;
         schedule_progress_events(*v);
       });
-  host_.notify_audit("oom");
+  host_.notify_audit(EngineEventKind::kOom);
 }
 
 void InvocationLifecycle::redispatch_after_oom(Invocation& inv) {
@@ -249,7 +249,7 @@ void InvocationLifecycle::handle_completion(InvocationId id,
       std::max(host_.metrics().makespan_end, host_.queue().now());
   finalize_record(inv);
   host_.controller().retry_waiting();
-  host_.notify_audit("completion", id, n.id());
+  host_.notify_audit(EngineEventKind::kCompletion, id, n.id());
 }
 
 void InvocationLifecycle::teardown_placement(Invocation& inv,

@@ -29,7 +29,8 @@ ShardedController::ShardedController(Engine& host) : host_(host) {
   const auto shards = static_cast<size_t>(host_.config().num_shards);
   shard_queues_.resize(shards);
   shard_busy_until_.assign(shards, 0.0);
-  shard_registered_.assign(shards, false);
+  shard_registered_.assign(shards, 0);
+  registrations_.reserve(shards);
   // Node capacities are fixed for the whole run, so the feasibility check in
   // admit() only needs the distinct shard slices.
   for (const auto& cap : host_.config().node_capacities) {
@@ -78,7 +79,7 @@ void ShardedController::requeue_after_fault(InvocationId id) {
   shard_queues_[static_cast<size_t>(inv.shard)].push_back(id);
   host_.control().on_enqueued(id);
   pump(inv.shard);
-  host_.notify_audit("requeue", id);
+  host_.notify_audit(EngineEventKind::kRequeue, id);
 }
 
 void ShardedController::retry_waiting() {
@@ -113,106 +114,85 @@ void ShardedController::expire_overdue_waiting() {
 void ShardedController::pump(ShardId shard) {
   const auto s = static_cast<size_t>(shard);
   if (shard_registered_[s] || shard_queues_[s].empty()) return;
-  shard_registered_[s] = true;
+  shard_registered_[s] = 1;
   const SimTime at = std::max(host_.queue().now(), shard_busy_until_[s]);
-  // Flat linear scan (§5l): only a handful of barriers are ever pending, so
-  // this beats the old std::map's tree walk and allocations on the hot path.
-  for (auto& batch : batches_) {
-    if (batch.first == at) {
-      batch.second.push_back(shard);
-      return;  // joins the batch; its barrier event is already scheduled
+  bool pending = false;  // a barrier event at `at` is already scheduled
+  for (const Registration& r : registrations_)
+    if (r.at == at) {
+      pending = true;
+      break;
     }
-  }
-  std::vector<ShardId> members;
-  if (!batch_spare_.empty()) {
-    members = std::move(batch_spare_.back());
-    batch_spare_.pop_back();
-    members.clear();
-  }
-  members.push_back(shard);
-  batches_.emplace_back(at, std::move(members));
-  host_.queue().schedule(at, [this, at] { run_barrier(at); });
+  registrations_.push_back({at, shard});
+  if (!pending) host_.queue().schedule(at, [this, at] { run_barrier(at); });
 }
 
 void ShardedController::run_barrier(SimTime at) {
-  size_t slot = batches_.size();
-  for (size_t i = 0; i < batches_.size(); ++i)
-    if (batches_[i].first == at) {
-      slot = i;
-      break;
-    }
-  if (slot == batches_.size()) return;
-  std::vector<ShardId> members = std::move(batches_[slot].second);
-  // Erase before processing: registrations made at this same timestamp by
-  // later handlers must open a fresh batch with a fresh, later event.
-  // Swap-erase is fine — pump() scans linearly, order within batches_ is
-  // irrelevant (each pending timestamp appears exactly once).
-  batches_[slot] = std::move(batches_.back());
-  batches_.pop_back();
-
-  // Pop up to sched_batch_depth invocations per member shard NOW (not at
-  // registration time): same-time retries may have pushed a different
-  // invocation to the front, exactly as the serial per-shard decision events
-  // observed it. At depth 1 (default) this is bit-for-bit the legacy
-  // one-per-shard barrier. At depth k the shard amortizes one barrier over up
-  // to k decisions: same-shard items may speculate against capacity an
-  // earlier sibling commits away, but commit-time try_reserve validation
-  // catches the conflict and parks the loser — the documented stale-view
-  // path, never an over-commit.
   LIBRA_AUDIT_CHECK(items_.empty(),
                     "decision barrier at t=" << at << " started while "
                                              << items_.size()
                                              << " items of another are live");
-  std::vector<BarrierItem>& items = items_;
-  const int depth = std::max(1, host_.config().sched_batch_depth);
-  for (ShardId shard : members) {
-    const auto s = static_cast<size_t>(shard);
-    shard_registered_[s] = false;
-    int popped = 0;
-    while (popped < depth && !shard_queues_[s].empty()) {
-      items.push_back({shard_queues_[s].front(), std::nullopt, 0.0});
-      shard_queues_[s].pop_front();
-      host_.control().on_dequeued(items.back().inv);
-      ++popped;
+  // Take this barrier's registrations out of the list before processing
+  // them (registrations made at this same timestamp by later handlers must
+  // open a fresh batch with a fresh, later event), keeping the rest in
+  // order. Pop one invocation per member shard NOW, not at registration
+  // time: same-time retries may have pushed a different invocation to the
+  // front, exactly as the serial per-shard decision events observed it.
+  size_t kept = 0;
+  for (const Registration& r : registrations_) {
+    if (r.at != at) {
+      registrations_[kept++] = r;
+      continue;
     }
-    if (popped > 0)
-      shard_busy_until_[s] =
-          at + host_.config().sched_decision_delay * popped;
+    const auto s = static_cast<size_t>(r.shard);
+    shard_registered_[s] = 0;
+    std::deque<InvocationId>& pending = shard_queues_[s];
+    if (pending.empty()) continue;  // pump registers only non-empty shards
+    Invocation& inv = host_.invocation(pending.front());
+    pending.pop_front();
+    host_.control().on_dequeued(inv);
+    shard_busy_until_[s] = at + host_.config().sched_decision_delay;
+    items_.push_back({&inv, std::nullopt, 0.0});
   }
+  registrations_.resize(kept);
+  if (items_.empty()) return;
 
-  // Phase 1 — speculate: read-only decisions from the frozen pre-batch view,
-  // fanned out across the worker pool. Decisions of distinct shards are
-  // independent by construction (disjoint shard slices, ping-time
-  // snapshots); order-dependent policies decline and stay serial.
-  const bool measure = host_.config().measure_real_sched_overhead;
-  auto speculate_one = [&](size_t i) {
-    const Invocation& inv = host_.invocation(items[i].inv);
-    if (inv.done) return;  // commit will skip it, as the serial engine did
-    if (measure) {
-      const auto t0 = WallClock::now();
-      items[i].speculated = host_.policy().speculate_select(inv, host_.api());
-      items[i].decision_seconds = wall_seconds_since(t0);
-    } else {
-      items[i].speculated = host_.policy().speculate_select(inv, host_.api());
-    }
-  };
+  // Phase 1 — speculate, on the worker pool only: read-only decisions from
+  // the frozen pre-batch view. Decisions of distinct shards are independent
+  // by construction (disjoint shard slices, ping-time snapshots);
+  // order-dependent policies decline and stay serial. One worker skips the
+  // phase: every commit below then runs select_node, the same decision.
   const int workers = host_.config().sched_workers;
-  if (workers > 1 && items.size() > 1) {
-    if (!pool_) pool_ = std::make_unique<SchedWorkerPool>(workers);
-    pool_->run(items.size(), speculate_one);
-  } else {
-    for (size_t i = 0; i < items.size(); ++i) speculate_one(i);
+  if (workers > 1) {
+    const bool measure = host_.config().measure_real_sched_overhead;
+    auto speculate_one = [&](size_t i) {
+      BarrierItem& item = items_[i];
+      const Invocation& inv = *item.inv;
+      if (inv.done) return;  // commit skips it, as the serial engine did
+      if (measure) {
+        const auto t0 = WallClock::now();
+        item.speculated = host_.policy().speculate_select(inv, host_.api());
+        item.decision_seconds = wall_seconds_since(t0);
+      } else {
+        item.speculated = host_.policy().speculate_select(inv, host_.api());
+      }
+    };
+    if (items_.size() > 1) {
+      if (!pool_) pool_ = std::make_unique<SchedWorkerPool>(workers);
+      pool_->run(items_.size(), speculate_one);
+    } else {
+      speculate_one(0);
+    }
   }
 
   // Phase 2 — commit serially in registration order.
-  for (const BarrierItem& item : items)
-    commit_one(item.inv, item.speculated, item.decision_seconds);
-  items.clear();
+  for (const BarrierItem& item : items_)
+    commit_one(*item.inv, item.speculated, item.decision_seconds);
 
   // Phase 3 — re-pump the member shards, in the same order the serial
-  // engine's per-shard events would have re-armed themselves.
-  for (ShardId shard : members) pump(shard);
-  batch_spare_.push_back(std::move(members));
+  // engine's per-shard events would have re-armed themselves. Each item came
+  // off its own shard's queue, so its shard is the member's.
+  for (const BarrierItem& item : items_) pump(item.inv->shard);
+  items_.clear();
 
   // Cross-controller work stealing (src/sim/ctrl): after the batch settles,
   // idle front ends pull queued work from overloaded peers in fixed
@@ -255,23 +235,27 @@ void ShardedController::run_pred_barrier(SimTime at) {
   pred_batches_[slot] = std::move(pred_batches_.back());
   pred_batches_.pop_back();
 
-  // Phase 1 — speculate: pure prediction memos computed from the frozen
-  // pre-barrier model state, fanned out across the worker pool. Predictions
-  // of trained functions are pure by contract (Policy::speculate_predict);
-  // anything order-dependent (first-seen training, suppression bookkeeping)
-  // declines and stays serial.
-  std::vector<std::optional<PredictionMemo>> memos(ids.size());
-  auto speculate_one = [&](size_t i) {
-    const Invocation& inv = host_.invocation(ids[i]);
-    if (inv.done) return;
-    memos[i] = host_.policy().speculate_predict(inv);
-  };
+  // Phase 1 — speculate, on the worker pool only: pure prediction memos
+  // computed from the frozen pre-barrier model state. Predictions of trained
+  // functions are pure by contract (Policy::speculate_predict); anything
+  // order-dependent (first-seen training, suppression bookkeeping) declines
+  // and stays serial. One worker skips the phase: every commit below then
+  // runs predict, which writes what the memo would have.
+  std::vector<std::optional<PredictionMemo>>& memos = pred_memos_;
   const int workers = host_.config().sched_workers;
-  if (workers > 1 && ids.size() > 1) {
-    if (!pool_) pool_ = std::make_unique<SchedWorkerPool>(workers);
-    pool_->run(ids.size(), speculate_one);
-  } else {
-    for (size_t i = 0; i < ids.size(); ++i) speculate_one(i);
+  if (workers > 1) {
+    memos.assign(ids.size(), std::nullopt);
+    auto speculate_one = [&](size_t i) {
+      const Invocation& inv = host_.invocation(ids[i]);
+      if (inv.done) return;
+      memos[i] = host_.policy().speculate_predict(inv);
+    };
+    if (ids.size() > 1) {
+      if (!pool_) pool_ = std::make_unique<SchedWorkerPool>(workers);
+      pool_->run(ids.size(), speculate_one);
+    } else {
+      speculate_one(0);
+    }
   }
 
   // Phase 2 — commit serially in registration order: write (or compute) the
@@ -282,21 +266,22 @@ void ShardedController::run_pred_barrier(SimTime at) {
     const InvocationId id = ids[i];
     Invocation& inv = host_.invocation(id);
     if (inv.done) continue;
-    if (memos[i].has_value())
+    if (!memos.empty() && memos[i].has_value())
       host_.policy().commit_predict(inv, *memos[i]);
     else
       host_.policy().predict(inv);
     inv.t_profiler_done = at + host_.config().profiler_delay;
     host_.queue().schedule(inv.t_profiler_done, [this, id] { admit(id); });
   }
+  memos.clear();
   pred_spare_.push_back(std::move(ids));
 }
 
-void ShardedController::commit_one(InvocationId id,
+void ShardedController::commit_one(Invocation& inv,
                                    const std::optional<NodeId>& speculated,
                                    double decision_seconds) {
-  Invocation& inv = host_.invocation(id);
   if (inv.done) return;
+  const InvocationId id = inv.id;
   EngineApi& api = host_.api();
   RunMetrics& metrics = host_.metrics();
   const SimTime now = host_.queue().now();
@@ -343,7 +328,7 @@ void ShardedController::commit_one(InvocationId id,
     host_.control().on_decision(inv, first_choice, /*placed=*/false);
     ++inv.park_count;
     waiting_.push_back(id);
-    host_.notify_audit("park", id);
+    host_.notify_audit(EngineEventKind::kPark, id);
     return;
   }
   host_.control().on_decision(inv, first_choice, /*placed=*/true);
@@ -366,7 +351,7 @@ void ShardedController::commit_one(InvocationId id,
     host_.cluster().record_series();
     // The failure only surfaces after the attempted creation time.
     host_.lifecycle().retry_or_lose(inv, acq.delay);
-    host_.notify_audit("cold_start_failure", id, chosen);
+    host_.notify_audit(EngineEventKind::kColdStartFailure, id, chosen);
     return;
   }
 
@@ -378,7 +363,7 @@ void ShardedController::commit_one(InvocationId id,
   host_.queue().schedule(inv.t_pool_done + acq.delay, [this, id, epoch] {
     host_.lifecycle().begin_execution(id, epoch);
   });
-  host_.notify_audit("placement", id, chosen);
+  host_.notify_audit(EngineEventKind::kPlacement, id, chosen);
 }
 
 }  // namespace libra::sim

@@ -413,8 +413,11 @@ class AuditorChecks : public ::testing::Test {
       std::vector<sim::InvocationId> finalized = {}) {
     api_.touched_ = std::move(touched);
     api_.finalized_ = std::move(finalized);
+    // A monitor tick stands in for any event that is neither a recycle nor
+    // the run's end; its name labels the diagnostics like sweep()'s.
     auto details = capture([this] {
-      auditor_.on_engine_event(api_, sim::EngineEvent{"test", 0});
+      auditor_.on_engine_event(
+          api_, sim::EngineEvent{sim::EngineEventKind::kMonitor, "test", 0});
     });
     api_.touched_.clear();
     api_.finalized_.clear();
@@ -424,7 +427,9 @@ class AuditorChecks : public ::testing::Test {
   /// recycle check, then an incremental check with nothing marked).
   std::vector<std::string> recycle(sim::InvocationId id) {
     return capture([this, id] {
-      auditor_.on_engine_event(api_, sim::EngineEvent{"recycle", 0, id});
+      auditor_.on_engine_event(
+          api_,
+          sim::EngineEvent{sim::EngineEventKind::kRecycle, "recycle", 0, id});
     });
   }
 
@@ -464,6 +469,24 @@ class AuditorChecks : public ::testing::Test {
                  << details.size() << " unexpected diagnostic(s):";
   for (const auto& d : details) failure << "\n  " << d;
   return failure;
+}
+
+TEST(InvariantAuditor, SamplingFollowsTheIdsAcrossGaps) {
+  // A hook that forwards only some events hands the auditor ids that do not
+  // arrive one apart; its countdown restarts from each such id, so the
+  // checked events are still exactly the multiples of every_n.
+  analysis::InvariantAuditorConfig cfg;
+  cfg.every_n = 5;
+  analysis::InvariantAuditor auditor(cfg);
+  FakeApi api(3);
+  long want = 0;
+  for (const long id : {1, 2, 5, 6, 7, 9, 10, 11, 15, 23, 25, 26, 40, 3, 4, 5}) {
+    auditor.on_engine_event(
+        api, sim::EngineEvent{sim::EngineEventKind::kMonitor, "test", id});
+    want += id % 5 == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(want, 6);
+  EXPECT_EQ(auditor.stats().checks, want);
 }
 
 TEST_F(AuditorChecks, HealthyClusterIsSilent) {

@@ -115,46 +115,6 @@ TEST(CtrlTransparent, PassThroughCachesAreDigestIdenticalToLegacy) {
             exp::run_metrics_digest(run_libra(sharded)));
 }
 
-// -------------------------------------------------------------- batch depth
-
-TEST(CtrlBatchDepth, RejectsNonPositiveDepth) {
-  EngineConfig cfg = exp::multi_node_config();
-  cfg.sched_batch_depth = 0;
-  EXPECT_THROW(Engine(cfg, make_libra()), std::invalid_argument);
-}
-
-TEST(CtrlBatchDepth, DeeperBatchesCompleteTheSameWorkload) {
-  // Depth > 1 serves several queued invocations per shard barrier, paying
-  // the decision delay once per popped item — event timing moves, so the
-  // replay digest is allowed to differ from depth 1. The WORK must not:
-  // the same invocations run and complete either way (commit-time
-  // try_reserve parks stale-view decisions instead of dropping them).
-  const auto base = run_libra_burst(exp::multi_node_config());
-  EngineConfig deep_cfg = exp::multi_node_config();
-  deep_cfg.sched_batch_depth = 4;
-  const auto deep = run_libra_burst(deep_cfg);
-  ASSERT_EQ(deep.invocations.size(), base.invocations.size());
-  long base_done = 0, deep_done = 0;
-  for (const auto& rec : base.invocations)
-    if (rec.completed) ++base_done;
-  for (const auto& rec : deep.invocations)
-    if (rec.completed) ++deep_done;
-  EXPECT_EQ(deep_done, base_done);
-  EXPECT_GT(deep_done, 0);
-}
-
-TEST(CtrlBatchDepth, BatchedPathIsWorkerCountInvariant) {
-  // The worker pool only parallelizes the pure speculate phase; commits stay
-  // serial in registration order, so even the batched path must be
-  // bit-identical between 1 and 4 sched workers.
-  EngineConfig serial = exp::multi_node_config();
-  serial.sched_batch_depth = 4;
-  EngineConfig parallel = serial;
-  parallel.sched_workers = 4;
-  EXPECT_EQ(exp::run_metrics_digest(run_libra_burst(serial)),
-            exp::run_metrics_digest(run_libra_burst(parallel)));
-}
-
 // ------------------------------------------------------------------- gossip
 
 TEST(CtrlGossip, PeriodicRefreshHonorsStalenessWindow) {

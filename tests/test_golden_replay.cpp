@@ -23,11 +23,15 @@
 // diff is exactly the ordering fix.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "exp/digest.h"
 #include "exp/runner.h"
+#include "sim/policy.h"
 
 #include "golden_cases.h"
 #include "golden_scenario.h"
@@ -99,6 +103,114 @@ INSTANTIATE_TEST_SUITE_P(AllScenarios, GoldenReplay,
 // or address-dependent leakage into the hash).
 TEST(GoldenReplayDigest, DeterministicAcrossIdenticalRuns) {
   EXPECT_EQ(run_scenario("libra", 1), run_scenario("libra", 1));
+}
+
+/// Forwards every Policy hook to the wrapped policy and counts the
+/// speculative calls, from whichever thread makes them.
+class SpeculationCounter final : public sim::Policy {
+ public:
+  explicit SpeculationCounter(std::shared_ptr<sim::Policy> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  sim::PolicyStats stats() const override { return inner_->stats(); }
+  void predict(sim::Invocation& inv) override { inner_->predict(inv); }
+  std::optional<sim::PredictionMemo> speculate_predict(
+      const sim::Invocation& inv) const override {
+    predict_speculations_.fetch_add(1);
+    return inner_->speculate_predict(inv);
+  }
+  void commit_predict(sim::Invocation& inv,
+                      const sim::PredictionMemo& memo) override {
+    inner_->commit_predict(inv, memo);
+  }
+  sim::NodeId select_node(sim::Invocation& inv, sim::EngineApi& api) override {
+    return inner_->select_node(inv, api);
+  }
+  std::optional<sim::NodeId> speculate_select(
+      const sim::Invocation& inv, const sim::EngineApi& api) const override {
+    select_speculations_.fetch_add(1);
+    return inner_->speculate_select(inv, api);
+  }
+  void commit_select(sim::Invocation& inv, sim::EngineApi& api) override {
+    inner_->commit_select(inv, api);
+  }
+  sim::AllocationPlan plan_allocation(sim::Invocation& inv,
+                                      sim::EngineApi& api) override {
+    return inner_->plan_allocation(inv, api);
+  }
+  bool wants_monitor(const sim::Invocation& inv) const override {
+    return inner_->wants_monitor(inv);
+  }
+  void on_monitor(sim::Invocation& inv, sim::EngineApi& api) override {
+    inner_->on_monitor(inv, api);
+  }
+  void on_complete(sim::Invocation& inv, sim::EngineApi& api) override {
+    inner_->on_complete(inv, api);
+  }
+  void on_oom(sim::Invocation& inv, sim::EngineApi& api) override {
+    inner_->on_oom(inv, api);
+  }
+  void on_evicted(sim::Invocation& inv, sim::EngineApi& api) override {
+    inner_->on_evicted(inv, api);
+  }
+  void on_health_ping(sim::NodeId node, sim::EngineApi& api) override {
+    inner_->on_health_ping(node, api);
+  }
+  void on_node_down(sim::NodeId node, sim::EngineApi& api) override {
+    inner_->on_node_down(node, api);
+  }
+  void on_node_up(sim::NodeId node, sim::EngineApi& api) override {
+    inner_->on_node_up(node, api);
+  }
+  void on_drain_notice(sim::NodeId node, sim::SimTime deadline,
+                       sim::EngineApi& api) override {
+    inner_->on_drain_notice(node, deadline, api);
+  }
+  void on_finalized(const sim::Invocation& inv) override {
+    inner_->on_finalized(inv);
+  }
+
+  long predict_speculations() const { return predict_speculations_.load(); }
+  long select_speculations() const { return select_speculations_.load(); }
+
+ private:
+  std::shared_ptr<sim::Policy> inner_;
+  mutable std::atomic<long> predict_speculations_{0};
+  mutable std::atomic<long> select_speculations_{0};
+};
+
+struct CountedRun {
+  uint64_t digest = 0;
+  long predict_speculations = 0;
+  long select_speculations = 0;
+};
+
+CountedRun run_counted(const std::string& name, int sched_workers) {
+  auto s = golden::build_scenario(name);
+  s.cfg.sched_workers = sched_workers;
+  auto counter = std::make_shared<SpeculationCounter>(s.policy);
+  const auto metrics = exp::run_experiment(s.cfg, counter, std::move(s.trace));
+  return {exp::run_metrics_digest(metrics), counter->predict_speculations(),
+          counter->select_speculations()};
+}
+
+// One worker decides and predicts serially: the barriers call neither
+// speculate hook. Four workers speculate every decision and prediction of
+// the same scenario (Libra without trust answers trained predictions), and
+// both runs land on the pinned digest.
+TEST(SerialDecisionPath, OneWorkerNeverSpeculatesAndMatchesFourWorkers) {
+  uint64_t pinned = 0;
+  for (const auto& e : golden::kGoldenEntries)
+    if (e.name == "libra") pinned = e.digest;
+  const CountedRun one = run_counted("libra", 1);
+  const CountedRun four = run_counted("libra", 4);
+  EXPECT_EQ(one.select_speculations, 0);
+  EXPECT_EQ(one.predict_speculations, 0);
+  EXPECT_GT(four.select_speculations, 0);
+  EXPECT_GT(four.predict_speculations, 0);
+  EXPECT_EQ(exp::digest_hex(one.digest), exp::digest_hex(four.digest));
+  EXPECT_EQ(exp::digest_hex(one.digest), exp::digest_hex(pinned));
 }
 
 }  // namespace

@@ -108,6 +108,33 @@ TEST(LintUnordered, AccessorCrossesFileBoundariesViaIndex) {
   EXPECT_EQ(count_of(fs, Check::kUnorderedIteration, false), 1);
 }
 
+TEST(LintUnordered, SeesThroughTrailingGuardedByAnnotation) {
+  // One plain and one annotated member, each walked by a range-for: the
+  // annotation between the annotated member's name and its `;` must not
+  // hide it from the index.
+  const std::string content =
+      "#include <unordered_map>\n"
+      "class Probe {\n"
+      " public:\n"
+      "  double sum() const {\n"
+      "    double t = 0.0;\n"
+      "    for (const auto& [k, v] : plain_) t += v;\n"
+      "    for (const auto& [k, v] : guarded_) t += v;\n"
+      "    return t;\n"
+      "  }\n"
+      " private:\n"
+      "  util::Mutex mu_;\n"
+      "  std::unordered_map<int, double> plain_;\n"
+      "  std::unordered_map<int, double> guarded_ LIBRA_GUARDED_BY(mu_);\n"
+      "};\n";
+  SymbolIndex index;
+  index_file("src/core/probe.h", content, &index);
+  LintOptions opt;
+  opt.checks.push_back(Check::kUnorderedIteration);
+  const auto fs = analyze_content("src/core/probe.h", content, opt, &index);
+  EXPECT_EQ(count_of(fs, Check::kUnorderedIteration, false), 2);
+}
+
 // ---- guarded-by-coverage ----
 
 TEST(LintGuardedBy, FiresOnUnannotatedMembersAndRawStdMutex) {

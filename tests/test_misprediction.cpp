@@ -574,14 +574,16 @@ TEST(QuarantineInvariant, PoolEntryFromQuarantinedFunctionFires) {
   {
     // Healthy: the source's function is trusted, the sweep stays silent.
     AuditCapture capture;
-    auditor.on_engine_event(api, sim::EngineEvent{"test", 0});
+    auditor.on_engine_event(
+        api, sim::EngineEvent{sim::EngineEventKind::kMonitor, "test", 0});
     EXPECT_FALSE(capture.fired());
   }
   // Seed the violation: quarantine func 7 WITHOUT the policy-side pullback.
   policy->trust_manager_for_test()->quarantine_for_audit_test(7, 40.0);
   {
     AuditCapture capture;
-    auditor.on_engine_event(api, sim::EngineEvent{"test", 0});
+    auditor.on_engine_event(
+        api, sim::EngineEvent{sim::EngineEventKind::kMonitor, "test", 0});
     ASSERT_TRUE(capture.fired());
     EXPECT_NE(capture.diags()[0].detail.find("QUARANTINED"),
               std::string::npos)

@@ -9,7 +9,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 #include "core/harvest_pool.h"
 #include "core/libra_policy.h"
@@ -56,7 +55,7 @@ class DrainProbe final : public sim::EngineAuditHook {
  public:
   explicit DrainProbe(LibraPolicy* policy) : policy_(policy) {}
   void on_engine_event(sim::EngineApi&, const sim::EngineEvent& ev) override {
-    if (std::string_view(ev.what) == "drain_notice" && ev.node == 0)
+    if (ev.kind == sim::EngineEventKind::kDrainNotice && ev.node == 0)
       entries_at_notice_ =
           static_cast<long>(policy_->pool(0).entry_count());
   }

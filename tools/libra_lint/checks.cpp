@@ -164,7 +164,13 @@ void index_unordered(const std::string& rule_path, const Tokens& toks,
       ++j;
     if (j >= toks.size() || toks[j].kind != TokKind::kIdent) continue;
     const std::string name = toks[j].text;
-    const std::string next = j + 1 < toks.size() ? toks[j + 1].text : "";
+    // A member's trailing thread-safety annotation
+    // (`LIBRA_GUARDED_BY(mu_)`) sits between its name and the `;`.
+    size_t k = j + 1;
+    while (k + 1 < toks.size() && toks[k].kind == TokKind::kIdent &&
+           toks[k].text.rfind("LIBRA_", 0) == 0 && toks[k + 1].text == "(")
+      k = skip_parens(toks, k + 1);
+    const std::string next = k < toks.size() ? toks[k].text : "";
     if (next == "(")
       index->unordered_fns[name] = rule_path;
     else if (next == ";" || next == "=" || next == "{" || next == ",")
