@@ -2,20 +2,19 @@
 // Jetstream-like cluster: (a) strong scaling (1000 concurrent invocations,
 // 10..50 nodes, 1..4 schedulers), (b) weak scaling (20 invocations per
 // node), (c) real measured scheduling overhead (< 1 ms) on 50 nodes, and
-// (d) wall-clock speedup of the parallel shard-decision phase over worker
-// counts — with a hard determinism gate: RunMetrics digests must be
-// bit-identical for every worker count (exit 1 on mismatch).
+// (d) one 4-shard burst timed end to end, whose simulated latency and
+// utilization are the deterministic regression rows.
 //
 // --smoke shrinks the sweeps for CI; with --obs / --trace-out /
-// --trace-ndjson the multi-worker run of section (d) is captured by an
-// observability session (its summary includes the per-shard decision
-// balance). With --json-out PATH the section (c) overhead quantiles and the
-// section (d) wall-clock / latency / utilization rows are merged into a
-// BenchArtifact (BENCH_hotpath.json in CI) for tools/bench_diff.
+// --trace-ndjson the run of section (d) is repeated under an observability
+// session (its summary includes the per-shard decision balance), which must
+// not move its digest (exit 1 if it does). With --json-out PATH the section
+// (c) overhead quantiles and the section (d) latency / utilization rows are
+// merged into a BenchArtifact (BENCH_hotpath.json in CI) for
+// tools/bench_diff.
 #include <chrono>
 #include <iostream>
 #include <memory>
-#include <thread>
 
 #include "exp/bench_artifact.h"
 #include "exp/cli.h"
@@ -113,56 +112,39 @@ int main(int argc, char** argv) {
   }
   delay.print(std::cout);
 
-  // (d) Wall-clock speedup of the parallel shard-decision phase. Every
-  // worker count must produce a bit-identical RunMetrics digest — the
-  // deterministic-merge contract of the sharded controller. A mismatch is a
-  // hard failure, not a table footnote.
+  // (d) One 4-shard burst, timed end to end.
   const int scale_nodes = cli.smoke ? 20 : 50;
   const size_t scale_burst = cli.smoke ? 400 : 1000;
-  Table scale("Fig 12(d) — wall-clock scaling of the decision phase (" +
+  Table scale("Fig 12(d) — one burst end to end (" +
               std::to_string(scale_nodes) + " nodes, 4 shards, " +
               std::to_string(scale_burst) + " invocations)");
-  scale.set_header({"workers", "wall clock (ms)", "speedup", "digest"});
+  scale.set_header({"wall clock (ms)", "completion (s)", "p99 (s)", "digest"});
   const auto scale_trace = workload::burst_trace(*catalog, scale_burst, 11);
-  std::unique_ptr<obs::ObsSession> obs_session;
-  double base_ms = 0.0;
-  uint64_t base_digest = 0;
-  bool digests_match = true;
-  const std::vector<int> worker_sweep =
-      cli.smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4};
-  for (int workers : worker_sweep) {
+  const auto scale_cfg = exp::jetstream_config(scale_nodes, 4);
+  uint64_t scale_digest = 0;
+  {
     auto policy =
         exp::make_scheduler_platform(exp::SchedulerKind::kCoverage, catalog);
-    auto cfg = exp::jetstream_config(scale_nodes, 4);
-    cfg.sched_workers = workers;
     const auto start = std::chrono::steady_clock::now();
-    auto m = exp::run_experiment(cfg, policy, scale_trace);
+    auto m = exp::run_experiment(scale_cfg, policy, scale_trace);
     const auto stop = std::chrono::steady_clock::now();
     const double ms =
         std::chrono::duration<double, std::milli>(stop - start).count();
-    const uint64_t digest = exp::run_metrics_digest(m);
-    if (workers == worker_sweep.front()) {
-      base_ms = ms;
-      base_digest = digest;
-    }
-    if (digest != base_digest) digests_match = false;
-    scale.add_row({std::to_string(workers), Table::fmt(ms, 1),
-                   Table::fmt(base_ms / std::max(1e-9, ms), 2) + "x",
-                   exp::digest_hex(digest)});
-    artifact.add("fig12_wall_ms_workers_" + std::to_string(workers), ms,
-                 "ms");
-    if (workers == worker_sweep.back()) {
-      // Simulated-outcome integrals from the deterministic run: identical
-      // digests mean these only move when behavior changes, so bench_diff
-      // flags them at zero tolerance drift rather than runner noise.
-      artifact.add("fig12_p99_latency_s", m.p99_latency(), "s");
-      artifact.add("fig12_avg_cpu_utilization", m.avg_cpu_utilization(),
-                   "fraction", "higher");
-      artifact.add("fig12_avg_mem_utilization", m.avg_mem_utilization(),
-                   "fraction", "higher");
-      artifact.add("fig12_completion_time_s", m.workload_completion_time(),
-                   "s");
-    }
+    scale_digest = exp::run_metrics_digest(m);
+    scale.add_row({Table::fmt(ms, 1),
+                   Table::fmt(m.workload_completion_time(), 1),
+                   Table::fmt(m.p99_latency(), 1),
+                   exp::digest_hex(scale_digest)});
+    // Simulated-outcome integrals from a deterministic run: they only move
+    // when behavior changes, so bench_diff flags them at zero tolerance
+    // drift rather than runner noise.
+    artifact.add("fig12_p99_latency_s", m.p99_latency(), "s");
+    artifact.add("fig12_avg_cpu_utilization", m.avg_cpu_utilization(),
+                 "fraction", "higher");
+    artifact.add("fig12_avg_mem_utilization", m.avg_mem_utilization(),
+                 "fraction", "higher");
+    artifact.add("fig12_completion_time_s", m.workload_completion_time(),
+                 "s");
   }
   scale.print(std::cout);
 
@@ -175,32 +157,26 @@ int main(int argc, char** argv) {
     std::cout << "merged " << artifact.rows.size() << " perf rows into "
               << cli.json_out << "\n";
   }
-  std::cout << "(hardware threads on this machine: "
-            << std::thread::hardware_concurrency()
-            << " — speedup above 1.0x requires one per worker plus the event "
-               "loop; the digest column is the real gate)\n";
 
-  // Observability capture on a separate (untimed) multi-worker run so the
-  // trace/metric recording cost never skews the speedup table above.
+  // Observability capture on a separate, untimed run of the same config, so
+  // the recording cost never reaches the wall clock above. Observability
+  // must not perturb the run: the digest has to match.
+  std::unique_ptr<obs::ObsSession> obs_session;
   if (cli.obs_requested()) {
     auto policy =
         exp::make_scheduler_platform(exp::SchedulerKind::kCoverage, catalog);
-    auto cfg = exp::jetstream_config(scale_nodes, 4);
-    cfg.sched_workers = worker_sweep.back();
     obs_session = std::make_unique<obs::ObsSession>(exp::obs_config_from(cli));
-    auto m = exp::run_experiment(cfg, policy, scale_trace, obs_session.get());
-    if (exp::run_metrics_digest(m) != base_digest) digests_match = false;
+    auto m =
+        exp::run_experiment(scale_cfg, policy, scale_trace, obs_session.get());
+    if (exp::run_metrics_digest(m) != scale_digest) {
+      std::cout << "\nOBSERVABILITY FAILURE: the observed run's RunMetrics "
+                   "digest differs from the plain run's.\n";
+      return 1;
+    }
   }
 
-  if (!digests_match) {
-    std::cout << "\nDETERMINISM FAILURE: RunMetrics digests differ across "
-                 "sched_workers counts — the parallel speculate/commit merge "
-                 "is no longer order-independent.\n";
-    return 1;
-  }
   std::cout << "\nPaper: completion falls with more schedulers/nodes, weak "
-               "scaling stays flat, overhead stays under 1 ms.\nDeterminism "
-               "gate: digests identical across all worker counts.\n";
+               "scaling stays flat, overhead stays under 1 ms.\n";
 
   if (obs_session && !exp::export_obs(*obs_session, cli)) return 1;
   return 0;

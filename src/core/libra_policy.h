@@ -91,17 +91,7 @@ class LibraPolicy final : public sim::Policy, public PoolStatusProvider {
 
   std::string name() const override;
   void predict(sim::Invocation& inv) override;
-  /// Pure prediction memo for the controller's prediction barrier (§5l).
-  /// Declines whenever predict() would touch policy state: Freyr-style
-  /// suppression (suppress_next_ consumption) and the trust layer (raw_pred_
-  /// stash + fallback serving). Otherwise delegates to the predictor, which
-  /// declines first-seen training itself.
-  std::optional<sim::PredictionMemo> speculate_predict(
-      const sim::Invocation& inv) const override;
   sim::NodeId select_node(sim::Invocation& inv, sim::EngineApi& api) override;
-  std::optional<sim::NodeId> speculate_select(
-      const sim::Invocation& inv, const sim::EngineApi& api) const override;
-  void commit_select(sim::Invocation& inv, sim::EngineApi& api) override;
   sim::AllocationPlan plan_allocation(sim::Invocation& inv,
                                       sim::EngineApi& api) override;
   bool wants_monitor(const sim::Invocation& inv) const override;

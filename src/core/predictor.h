@@ -9,7 +9,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "sim/invocation.h"
@@ -38,17 +37,6 @@ class DemandPredictor {
   /// granted exactly pred_demand), inv.pred_size_related and inv.first_seen.
   virtual void predict(sim::Invocation& inv) = 0;
 
-  /// Pure form of predict() for the parallel prediction barrier (§5l): a
-  /// memo holding exactly what predict() would write, or nullopt when
-  /// predict() would mutate predictor state (e.g. first-seen training). Must
-  /// be safe to call concurrently from worker threads. The conservative
-  /// default declines, which keeps every prediction on the serial path.
-  virtual std::optional<sim::PredictionMemo> speculate_predict(
-      const sim::Invocation& inv) const {
-    (void)inv;
-    return std::nullopt;
-  }
-
   /// Online model update after completion.
   virtual void observe(const Observation& obs) = 0;
 
@@ -73,16 +61,6 @@ class UserConfigPredictor final : public DemandPredictor {
     inv.pred_duration = 1.0;
     inv.pred_size_related = false;
     inv.first_seen = false;
-  }
-  std::optional<sim::PredictionMemo> speculate_predict(
-      const sim::Invocation& inv) const override {
-    // Stateless: always safe to speculate. Mirrors predict() exactly.
-    sim::PredictionMemo memo;
-    memo.pred_demand = inv.user_alloc;
-    memo.pred_duration = 1.0;
-    memo.pred_size_related = false;
-    memo.first_seen = false;
-    return memo;
   }
   void observe(const Observation&) override {}
 };

@@ -256,16 +256,6 @@ void Profiler::predict(Invocation& inv) {
              inv);
 }
 
-std::optional<sim::PredictionMemo> Profiler::speculate_predict(
-    const Invocation& inv) const {
-  const auto it = functions_.find(inv.func);
-  if (it == functions_.end() || it->second.mode == Mode::kUntrained)
-    return std::nullopt;  // first-seen: predict() trains, must run serially
-  return it->second.mode == Mode::kMl
-             ? it->second.ml_table.lookup(inv.input.size)
-             : memo_histogram(it->second, inv);
-}
-
 void Profiler::predict_fallback(Invocation& inv) {
   auto it = functions_.find(inv.func);
   if (it == functions_.end() || it->second.mode == Mode::kUntrained) {
@@ -326,6 +316,7 @@ void Profiler::prewarm(const sim::FunctionCatalog& catalog, uint64_t seed,
   {
     // The caller is one of the workers; the others join at scope exit. A
     // helper the system cannot start only leaves more work to the rest.
+    // LIBRA_LINT_ALLOW(nondeterminism-source): set-up-time training fan-out, joined before prewarm returns; each function trains alone on its own rng forks, so the models do not depend on the thread count
     std::vector<std::jthread> helpers;
     for (size_t w = 1; w < workers; ++w) {
       try {

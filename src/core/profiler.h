@@ -103,11 +103,6 @@ class Profiler final : public DemandPredictor {
 
   std::string name() const override { return "libra-profiler"; }
   void predict(sim::Invocation& inv) override;
-  /// Pure prediction memo for trained functions (the ML and histogram
-  /// serving paths are const); declines for first-seen functions, whose
-  /// predict() trains. Safe to call concurrently from worker threads.
-  std::optional<sim::PredictionMemo> speculate_predict(
-      const sim::Invocation& inv) const override;
   void observe(const Observation& obs) override;
 
   /// Offline initialization (§8.2.3): trains the per-function models on a
@@ -163,8 +158,8 @@ class Profiler final : public DemandPredictor {
   void train_function(sim::FunctionId func, const sim::InputSpec& first_input,
                       FuncState& state) const;
   void log_trained(sim::FunctionId func, const FuncState& state) const;
-  /// Pure histogram serving path, shared by predict(), predict_fallback()
-  /// and speculate_predict(): builds the memo, never touches state.
+  /// Pure histogram serving path, shared by predict() and
+  /// predict_fallback(): builds the memo, never touches state.
   sim::PredictionMemo memo_histogram(const FuncState& state,
                                      const sim::Invocation& inv) const;
 

@@ -142,12 +142,4 @@ NodeId CoverageScheduler::select(Invocation& inv, EngineApi& api) {
   return best;
 }
 
-std::optional<NodeId> CoverageScheduler::speculate(
-    const Invocation& inv, const sim::EngineApi& api) const {
-  if (!inv.accelerable()) return std::nullopt;  // sticky hash mutates salt_
-  const NodeId best = coverage_pick(inv, api);
-  if (best == kNoNode) return std::nullopt;  // would fall back to the hash
-  return best;
-}
-
 }  // namespace libra::core

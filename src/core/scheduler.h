@@ -5,7 +5,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,15 +19,6 @@ class SchedulerStrategy {
   virtual std::string name() const = 0;
   /// Returns a feasible node for the invocation or sim::kNoNode.
   virtual sim::NodeId select(sim::Invocation& inv, sim::EngineApi& api) = 0;
-  /// Read-only speculative decision for the parallel sharded controller
-  /// (Policy::speculate_select contract: pure, thread-safe, nullopt when the
-  /// decision is order-dependent). Default: never speculate.
-  virtual std::optional<sim::NodeId> speculate(const sim::Invocation& inv,
-                                               const sim::EngineApi& api) const {
-    (void)inv;
-    (void)api;
-    return std::nullopt;
-  }
 };
 
 using SchedulerPtr = std::shared_ptr<SchedulerStrategy>;
@@ -53,9 +43,8 @@ bool no_node_fits(const sim::Invocation& inv, const sim::EngineApi& api);
 /// node (container reuse); when the target lacks capacity the hash advances
 /// and upcoming invocations of the function follow (§6.3). The salt table is
 /// shared scheduler-shard state — every decentralized shard advances the
-/// same per-function target. It takes no lock: picks run only on the event
-/// loop, because every speculation declines before it reaches the hash
-/// (CoverageScheduler::speculate, DESIGN.md §5l "The salt table").
+/// same per-function target. It takes no lock: picks run only on the
+/// single-threaded event loop (DESIGN.md §5l "The salt table").
 class StickyHashState {
  public:
   /// Throws std::out_of_range on a negative function id.
@@ -85,23 +74,16 @@ class CoverageScheduler final : public SchedulerStrategy {
 
   std::string name() const override { return "libra-coverage"; }
   sim::NodeId select(sim::Invocation& inv, sim::EngineApi& api) override;
-  /// The coverage scan reads only the invocation's own shard slice, the
-  /// ping-time pool snapshots and the ping-based health view — all frozen
-  /// within a decision batch — so it speculates safely. Declines (nullopt)
-  /// for non-accelerable invocations and when no node offers coverage: both
-  /// fall back to the order-dependent sticky hash.
-  std::optional<sim::NodeId> speculate(const sim::Invocation& inv,
-                                       const sim::EngineApi& api) const override;
 
   double alpha() const { return alpha_; }
   /// The sticky hash the non-accelerable and no-coverage paths fall back to.
   const StickyHashState& sticky() const { return hash_; }
 
  private:
-  /// The pure greedy max-coverage pick shared by select and speculate: the
-  /// first feasible node, in id order, with the highest score. It scores
-  /// the feasible nodes up to the first one whose view is empty, then only
-  /// the occupied views (DESIGN.md §5l, "Coverage candidate set").
+  /// The pure greedy max-coverage pick behind select: the first feasible
+  /// node, in id order, with the highest score. It scores the feasible
+  /// nodes up to the first one whose view is empty, then only the occupied
+  /// views (DESIGN.md §5l, "Coverage candidate set").
   sim::NodeId coverage_pick(const sim::Invocation& inv,
                             const sim::EngineApi& api) const;
 

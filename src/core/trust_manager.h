@@ -18,10 +18,9 @@
 // errors yields the p95 base margin; each strike adds a boost that decays
 // exponentially with half-life `margin_decay_halflife`.
 //
-// Threading: the manager takes no lock. Completions, monitor ticks and OOM
-// kills are engine events, so only the event loop reaches it; the one
-// parallel path, LibraPolicy::speculate_predict, declines whenever a
-// TrustManager exists (DESIGN.md §5d, "Which state locks").
+// Threading: the manager takes no lock. Predictions, completions, monitor
+// ticks and OOM kills are engine events, so only the single-threaded event
+// loop reaches it (DESIGN.md §5d, "Which state locks").
 #pragma once
 
 #include <unordered_map>

@@ -111,8 +111,7 @@ struct LegResult {
 
 LegResult run_leg(const Scenario& sc, std::vector<sim::Invocation> trace,
                   const std::shared_ptr<const sim::FunctionCatalog>& catalog,
-                  bool libra, int workers, bool with_injection,
-                  int controllers) {
+                  bool libra, bool with_injection, int controllers) {
   AuditCapture capture;
   analysis::InvariantAuditor auditor(analysis::InvariantAuditorConfig{1});
   std::shared_ptr<sim::Policy> policy;
@@ -132,7 +131,7 @@ LegResult run_leg(const Scenario& sc, std::vector<sim::Invocation> trace,
   auditor.attach_policy(libra_policy);
   InjectingHook hook(&auditor, with_injection ? libra_policy : nullptr,
                      sc.inject);
-  sim::EngineConfig cfg = sc.engine_config(workers);
+  sim::EngineConfig cfg = sc.engine_config();
   cfg.control.num_controllers = controllers;
   cfg.audit_hook = &hook;
   sim::Engine engine(cfg, policy);
@@ -220,42 +219,21 @@ Verdict check_scenario(const Scenario& sc) {
       libra::gen::synthetic_catalog(sc.gen));
   const std::vector<sim::Invocation> trace = materialize_trace(sc, catalog);
 
-  // Leg A: instrumented Libra, serial scheduling, injection armed.
-  const LegResult a =
-      run_leg(sc, trace, catalog, /*libra=*/true,
-              /*workers=*/1, /*with_injection=*/true, sc.num_controllers);
+  // Leg A: instrumented Libra, injection armed.
+  const LegResult a = run_leg(sc, trace, catalog, /*libra=*/true,
+                              /*with_injection=*/true, sc.num_controllers);
   if (a.audit_failures > 0) {
     std::ostringstream os;
     os << a.audit_failures << " audit failure(s); first: " << a.first_diag;
     return fail(kFailAudit, os.str());
   }
 
-  const sim::EngineConfig cfg_a = sc.engine_config(1);
+  const sim::EngineConfig cfg_a = sc.engine_config();
   if (std::string v = accounting_violation(a.metrics, trace.size(), cfg_a);
       !v.empty())
     return fail(kFailAccounting, v);
 
-  // Leg B: identical scenario, parallel shard speculation — the replay
-  // digest must not move by a single bit.
-  const LegResult b =
-      run_leg(sc, trace, catalog, /*libra=*/true, sc.workers_b,
-              /*with_injection=*/false, sc.num_controllers);
-  if (b.audit_failures > 0) {
-    std::ostringstream os;
-    os << "parallel leg: " << b.audit_failures
-       << " audit failure(s); first: " << b.first_diag;
-    return fail(kFailAudit, os.str());
-  }
-  const uint64_t da = exp::run_metrics_digest(a.metrics);
-  const uint64_t db = exp::run_metrics_digest(b.metrics);
-  if (da != db) {
-    std::ostringstream os;
-    os << "sched_workers 1 vs " << sc.workers_b << ": "
-       << exp::digest_hex(da) << " != " << exp::digest_hex(db);
-    return fail(kFailDigest, os.str());
-  }
-
-  // Legs D/E: the controller differential (DESIGN.md §5k). On a copy with
+  // Legs B/C: the controller differential (DESIGN.md §5k). On a copy with
   // every divergence source stripped — fresh pass-through gossip, zero
   // gossip fault probabilities, no injection — sharding the catalog across
   // controllers_b front ends with work stealing enabled must reproduce the
@@ -274,37 +252,35 @@ Verdict check_scenario(const Scenario& sc) {
         sc.gossip_fanout == 0 && sc.profile.gossip_drop_prob == 0.0 &&
         sc.profile.gossip_delay_prob == 0.0 &&
         sc.inject.kind == InjectKind::kNone;
-    const uint64_t dd =
+    const uint64_t db =
         a_is_stripped
-            ? da
+            ? exp::run_metrics_digest(a.metrics)
             : exp::run_metrics_digest(
                   run_leg(stripped, trace, catalog, /*libra=*/true,
-                          /*workers=*/1, /*with_injection=*/false,
-                          /*controllers=*/1)
+                          /*with_injection=*/false, /*controllers=*/1)
                       .metrics);
-    const LegResult e =
+    const LegResult c =
         run_leg(stripped, trace, catalog, /*libra=*/true,
-                /*workers=*/1, /*with_injection=*/false, stripped.controllers_b);
-    const uint64_t de = exp::run_metrics_digest(e.metrics);
-    if (dd != de) {
+                /*with_injection=*/false, stripped.controllers_b);
+    const uint64_t dc = exp::run_metrics_digest(c.metrics);
+    if (db != dc) {
       std::ostringstream os;
       os << "controllers 1 vs " << stripped.controllers_b << ": "
-         << exp::digest_hex(dd) << " != " << exp::digest_hex(de);
+         << exp::digest_hex(db) << " != " << exp::digest_hex(dc);
       return fail(kFailDigest, os.str());
     }
   }
 
-  // Leg C: the default platform as the cross-scheduler sanity reference.
-  const LegResult c =
-      run_leg(sc, trace, catalog, /*libra=*/false,
-              /*workers=*/1, /*with_injection=*/false, sc.num_controllers);
-  if (c.audit_failures > 0) {
+  // Leg D: the default platform as the cross-scheduler sanity reference.
+  const LegResult d = run_leg(sc, trace, catalog, /*libra=*/false,
+                              /*with_injection=*/false, sc.num_controllers);
+  if (d.audit_failures > 0) {
     std::ostringstream os;
-    os << "default-platform leg: " << c.audit_failures
-       << " audit failure(s); first: " << c.first_diag;
+    os << "default-platform leg: " << d.audit_failures
+       << " audit failure(s); first: " << d.first_diag;
     return fail(kFailAudit, os.str());
   }
-  if (std::string v = accounting_violation(c.metrics, trace.size(), cfg_a);
+  if (std::string v = accounting_violation(d.metrics, trace.size(), cfg_a);
       !v.empty())
     return fail(kFailAccounting, "default-platform leg: " + v);
 
@@ -315,7 +291,7 @@ Verdict check_scenario(const Scenario& sc) {
                             sc.plan.cold_start_failures.empty() &&
                             !sc.profile.active();
   if (failure_free) {
-    for (const auto* leg : {&a, &c}) {
+    for (const auto* leg : {&a, &d}) {
       if (leg->metrics.lost_invocations != 0 ||
           leg->metrics.finalized_incomplete != 0) {
         std::ostringstream os;

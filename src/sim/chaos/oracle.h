@@ -1,5 +1,5 @@
 // Differential oracle for chaos scenarios. One check_scenario() call runs
-// the scenario through up to five engine legs (serial, parallel-workers,
+// the scenario through up to four engine legs (the instrumented Libra run,
 // the controller differential pair, and the default-platform reference) and
 // reports the first violated property as a stable failure class:
 //
@@ -9,9 +9,7 @@
 //   accounting       — the retry/loss ledger does not close (completed +
 //                      lost + incomplete != admitted, a retry budget was
 //                      overdrawn, a lost invocation also completed, ...);
-//   digest-mismatch  — RunMetrics digests differ between sched_workers == 1
-//                      and sched_workers == workers_b (the §6.4 parallel
-//                      scheduling determinism contract), or between 1 and
+//   digest-mismatch  — RunMetrics digests differ between 1 and
 //                      controllers_b front-end controllers on a copy with
 //                      every gossip divergence source stripped (the §5k
 //                      multi-controller digest-identity contract);

@@ -70,7 +70,6 @@ std::string serialize_scenario(const Scenario& sc) {
   std::ostringstream os;
   os << "libra-chaos-repro v1\n";
   os << "seed " << sc.seed << "\n";
-  os << "workers_b " << sc.workers_b << "\n";
   os << "num_shards " << sc.num_shards << "\n";
   os << "controllers " << sc.num_controllers << " " << sc.controllers_b
      << "\n";
@@ -151,8 +150,10 @@ Scenario parse_scenario(const std::string& text) {
       expect_arity(line, 1);
       sc.seed = parse_u64(line, 0);
     } else if (line.keyword == "workers_b") {
+      // Artifacts from before the one-thread engine name the worker count
+      // of a parallel leg the oracle no longer runs: checked, then ignored.
       expect_arity(line, 1);
-      sc.workers_b = static_cast<int>(parse_int(line, 0));
+      (void)parse_int(line, 0);
     } else if (line.keyword == "num_shards") {
       expect_arity(line, 1);
       sc.num_shards = static_cast<int>(parse_int(line, 0));

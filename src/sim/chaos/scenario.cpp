@@ -6,11 +6,10 @@
 
 namespace libra::chaos {
 
-sim::EngineConfig Scenario::engine_config(int sched_workers) const {
+sim::EngineConfig Scenario::engine_config() const {
   sim::EngineConfig cfg;
   cfg.node_capacities = node_capacities;
   cfg.num_shards = num_shards;
-  cfg.sched_workers = sched_workers;
   cfg.fault_plan = plan;
   cfg.fault_profile = profile;
   cfg.spot_drain_notice = spot_drain_notice;
@@ -27,12 +26,7 @@ sim::EngineConfig Scenario::engine_config(int sched_workers) const {
 }
 
 void Scenario::validate() const {
-  engine_config(1).validate();
-  if (workers_b < 1) {
-    throw std::invalid_argument("chaos::Scenario: workers_b must be >= 1, got " +
-                                std::to_string(workers_b));
-  }
-  engine_config(workers_b).validate();
+  engine_config().validate();
   if (controllers_b < 1) {
     throw std::invalid_argument(
         "chaos::Scenario: controllers_b must be >= 1, got " +
@@ -40,7 +34,7 @@ void Scenario::validate() const {
   }
   // The controller-differential leg runs at controllers_b; validate that
   // configuration too (num_controllers itself was covered above).
-  sim::EngineConfig cfg_b = engine_config(1);
+  sim::EngineConfig cfg_b = engine_config();
   cfg_b.control.num_controllers = controllers_b;
   cfg_b.validate();
   gen.validate();

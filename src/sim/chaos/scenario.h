@@ -85,9 +85,6 @@ struct Scenario {
   /// Per-tenant harvest-borrow caps (empty = unrestricted single-tenant).
   std::map<int, sim::Resources> tenant_quotas;
 
-  /// Worker count for the differential leg (digest must match workers=1).
-  int workers_b = 4;
-
   // ---- Control plane (ctrl::ControlPlaneConfig knobs) ----
   /// Front-end controllers for the primary legs (1 = classic engine).
   int num_controllers = 1;
@@ -105,11 +102,12 @@ struct Scenario {
 
   /// Engine configuration for one leg of the differential check. Short
   /// placement timeout / churn pad keep the tiny fuzz runs snappy.
-  sim::EngineConfig engine_config(int sched_workers) const;
+  sim::EngineConfig engine_config() const;
 
-  /// Full validity predicate: EngineConfig::validate for both worker counts,
-  /// GenConfig::validate, FaultPlan::validate with the catalog size bound,
-  /// plus the tenant/quota/inject fields. Throws std::invalid_argument.
+  /// Full validity predicate: EngineConfig::validate for both controller
+  /// counts, GenConfig::validate, FaultPlan::validate with the catalog size
+  /// bound, plus the tenant/quota/inject fields. Throws
+  /// std::invalid_argument.
   void validate() const;
 };
 

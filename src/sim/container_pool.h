@@ -6,8 +6,8 @@
 //
 // No lock: the real system's per-node invoker agent serves acquire and
 // release from several scheduler shards and the crash-reap path, but here
-// every one of those is an engine event on the event loop, and no
-// speculation touches containers (DESIGN.md §5d, "Which state locks").
+// every one of those is an engine event on the single-threaded event loop
+// (DESIGN.md §5d, "Which state locks").
 #pragma once
 
 #include <unordered_map>

@@ -189,12 +189,10 @@ void Engine::on_arrival(InvocationId id) {
 }
 
 void Engine::on_profiled(InvocationId id) {
-  // Prediction is batched with every other same-instant profiler completion
-  // and hoisted into the controller's prediction barrier (§5l): pure
-  // speculation runs on the worker pool, commits and admission scheduling
-  // happen serially in registration order — the serial path's relative
-  // ordering, at the barrier's position in the event stream.
-  controller_->enqueue_prediction(id);
+  Invocation& inv = invocation(id);
+  policy_->predict(inv);
+  inv.t_profiler_done = now() + cfg_.profiler_delay;
+  queue_.schedule(inv.t_profiler_done, [this, id] { controller_->admit(id); });
 }
 
 }  // namespace libra::sim

@@ -2,7 +2,7 @@
 // Fig. 3 for every invocation in a trace against a pluggable Policy:
 //
 //   arrival -> frontend -> profiler (Policy::predict) -> shard queue ->
-//   scheduling decision (Policy::select_node / speculate_select) ->
+//   scheduling decision (Policy::select_node) ->
 //   reservation -> harvest/accelerate (Policy::plan_allocation) ->
 //   container start -> execution (piecewise progress, monitor ticks, OOM) ->
 //   completion (Policy::on_complete, pending retries, model updates)
@@ -10,8 +10,8 @@
 // The engine itself is event-loop glue over four layers (DESIGN.md §5g):
 //   ClusterState        — nodes, reservations, health view, usage series;
 //   InvocationLifecycle — the per-invocation state machine;
-//   ShardedController   — per-shard queues and the barrier-batched,
-//                         optionally parallel scheduling decisions of §6.4;
+//   ShardedController   — per-shard queues and the barrier-batched
+//                         scheduling decisions of §6.4;
 //   ctrl::ControlPlane  — front-end controllers and their pool-view caches.
 // Each layer holds an Engine& and reaches the clock, the policy, the shared
 // metrics and the other layers through Engine's private accessors; the

@@ -52,10 +52,9 @@ void EngineConfig::validate() const {
   require_finite_non_negative(oom_restart_penalty, "oom_restart_penalty");
   require_finite_positive(monitor_interval, "monitor_interval");
   require_finite_positive(health_ping_interval, "health_ping_interval");
-  if (sched_workers < 1)
-    throw std::invalid_argument(
-        "EngineConfig: sched_workers must be >= 1, got " +
-        std::to_string(sched_workers));
+  if (sched_workers != 1)
+    throw std::invalid_argument("EngineConfig: sched_workers must be 1, got " +
+                                std::to_string(sched_workers));
   require_finite_non_negative(retry_backoff_base, "retry_backoff_base");
   require_finite_non_negative(retry_backoff_cap, "retry_backoff_cap");
   if (max_fault_retries < 0 || max_oom_retries < 0)

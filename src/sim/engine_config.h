@@ -1,5 +1,5 @@
 // Engine configuration: cluster shape, pipeline service times, monitoring
-// cadence, fault-injection knobs and the scheduling-parallelism controls.
+// cadence, the control plane and the fault-injection knobs.
 // Split out of engine.h so the Cluster / Lifecycle / Controller layers can
 // share it without pulling in the engine itself.
 #pragma once
@@ -30,17 +30,11 @@ struct EngineConfig {
   double monitor_interval = 0.1;         // §5.2 monitor window
   double health_ping_interval = 1.0;     // pool-status piggyback period
   double oom_restart_penalty = 1.0;      // container kill + restart cost
-  /// When true, times each scheduling decision (the worker pool's
-  /// speculation, or the serial select) with a real clock (Fig. 12c).
+  /// When true, times each scheduling decision (Policy::select_node) with a
+  /// real clock (Fig. 12c).
   bool measure_real_sched_overhead = false;
 
-  /// Worker threads for the parallel shard-decision phase (§6.4). Above 1,
-  /// each event barrier speculates the independent shard decisions (and
-  /// predictions) of the batch across this many threads (the calling thread
-  /// participates), then commits them serially in registration order —
-  /// RunMetrics are bit-identical for any value (asserted by the
-  /// golden-replay test). 1 = no speculation and no threads: every decision
-  /// is a serial select_node, every prediction a serial predict.
+  /// Pin for perfbench, 1 only (validate()); the benchmark refresh deletes it.
   int sched_workers = 1;
 
   /// Multi-controller control plane (src/sim/ctrl, DESIGN.md §5k): number

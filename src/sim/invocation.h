@@ -17,10 +17,8 @@ namespace libra::sim {
 /// earlier harvesting/acceleration.
 enum class InvOutcome { kDefault, kHarvested, kAccelerated, kSafeguarded };
 
-/// A profiler prediction computed speculatively (Policy::speculate_predict)
-/// on a worker thread and applied serially at the prediction barrier's
-/// commit position (§5l). Carries exactly the fields Policy::predict writes,
-/// so applying a memo is bit-identical to the serial call it replaces.
+/// One prediction's fields: what the profiler's serving paths build and
+/// Policy::predict writes into the invocation (DESIGN.md §5m).
 struct PredictionMemo {
   Resources pred_demand;
   double pred_duration = 0.0;

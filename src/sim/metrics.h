@@ -115,7 +115,7 @@ struct RunMetrics {
   /// Invocations migrated off a draining node (budget-free evictions — they
   /// do NOT count against max_fault_retries or metrics.fault_retries).
   long drain_evictions = 0;
-  /// Scheduling decisions committed (speculated or serial).
+  /// Scheduling decisions committed (select_node calls).
   long sched_decisions = 0;
   /// Sum of wall-clock decision times, seconds (only measured when
   /// measure_real_sched_overhead is on).

@@ -179,31 +179,17 @@ class Policy {
   /// pred_size_related / first_seen.
   virtual void predict(Invocation& inv) = 0;
 
-  /// Optional speculative form of the Step-3 prediction, used by the
-  /// controller's prediction barrier (§5l). Called from worker threads
-  /// concurrently with other same-instant predictions, so it must be PURE:
-  /// no policy or predictor state may be mutated, and the returned memo must
-  /// equal exactly what predict() would write given the current state.
-  /// Return nullopt whenever predict() would mutate state (first-seen
-  /// training, suppression bookkeeping, trust stashes) — the barrier then
-  /// calls predict() serially at the invocation's commit position, which is
-  /// always correct.
+  /// Inert pin for perfbench's wrapper; the benchmark refresh deletes it.
   virtual std::optional<PredictionMemo> speculate_predict(
       const Invocation& inv) const {
     (void)inv;
     return std::nullopt;
   }
 
-  /// Applies a successfully speculated prediction at the serial commit
-  /// position. The default writes the memo's fields — exactly the Invocation
-  /// writes of a pure predict(). Policies whose predict() has additional
-  /// per-call side effects must decline speculation or replicate them here.
+  /// Inert pin for perfbench's wrapper; the benchmark refresh deletes it.
   virtual void commit_predict(Invocation& inv, const PredictionMemo& memo) {
-    inv.pred_demand = memo.pred_demand;
-    inv.pred_duration = memo.pred_duration;
-    inv.pred_size_related = memo.pred_size_related;
-    inv.first_seen = memo.first_seen;
-    if (memo.profiling_probe) inv.profiling_probe = true;
+    (void)inv;
+    (void)memo;
   }
 
   /// Step 4 — scheduling. Returns a node whose shard slice can hold the
@@ -211,17 +197,7 @@ class Policy {
   /// capacity frees up.
   virtual NodeId select_node(Invocation& inv, EngineApi& api) = 0;
 
-  /// Optional speculative form of the Step-4 decision, used by the parallel
-  /// sharded controller (§6.4). Called from worker threads on a frozen
-  /// pre-batch view of the cluster, concurrently with other shards'
-  /// speculations, so it must be PURE: no policy or scheduler state may be
-  /// mutated, and the decision must depend only on state that no same-batch
-  /// commit can change (the invocation's own shard slice, ping-time pool
-  /// snapshots, the ping-based health view). Return nullopt whenever the
-  /// decision is order-dependent — the controller then runs select_node
-  /// serially at the invocation's commit position, which is always correct.
-  /// When a node IS returned, the controller commits it via commit_select
-  /// instead of calling select_node.
+  /// Inert pin for perfbench's wrapper; the benchmark refresh deletes it.
   virtual std::optional<NodeId> speculate_select(const Invocation& inv,
                                                  const EngineApi& api) const {
     (void)inv;
@@ -229,11 +205,7 @@ class Policy {
     return std::nullopt;
   }
 
-  /// Applies select_node's side effects for a decision that was speculated
-  /// successfully (speculate_select returned a node). Runs serially at the
-  /// commit position. Policies whose select_node mutates state on EVERY call
-  /// (not just on the paths speculate_select declines) must replicate that
-  /// here, or the parallel controller diverges from the serial engine.
+  /// Inert pin for perfbench's wrapper; the benchmark refresh deletes it.
   virtual void commit_select(Invocation& inv, EngineApi& api) {
     (void)inv;
     (void)api;

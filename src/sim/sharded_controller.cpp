@@ -45,8 +45,6 @@ ShardedController::ShardedController(Engine& host) : host_(host) {
   }
 }
 
-ShardedController::~ShardedController() = default;
-
 void ShardedController::admit(InvocationId id) {
   Invocation& v = host_.invocation(id);
   // Front ends spray invocations across shards; id-based assignment models
@@ -151,47 +149,17 @@ void ShardedController::run_barrier(SimTime at) {
     pending.pop_front();
     host_.control().on_dequeued(inv);
     shard_busy_until_[s] = at + host_.config().sched_decision_delay;
-    items_.push_back({&inv, std::nullopt, 0.0});
+    items_.push_back(&inv);
   }
   registrations_.resize(kept);
   if (items_.empty()) return;
 
-  // Phase 1 — speculate, on the worker pool only: read-only decisions from
-  // the frozen pre-batch view. Decisions of distinct shards are independent
-  // by construction (disjoint shard slices, ping-time snapshots);
-  // order-dependent policies decline and stay serial. One worker skips the
-  // phase: every commit below then runs select_node, the same decision.
-  const int workers = host_.config().sched_workers;
-  if (workers > 1) {
-    const bool measure = host_.config().measure_real_sched_overhead;
-    auto speculate_one = [&](size_t i) {
-      BarrierItem& item = items_[i];
-      const Invocation& inv = *item.inv;
-      if (inv.done) return;  // commit skips it, as the serial engine did
-      if (measure) {
-        const auto t0 = WallClock::now();
-        item.speculated = host_.policy().speculate_select(inv, host_.api());
-        item.decision_seconds = wall_seconds_since(t0);
-      } else {
-        item.speculated = host_.policy().speculate_select(inv, host_.api());
-      }
-    };
-    if (items_.size() > 1) {
-      if (!pool_) pool_ = std::make_unique<SchedWorkerPool>(workers);
-      pool_->run(items_.size(), speculate_one);
-    } else {
-      speculate_one(0);
-    }
-  }
-
-  // Phase 2 — commit serially in registration order.
-  for (const BarrierItem& item : items_)
-    commit_one(*item.inv, item.speculated, item.decision_seconds);
-
-  // Phase 3 — re-pump the member shards, in the same order the serial
-  // engine's per-shard events would have re-armed themselves. Each item came
-  // off its own shard's queue, so its shard is the member's.
-  for (const BarrierItem& item : items_) pump(item.inv->shard);
+  // Decide in registration order, then re-pump the member shards in the
+  // same order the serial engine's per-shard events would have re-armed
+  // themselves. Each item came off its own shard's queue, so its shard is
+  // the member's.
+  for (Invocation* inv : items_) commit_one(*inv);
+  for (const Invocation* inv : items_) pump(inv->shard);
   items_.clear();
 
   // Cross-controller work stealing (src/sim/ctrl): after the batch settles,
@@ -201,85 +169,7 @@ void ShardedController::run_barrier(SimTime at) {
   host_.control().maybe_steal();
 }
 
-void ShardedController::enqueue_prediction(InvocationId id) {
-  const SimTime at = host_.queue().now();
-  for (auto& batch : pred_batches_) {
-    if (batch.first == at) {
-      batch.second.push_back(id);
-      return;  // joins the barrier; its event is already scheduled
-    }
-  }
-  std::vector<InvocationId> ids;
-  if (!pred_spare_.empty()) {
-    ids = std::move(pred_spare_.back());
-    pred_spare_.pop_back();
-    ids.clear();
-  }
-  ids.push_back(id);
-  pred_batches_.emplace_back(at, std::move(ids));
-  host_.queue().schedule(at, [this, at] { run_pred_barrier(at); });
-}
-
-void ShardedController::run_pred_barrier(SimTime at) {
-  size_t slot = pred_batches_.size();
-  for (size_t i = 0; i < pred_batches_.size(); ++i)
-    if (pred_batches_[i].first == at) {
-      slot = i;
-      break;
-    }
-  if (slot == pred_batches_.size()) return;
-  std::vector<InvocationId> ids = std::move(pred_batches_[slot].second);
-  // Same erase-before-process discipline as the decision barrier: profiler
-  // completions landing at this instant from later handlers open a fresh
-  // barrier with a fresh, later event.
-  pred_batches_[slot] = std::move(pred_batches_.back());
-  pred_batches_.pop_back();
-
-  // Phase 1 — speculate, on the worker pool only: pure prediction memos
-  // computed from the frozen pre-barrier model state. Predictions of trained
-  // functions are pure by contract (Policy::speculate_predict); anything
-  // order-dependent (first-seen training, suppression bookkeeping) declines
-  // and stays serial. One worker skips the phase: every commit below then
-  // runs predict, which writes what the memo would have.
-  std::vector<std::optional<PredictionMemo>>& memos = pred_memos_;
-  const int workers = host_.config().sched_workers;
-  if (workers > 1) {
-    memos.assign(ids.size(), std::nullopt);
-    auto speculate_one = [&](size_t i) {
-      const Invocation& inv = host_.invocation(ids[i]);
-      if (inv.done) return;
-      memos[i] = host_.policy().speculate_predict(inv);
-    };
-    if (ids.size() > 1) {
-      if (!pool_) pool_ = std::make_unique<SchedWorkerPool>(workers);
-      pool_->run(ids.size(), speculate_one);
-    } else {
-      speculate_one(0);
-    }
-  }
-
-  // Phase 2 — commit serially in registration order: write (or compute) the
-  // prediction and schedule admission after profiler_delay, replicating the
-  // serial path's per-event predict/schedule sequence — same relative order,
-  // same timestamps.
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const InvocationId id = ids[i];
-    Invocation& inv = host_.invocation(id);
-    if (inv.done) continue;
-    if (!memos.empty() && memos[i].has_value())
-      host_.policy().commit_predict(inv, *memos[i]);
-    else
-      host_.policy().predict(inv);
-    inv.t_profiler_done = at + host_.config().profiler_delay;
-    host_.queue().schedule(inv.t_profiler_done, [this, id] { admit(id); });
-  }
-  memos.clear();
-  pred_spare_.push_back(std::move(ids));
-}
-
-void ShardedController::commit_one(Invocation& inv,
-                                   const std::optional<NodeId>& speculated,
-                                   double decision_seconds) {
+void ShardedController::commit_one(Invocation& inv) {
   if (inv.done) return;
   const InvocationId id = inv.id;
   EngineApi& api = host_.api();
@@ -287,15 +177,7 @@ void ShardedController::commit_one(Invocation& inv,
   const SimTime now = host_.queue().now();
   ++metrics.sched_decisions;
   NodeId chosen = kNoNode;
-  if (speculated.has_value()) {
-    host_.policy().commit_select(inv, api);
-    chosen = *speculated;
-    if (host_.config().measure_real_sched_overhead) {
-      metrics.sched_overhead_sum += decision_seconds;
-      if (host_.config().retain_records)
-        metrics.sched_overhead_seconds.push_back(decision_seconds);
-    }
-  } else if (host_.config().measure_real_sched_overhead) {
+  if (host_.config().measure_real_sched_overhead) {
     const auto t0 = WallClock::now();
     chosen = host_.policy().select_node(inv, api);
     const double secs = wall_seconds_since(t0);

@@ -1,7 +1,7 @@
 // The node-selection scans before the free-capacity index (DESIGN.md §5l),
 // kept verbatim as reference models: StickyHashState::pick with its hashed
-// salt map, CoverageScheduler's select / speculate over coverage_pick, and
-// the Round Robin, JSQ and MWS scans. Each walks the cluster on every call,
+// salt map, CoverageScheduler's select over coverage_pick, and the Round
+// Robin, JSQ and MWS scans. Each walks the cluster on every call,
 // including when no node can fit. CapacityIndexScan.* requires the
 // schedulers to return the same picks and leave the same salt and cursor.
 // Coverage, which scores every feasible node, is also the scan the
@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 #include <unordered_map>
 
 #include "core/coverage.h"
@@ -66,14 +65,6 @@ class Coverage {
     if (!inv.accelerable()) return hash_.pick(inv, api);
     const NodeId best = coverage_pick(inv, api);
     if (best == kNoNode) return hash_.pick(inv, api);
-    return best;
-  }
-
-  std::optional<NodeId> speculate(const Invocation& inv,
-                                  const EngineApi& api) const {
-    if (!inv.accelerable()) return std::nullopt;  // sticky hash mutates salt_
-    const NodeId best = coverage_pick(inv, api);
-    if (best == kNoNode) return std::nullopt;  // would fall back to the hash
     return best;
   }
 

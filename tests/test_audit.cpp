@@ -1403,7 +1403,7 @@ AuditedLeg run_audited(const chaos::Scenario& sc, bool libra, Plant plant,
   auditor.attach_policy(lp);
   DifferentialLeg leg(auditor, lp, full_sweep, plant, sc.inject,
                       full_sweep ? &keep : nullptr);
-  sim::EngineConfig cfg = sc.engine_config(1);
+  sim::EngineConfig cfg = sc.engine_config();
   cfg.audit_hook = &leg;
   sim::Engine engine(cfg, policy);
   leg.set_engine(&engine);

@@ -2,16 +2,14 @@
 // its roots against a brute-force maximum after every reserve, release and
 // refused reservation; every scheduler against its scan before the index
 // (scheduler_reference.h) on random full, nearly full and partly suspected
-// clusters; and a saturated run whose decisions speculate on four worker
-// threads, so the sanitizers see speculation reading the index.
+// clusters; and a saturated engine run in which the index proves most
+// coverage picks full.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,7 +18,6 @@
 #include "core/libra_policy.h"
 #include "core/predictor.h"
 #include "core/scheduler.h"
-#include "exp/digest.h"
 #include "exp/runner.h"
 #include "sim/engine.h"
 #include "sim/node.h"
@@ -163,7 +160,6 @@ bool compare_picks(Schedulers& s, FleetApi& api, sim::Invocation inv) {
   EXPECT_EQ(fast([&] { return s.sticky.pick(a, api); }),
             s.ref_sticky.pick(b, api));
   EXPECT_EQ(s.sticky.salt(inv.func), s.ref_sticky.salt(inv.func));
-  EXPECT_EQ(s.cov.speculate(inv, api), s.ref_cov.speculate(inv, api));
   EXPECT_EQ(fast([&] { return s.cov.select(a, api); }),
             s.ref_cov.select(b, api));
   EXPECT_EQ(s.cov.sticky().salt(inv.func), s.ref_cov.sticky().salt(inv.func));
@@ -298,63 +294,47 @@ TEST(CapacityIndexScan, NegativeFunctionIdThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Speculation reads the index from worker threads
+// The index inside the engine
 // ---------------------------------------------------------------------------
 
 /// Predicts twice the user CPU allocation, so every invocation is
-/// accelerable and the coverage scheduler decides (and speculates) it.
+/// accelerable and the coverage scheduler decides it.
 class TwiceCpuPredictor final : public core::DemandPredictor {
  public:
   std::string name() const override { return "twice-cpu"; }
   void predict(sim::Invocation& inv) override {
-    inv.pred_demand = demand(inv);
+    inv.pred_demand = {2.0 * inv.user_alloc.cpu, inv.user_alloc.mem};
     inv.pred_duration = 1.0;
     inv.pred_size_related = false;
     inv.first_seen = false;
   }
-  std::optional<sim::PredictionMemo> speculate_predict(
-      const sim::Invocation& inv) const override {
-    sim::PredictionMemo memo;
-    memo.pred_demand = demand(inv);
-    memo.pred_duration = 1.0;
-    return memo;
-  }
   void observe(const core::Observation&) override {}
-
- private:
-  static Resources demand(const sim::Invocation& inv) {
-    return {2.0 * inv.user_alloc.cpu, inv.user_alloc.mem};
-  }
 };
 
-/// A CoverageScheduler that counts, from whichever thread speculates, the
-/// speculations and those whose shard the index proved full.
+/// A CoverageScheduler that counts its picks and those whose shard the
+/// index proved full.
 class CountingCoverage final : public core::SchedulerStrategy {
  public:
   explicit CountingCoverage(const core::PoolStatusProvider* provider)
       : inner_(provider, 0.9) {}
   std::string name() const override { return inner_.name(); }
   NodeId select(sim::Invocation& inv, sim::EngineApi& api) override {
+    ++picks_;
+    if (core::no_node_fits(inv, api)) ++proven_full_;
     return inner_.select(inv, api);
   }
-  std::optional<NodeId> speculate(const sim::Invocation& inv,
-                                  const sim::EngineApi& api) const override {
-    speculations_.fetch_add(1);
-    if (core::no_node_fits(inv, api)) proven_full_.fetch_add(1);
-    return inner_.speculate(inv, api);
-  }
-  long speculations() const { return speculations_.load(); }
-  long proven_full() const { return proven_full_.load(); }
+  long picks() const { return picks_; }
+  long proven_full() const { return proven_full_; }
 
  private:
   core::CoverageScheduler inner_;
-  mutable std::atomic<long> speculations_{0};
-  mutable std::atomic<long> proven_full_{0};
+  long picks_ = 0;
+  long proven_full_ = 0;
 };
 
-/// Libra with the coverage scheduler wired in directly, so its decisions
-/// speculate on the barrier's workers. The provider outlives the run.
-struct SpeculatingLibra {
+/// Libra with the counting coverage scheduler wired in directly. The
+/// provider outlives the run.
+struct CountingLibra {
   struct Provider final : core::PoolStatusProvider {
     const core::LibraPolicy* policy = nullptr;
     const core::PoolStatus& pool_status(NodeId node) const override {
@@ -366,7 +346,7 @@ struct SpeculatingLibra {
       std::make_shared<CountingCoverage>(provider.get());
   std::shared_ptr<core::LibraPolicy> policy;
 
-  SpeculatingLibra() {
+  CountingLibra() {
     policy = std::make_shared<core::LibraPolicy>(
         core::LibraPolicyConfig{}, std::make_shared<TwiceCpuPredictor>(),
         scheduler);
@@ -374,41 +354,20 @@ struct SpeculatingLibra {
   }
 };
 
-struct SaturatedRun {
-  sim::RunMetrics metrics;
-  long speculations = 0;
-  long proven_full = 0;
-};
-
-SaturatedRun run_saturated(int workers) {
+TEST(CapacityIndexEngine, SaturatedRunProvesMostCoveragePicksFull) {
   static const auto catalog = std::make_shared<const sim::FunctionCatalog>(
       workload::sebs_catalog());
-  SpeculatingLibra libra;
-  sim::EngineConfig cfg = exp::jetstream_config(3, 4);
-  cfg.sched_workers = workers;
-  sim::Engine engine(cfg, libra.policy);
+  CountingLibra libra;
+  sim::Engine engine(exp::jetstream_config(3, 4), libra.policy);
   workload::MaterializedSource source(
       workload::burst_trace(*catalog, 300, 11));
-  SaturatedRun run;
-  run.metrics = engine.run(source);
-  run.speculations = libra.scheduler->speculations();
-  run.proven_full = libra.scheduler->proven_full();
-  return run;
-}
-
-TEST(CapacityIndexEngine, SaturatedRunSpeculatesOnFourWorkersLikeOne) {
-  const SaturatedRun one = run_saturated(1);
-  const SaturatedRun four = run_saturated(4);
-  // Saturated: most decisions park. Four workers speculate every decision,
-  // and most speculations end in the index's proof; one worker speculates
-  // nothing (its decisions are plain select_node calls) and lands on the
-  // same digest.
-  EXPECT_EQ(one.metrics.finalized_completed, 300);
-  EXPECT_GT(one.metrics.sched_decisions, 5 * 300);
-  EXPECT_GT(four.proven_full, four.metrics.sched_decisions / 2);
-  EXPECT_EQ(one.speculations, 0);
-  EXPECT_EQ(exp::run_metrics_digest(one.metrics),
-            exp::run_metrics_digest(four.metrics));
+  const sim::RunMetrics metrics = engine.run(source);
+  // Saturated: most decisions park, every decision is a coverage pick, and
+  // most picks end in the index's proof.
+  EXPECT_EQ(metrics.finalized_completed, 300);
+  EXPECT_GT(metrics.sched_decisions, 5 * 300);
+  EXPECT_EQ(libra.scheduler->picks(), metrics.sched_decisions);
+  EXPECT_GT(libra.scheduler->proven_full(), metrics.sched_decisions / 2);
 }
 
 }  // namespace

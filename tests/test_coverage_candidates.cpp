@@ -9,7 +9,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -220,19 +219,21 @@ long max_scored(const FleetApi& api, const sim::Invocation& inv,
   return bound;
 }
 
-/// One invocation decided by the pick and by the full scan, as select and
-/// as speculate; both must agree, and so must the salts the sticky hash
-/// fallback leaves. Counts in `skipped` the picks that left a feasible
-/// view unread.
+/// One invocation decided by the pick and by the full scan; both must
+/// agree, and so must the salts the sticky hash fallback leaves. Counts in
+/// `skipped` the picks that left a feasible view unread.
 void compare(core::CoverageScheduler& cov, reference::Coverage& ref,
              FleetApi& api, const ViewProvider& provider,
              const util::IdBitset* occupied, const sim::Invocation& inv,
              long& skipped) {
   const bool counted = inv.accelerable() && !core::no_node_fits(inv, api);
   const long reads_before = provider.reads + api.view_reads;
-  EXPECT_EQ(cov.speculate(inv, api), ref.speculate(inv, api));
+  sim::Invocation a = inv;
+  sim::Invocation b = inv;
+  EXPECT_EQ(cov.select(a, api), ref.select(b, api));
   if (counted && occupied != nullptr) {
-    // speculate scored once through the pick; the full scan read the rest.
+    // select scored once through the pick, and the reference's full scan
+    // read the rest; the sticky hash fallback reads no view.
     const long full_scan = [&] {
       long feasible = 0;
       for (const sim::Node& node : api.nodes())
@@ -246,9 +247,6 @@ void compare(core::CoverageScheduler& cov, reference::Coverage& ref,
     EXPECT_LE(pick_reads, max_scored(api, inv, *occupied) + 1);
     if (pick_reads < full_scan) ++skipped;
   }
-  sim::Invocation a = inv;
-  sim::Invocation b = inv;
-  EXPECT_EQ(cov.select(a, api), ref.select(b, api));
   EXPECT_EQ(cov.sticky().salt(inv.func), ref.sticky().salt(inv.func));
 }
 
@@ -358,13 +356,14 @@ TEST(CoverageCandidates, AnEmptyViewStopsTheWalkAndOnlyOccupiedViewsFollow) {
   inv.pred_demand = {1.25, 64.0};
   inv.pred_duration = 1.0;
   ASSERT_FALSE(core::no_node_fits(inv, api));
-  EXPECT_EQ(cov.speculate(inv, api), std::optional<NodeId>(7));
+  sim::Invocation a = inv;
+  EXPECT_EQ(cov.select(a, api), 7);
   EXPECT_EQ(provider.reads, 6);
-  EXPECT_EQ(ref.speculate(inv, api), std::optional<NodeId>(7));
+  EXPECT_EQ(ref.select(a, api), 7);
   // Without bits the pick reads every feasible view, like the full scan.
   provider.bits = false;
   provider.reads = 0;
-  EXPECT_EQ(cov.speculate(inv, api), std::optional<NodeId>(7));
+  EXPECT_EQ(cov.select(a, api), 7);
   EXPECT_EQ(provider.reads, 10);
 }
 
@@ -372,7 +371,8 @@ TEST(CoverageCandidates, NaNScoresNeverWinAndTheFloorStillDoes) {
   // An infinite expiry against an infinite window scores NaN on the
   // occupied node 0; the empty node 1 scores the floor and wins, as in the
   // full scan. With node 1 suspected the only feasible score is NaN, so
-  // nothing wins and the sticky hash decides.
+  // nothing wins and the sticky hash decides: both picks land where a
+  // fresh sticky hash does, and advance their salts alike.
   util::Rng rng(5);
   Fleet fleet(3, 1, rng);
   FleetApi api(fleet);
@@ -390,20 +390,25 @@ TEST(CoverageCandidates, NaNScoresNeverWinAndTheFloorStillDoes) {
   inv.user_alloc = {0.25, 64.0};
   inv.pred_demand = {1.25, 64.0};
   inv.pred_duration = kInf;
-  EXPECT_EQ(cov.speculate(inv, api), std::optional<NodeId>(1));
-  EXPECT_EQ(ref.speculate(inv, api), std::optional<NodeId>(1));
+  sim::Invocation a = inv;
+  EXPECT_EQ(cov.select(a, api), 1);
+  EXPECT_EQ(ref.select(a, api), 1);
   api.set_suspected(1, true);
-  EXPECT_EQ(cov.speculate(inv, api), std::nullopt);
-  EXPECT_EQ(ref.speculate(inv, api), std::nullopt);
+  core::StickyHashState fresh;
+  sim::Invocation b = inv;
+  const NodeId hashed = fresh.pick(b, api);
+  EXPECT_EQ(cov.select(a, api), hashed);
+  EXPECT_EQ(ref.select(a, api), hashed);
+  EXPECT_EQ(cov.sticky().salt(inv.func), fresh.salt(inv.func));
+  EXPECT_EQ(ref.sticky().salt(inv.func), fresh.salt(inv.func));
 }
 
 // ---------------------------------------------------------------------------
 // Libra wired to each pick, on fuzzer scenarios
 // ---------------------------------------------------------------------------
 
-/// The full scan as Libra's scheduling strategy. Like the shipped wiring
-/// (LibraPolicy::with_coverage_scheduler) it never speculates, and its
-/// provider reads the policy's snapshots without their occupancy bits.
+/// The full scan as Libra's scheduling strategy. Its provider reads the
+/// policy's snapshots without their occupancy bits.
 class ReferenceCoverageStrategy final : public core::SchedulerStrategy {
  public:
   struct Provider final : core::PoolStatusProvider {
@@ -456,7 +461,7 @@ uint64_t run_libra(const chaos::Scenario& sc, bool reference) {
     policy->set_tenant_quota(tenant, cap);
   analysis::InvariantAuditor auditor({/*every_n=*/64});
   auditor.attach_policy(policy.get());
-  sim::EngineConfig cfg = sc.engine_config(1);
+  sim::EngineConfig cfg = sc.engine_config();
   cfg.audit_hook = &auditor;
   sim::Engine engine(cfg, policy);
   workload::MaterializedSource materialized(std::move(trace));

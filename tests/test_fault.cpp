@@ -112,6 +112,19 @@ TEST(EngineValidation, RejectsBadConfigurations) {
   EXPECT_THROW(Engine(badplan, policy), std::invalid_argument);
 }
 
+TEST(EngineValidation, SchedWorkersMustBeOne) {
+  // The engine decides on one thread; any other worker count is an error,
+  // not a request the engine quietly ignores.
+  EngineConfig cfg;
+  cfg.node_capacities = {Resources{8, 8192}};
+  for (const int workers : {0, 2, 4}) {
+    cfg.sched_workers = workers;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << workers;
+  }
+  cfg.sched_workers = 1;
+  EXPECT_NO_THROW(cfg.validate());
+}
+
 TEST(EngineValidation, RejectsUnsortedTrace) {
   EngineConfig cfg;
   cfg.node_capacities = {Resources{8, 8192}};

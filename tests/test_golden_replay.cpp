@@ -1,8 +1,8 @@
 // Golden-replay guard for the Cluster / Lifecycle / Controller decomposition:
-// proves that the barrier-batched, speculate-then-commit sharded controller
-// produces BIT-IDENTICAL RunMetrics to the pre-refactor monolithic engine,
-// with 1 worker and with 4 workers, across baselines, Libra and Libra+Trust
-// platforms and the order-dependent baseline schedulers.
+// proves that the barrier-batched sharded controller produces BIT-IDENTICAL
+// RunMetrics to the pre-refactor monolithic engine, with 1 and with 4
+// front-end controllers, across baselines, Libra and Libra+Trust platforms
+// and the order-dependent baseline schedulers.
 //
 // The pinned constants (tests/golden_cases.h) were captured from the
 // monolithic engine (commit 54422fc, before the decomposition) at the
@@ -23,7 +23,6 @@
 // diff is exactly the ordering fix.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
@@ -42,11 +41,9 @@ namespace {
 using golden::GoldenCase;
 
 // Builds the scenario fresh on every call: policies are stateful, so each
-// (scenario, worker-count, controller-count) run needs its own instance.
-uint64_t run_scenario(const std::string& name, int sched_workers,
-                      int controllers = 1) {
+// (scenario, controller-count) run needs its own instance.
+uint64_t run_scenario(const std::string& name, int controllers = 1) {
   auto s = golden::build_scenario(name);
-  s.cfg.sched_workers = sched_workers;
   s.cfg.control.num_controllers = controllers;
   const auto metrics = exp::run_experiment(s.cfg, s.policy, std::move(s.trace));
   return exp::run_metrics_digest(metrics);
@@ -56,41 +53,23 @@ class GoldenReplay : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenReplay, OneWorkerMatchesPreRefactorEngine) {
   const auto& c = GetParam();
-  EXPECT_EQ(exp::digest_hex(run_scenario(c.name, 1)),
+  EXPECT_EQ(exp::digest_hex(run_scenario(c.name)),
             exp::digest_hex(c.digest))
-      << "scenario " << c.name << " diverged from the pre-refactor engine "
-      << "with sched_workers=1";
-}
-
-TEST_P(GoldenReplay, FourWorkersMatchPreRefactorEngine) {
-  const auto& c = GetParam();
-  EXPECT_EQ(exp::digest_hex(run_scenario(c.name, 4)),
-            exp::digest_hex(c.digest))
-      << "scenario " << c.name << " diverged from the pre-refactor engine "
-      << "with sched_workers=4 — the parallel speculate/commit merge must be "
-      << "order-independent";
+      << "scenario " << c.name << " diverged from the pre-refactor engine";
 }
 
 // Multi-controller digest identity (DESIGN.md §5k): with pass-through gossip
 // and full fan-out, every controller's pool-view cache equals the policy's
 // own piggybacked snapshot at all times, so sharding the catalog across four
 // front ends — with work stealing enabled — must still reproduce the
-// pre-refactor digests bit-for-bit, serial and parallel.
+// pre-refactor digests bit-for-bit.
 TEST_P(GoldenReplay, FourControllersOneWorkerMatchPreRefactorEngine) {
   const auto& c = GetParam();
-  EXPECT_EQ(exp::digest_hex(run_scenario(c.name, 1, /*controllers=*/4)),
+  EXPECT_EQ(exp::digest_hex(run_scenario(c.name, /*controllers=*/4)),
             exp::digest_hex(c.digest))
       << "scenario " << c.name << " diverged from the pre-refactor engine "
       << "with 4 controllers — catalog sharding, gossip caches or work "
       << "stealing leaked into engine behaviour";
-}
-
-TEST_P(GoldenReplay, FourControllersFourWorkersMatchPreRefactorEngine) {
-  const auto& c = GetParam();
-  EXPECT_EQ(exp::digest_hex(run_scenario(c.name, 4, /*controllers=*/4)),
-            exp::digest_hex(c.digest))
-      << "scenario " << c.name << " diverged from the pre-refactor engine "
-      << "with 4 controllers and 4 sched workers";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllScenarios, GoldenReplay,
@@ -102,14 +81,14 @@ INSTANTIATE_TEST_SUITE_P(AllScenarios, GoldenReplay,
 // The digest itself must be stable across identical runs (no iteration-order
 // or address-dependent leakage into the hash).
 TEST(GoldenReplayDigest, DeterministicAcrossIdenticalRuns) {
-  EXPECT_EQ(run_scenario("libra", 1), run_scenario("libra", 1));
+  EXPECT_EQ(run_scenario("libra"), run_scenario("libra"));
 }
 
-/// Forwards every Policy hook to the wrapped policy and counts the
-/// speculative calls, from whichever thread makes them.
-class SpeculationCounter final : public sim::Policy {
+/// Forwards every Policy hook to the wrapped policy and counts the calls
+/// to the four hooks sim::Policy keeps only as inert pins.
+class PinnedHookCounter final : public sim::Policy {
  public:
-  explicit SpeculationCounter(std::shared_ptr<sim::Policy> inner)
+  explicit PinnedHookCounter(std::shared_ptr<sim::Policy> inner)
       : inner_(std::move(inner)) {}
 
   std::string name() const override { return inner_->name(); }
@@ -117,11 +96,12 @@ class SpeculationCounter final : public sim::Policy {
   void predict(sim::Invocation& inv) override { inner_->predict(inv); }
   std::optional<sim::PredictionMemo> speculate_predict(
       const sim::Invocation& inv) const override {
-    predict_speculations_.fetch_add(1);
+    ++calls_;
     return inner_->speculate_predict(inv);
   }
   void commit_predict(sim::Invocation& inv,
                       const sim::PredictionMemo& memo) override {
+    ++calls_;
     inner_->commit_predict(inv, memo);
   }
   sim::NodeId select_node(sim::Invocation& inv, sim::EngineApi& api) override {
@@ -129,10 +109,11 @@ class SpeculationCounter final : public sim::Policy {
   }
   std::optional<sim::NodeId> speculate_select(
       const sim::Invocation& inv, const sim::EngineApi& api) const override {
-    select_speculations_.fetch_add(1);
+    ++calls_;
     return inner_->speculate_select(inv, api);
   }
   void commit_select(sim::Invocation& inv, sim::EngineApi& api) override {
+    ++calls_;
     inner_->commit_select(inv, api);
   }
   sim::AllocationPlan plan_allocation(sim::Invocation& inv,
@@ -171,46 +152,28 @@ class SpeculationCounter final : public sim::Policy {
     inner_->on_finalized(inv);
   }
 
-  long predict_speculations() const { return predict_speculations_.load(); }
-  long select_speculations() const { return select_speculations_.load(); }
+  long calls() const { return calls_; }
 
  private:
   std::shared_ptr<sim::Policy> inner_;
-  mutable std::atomic<long> predict_speculations_{0};
-  mutable std::atomic<long> select_speculations_{0};
+  mutable long calls_ = 0;
 };
 
-struct CountedRun {
-  uint64_t digest = 0;
-  long predict_speculations = 0;
-  long select_speculations = 0;
-};
-
-CountedRun run_counted(const std::string& name, int sched_workers) {
-  auto s = golden::build_scenario(name);
-  s.cfg.sched_workers = sched_workers;
-  auto counter = std::make_shared<SpeculationCounter>(s.policy);
-  const auto metrics = exp::run_experiment(s.cfg, counter, std::move(s.trace));
-  return {exp::run_metrics_digest(metrics), counter->predict_speculations(),
-          counter->select_speculations()};
-}
-
-// One worker decides and predicts serially: the barriers call neither
-// speculate hook. Four workers speculate every decision and prediction of
-// the same scenario (Libra without trust answers trained predictions), and
-// both runs land on the pinned digest.
-TEST(SerialDecisionPath, OneWorkerNeverSpeculatesAndMatchesFourWorkers) {
-  uint64_t pinned = 0;
-  for (const auto& e : golden::kGoldenEntries)
-    if (e.name == "libra") pinned = e.digest;
-  const CountedRun one = run_counted("libra", 1);
-  const CountedRun four = run_counted("libra", 4);
-  EXPECT_EQ(one.select_speculations, 0);
-  EXPECT_EQ(one.predict_speculations, 0);
-  EXPECT_GT(four.select_speculations, 0);
-  EXPECT_GT(four.predict_speculations, 0);
-  EXPECT_EQ(exp::digest_hex(one.digest), exp::digest_hex(four.digest));
-  EXPECT_EQ(exp::digest_hex(one.digest), exp::digest_hex(pinned));
+// Every decision is a select_node and every prediction a predict: no golden
+// scenario reaches a pinned hook, and each lands on its pinned digest
+// through the counting wrapper.
+TEST(SerialDecisionPath, GoldenScenariosCallNoPinnedHookAndKeepTheirDigests) {
+  for (const auto& e : golden::kGoldenEntries) {
+    const std::string name(e.name);
+    auto s = golden::build_scenario(name);
+    auto counter = std::make_shared<PinnedHookCounter>(s.policy);
+    const auto metrics =
+        exp::run_experiment(s.cfg, counter, std::move(s.trace));
+    EXPECT_EQ(counter->calls(), 0) << name;
+    EXPECT_EQ(exp::digest_hex(exp::run_metrics_digest(metrics)),
+              exp::digest_hex(e.digest))
+        << name;
+  }
 }
 
 }  // namespace

@@ -54,6 +54,37 @@ TEST(LintNondeterminism, FiresOnEverySource) {
   EXPECT_EQ(count_of(fs, Check::kBadSuppression, false), 0);
 }
 
+TEST(LintNondeterminism, FiresOnThreadsAndAsyncButNotOnStaticQueries) {
+  const std::string content =
+      "#include <future>\n"
+      "#include <thread>\n"
+      "void fan_out(std::vector<int>& out) {\n"
+      "  std::thread t([] {});\n"
+      "  std::vector<std::jthread> helpers;\n"
+      "  auto f = std::async([] { return 1; });\n"
+      "  out.push_back(std::thread::hardware_concurrency());\n"
+      "  // LIBRA_LINT_ALLOW(nondeterminism-source): joined before return\n"
+      "  std::jthread allowed([] {});\n"
+      "}\n";
+  LintOptions opt;
+  opt.checks.push_back(Check::kNondeterminismSource);
+  const auto fs =
+      analyze_content("src/sim/fan_out.cpp", content, opt, nullptr);
+  // std::thread, std::jthread and std::async on lines 4-6; the static
+  // member query on line 7 starts no thread; line 9 is suppressed.
+  EXPECT_EQ(count_of(fs, Check::kNondeterminismSource, false), 3);
+  EXPECT_EQ(count_of(fs, Check::kNondeterminismSource, true), 1);
+  for (const auto& f : fs) {
+    EXPECT_NE(f.line, 7);
+    if (!f.suppressed) {
+      EXPECT_GE(f.line, 4);
+      EXPECT_LE(f.line, 6);
+    }
+  }
+  EXPECT_TRUE(
+      analyze_content("src/exp/fan_out.cpp", content, opt, nullptr).empty());
+}
+
 TEST(LintNondeterminism, CleanOnSeededRngAndSimClock) {
   const auto fs = run_fixture("nondet_clean.cpp", "src/sim/nondet_clean.cpp",
                               Check::kNondeterminismSource);

@@ -5,10 +5,8 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/profiler.h"
@@ -222,39 +220,6 @@ void expect_same_memo(const sim::PredictionMemo& got,
   EXPECT_EQ(got.pred_size_related, want.pred_size_related) << "size " << size;
   EXPECT_EQ(got.first_seen, want.first_seen) << "size " << size;
   EXPECT_EQ(got.profiling_probe, want.profiling_probe) << "size " << size;
-}
-
-TEST_F(ProfilerTest, ConcurrentSpeculatePredictMatchesSerial) {
-  // The prediction barrier's pattern (§5l): worker threads read the trained
-  // models — breakpoint tables and sorted histogram samples — at once, each
-  // filling its own pre-sized memo slots.
-  profiler_->prewarm(*catalog_, 1234, 40);
-  util::Rng rng(11);
-  std::vector<Invocation> invs;
-  for (int i = 0; i < 400; ++i) {
-    const int func = i % 10;
-    invs.push_back(workload::make_invocation(
-        *catalog_, i, func, catalog_->at(func).sample_input(rng), 0.0));
-  }
-  std::vector<sim::PredictionMemo> serial;
-  for (const auto& inv : invs) {
-    const auto memo = profiler_->speculate_predict(inv);
-    ASSERT_TRUE(memo.has_value());
-    serial.push_back(*memo);
-  }
-  constexpr size_t kThreads = 4;
-  std::vector<std::optional<sim::PredictionMemo>> parallel(invs.size());
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] {
-      for (size_t i = t; i < invs.size(); i += kThreads)
-        parallel[i] = profiler_->speculate_predict(invs[i]);
-    });
-  for (auto& thread : threads) thread.join();
-  for (size_t i = 0; i < invs.size(); ++i) {
-    ASSERT_TRUE(parallel[i].has_value()) << i;
-    expect_same_memo(*parallel[i], serial[i], invs[i].input.size);
-  }
 }
 
 SizeModels fit_size_models(uint64_t seed, double mem_class_mb) {

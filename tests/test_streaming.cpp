@@ -1,8 +1,8 @@
-// Recycling and worker-count guard for the engine's run path: the golden
-// scenarios pulled through the source overload of exp::run_experiment must
-// reproduce the pinned replay digests BIT-FOR-BIT (the constants of
-// tests/test_golden_replay.cpp, shared via tests/golden_cases.h), with 1 and
-// 4 scheduler workers, with and without invocation-record recycling. Also
+// Recycling guard for the engine's run path: the golden scenarios pulled
+// through the source overload of exp::run_experiment must reproduce the
+// pinned replay digests BIT-FOR-BIT (the constants of
+// tests/test_golden_replay.cpp, shared via tests/golden_cases.h), with and
+// without invocation-record recycling. Also
 // checks the sketch-backed sink mode (retain_records off): its aggregates
 // must match the retained records, and live memory must track the in-flight
 // count.
@@ -27,10 +27,8 @@
 namespace libra {
 namespace {
 
-uint64_t run_streamed(const std::string& name, int sched_workers,
-                      bool recycle) {
+uint64_t run_streamed(const std::string& name, bool recycle) {
   auto s = golden::build_scenario(name);
-  s.cfg.sched_workers = sched_workers;
   s.cfg.recycle_records = recycle;
   workload::MaterializedSource source(std::move(s.trace));
   const auto metrics = exp::run_experiment(s.cfg, s.policy, source);
@@ -41,36 +39,17 @@ class StreamingGolden : public ::testing::TestWithParam<golden::GoldenCase> {};
 
 TEST_P(StreamingGolden, OneWorkerMatchesGoldenDigest) {
   const auto& c = GetParam();
-  EXPECT_EQ(exp::digest_hex(run_streamed(c.name, 1, false)),
+  EXPECT_EQ(exp::digest_hex(run_streamed(c.name, false)),
             exp::digest_hex(c.digest))
       << "the run path diverged from the pinned golden digest for "
       << c.name;
-}
-
-TEST_P(StreamingGolden, FourWorkersMatchGoldenDigest) {
-  const auto& c = GetParam();
-  EXPECT_EQ(exp::digest_hex(run_streamed(c.name, 4, false)),
-            exp::digest_hex(c.digest))
-      << "the run path diverged from the pinned golden digest for "
-      << c.name << " with sched_workers=4";
 }
 
 TEST_P(StreamingGolden, RecyclingPreservesGoldenDigest) {
   const auto& c = GetParam();
-  EXPECT_EQ(exp::digest_hex(run_streamed(c.name, 1, true)),
+  EXPECT_EQ(exp::digest_hex(run_streamed(c.name, true)),
             exp::digest_hex(c.digest))
       << "record recycling perturbed the replay for " << c.name;
-}
-
-TEST_P(StreamingGolden, RecyclingWithFourWorkersPreservesGoldenDigest) {
-  // Slot recycling and the parallel speculate/commit barriers must compose:
-  // a recycled slab slot re-used mid-run cannot leak stale state into the
-  // flat store's lookups or the prediction barrier's memo pass.
-  const auto& c = GetParam();
-  EXPECT_EQ(exp::digest_hex(run_streamed(c.name, 4, true)),
-            exp::digest_hex(c.digest))
-      << "record recycling + 4 sched workers perturbed the replay for "
-      << c.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllScenarios, StreamingGolden,
@@ -144,24 +123,21 @@ TEST(Streaming, RecyclingKeepsLiveRecordsBelowTraceLength) {
 
 // ---------------- synthetic source end-to-end ----------------
 
-TEST(Streaming, SyntheticSourceIsDeterministicAcrossWorkerCounts) {
+TEST(Streaming, SyntheticSourceReplaysBitIdenticallyFromTheSameSeed) {
   gen::GenConfig gcfg;
   gcfg.functions = 200;
   gcfg.rpm = 3000.0;
   gcfg.duration = 60.0;
   gcfg.seed = 99;
-  const auto run = [&](int workers) {
+  const auto run = [&] {
     auto catalog = std::make_shared<const sim::FunctionCatalog>(
         gen::synthetic_catalog(gcfg));
     gen::SyntheticSource source(gcfg, catalog);
-    auto cfg = exp::jetstream_config(8, 4);
-    cfg.sched_workers = workers;
     auto policy = exp::make_platform(exp::PlatformKind::kDefault, catalog);
-    return exp::run_metrics_digest(exp::run_experiment(cfg, policy, source));
+    return exp::run_metrics_digest(
+        exp::run_experiment(exp::jetstream_config(8, 4), policy, source));
   };
-  const uint64_t one = run(1);
-  EXPECT_EQ(one, run(1)) << "same seed must replay bit-identically";
-  EXPECT_EQ(one, run(4)) << "worker count must not perturb the replay";
+  EXPECT_EQ(run(), run()) << "same seed must replay bit-identically";
 }
 
 }  // namespace

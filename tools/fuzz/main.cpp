@@ -5,9 +5,9 @@
 //   libra_fuzz --replay FILE
 //
 // Fuzz mode generates N random-but-valid scenarios from the seed and runs
-// the differential oracle on each (digest identity across sched_workers 1
-// vs 4, invariant-auditor cleanliness, retry/loss accounting, cross-platform
-// goodput sanity). The first failure is greedily shrunk, serialized as a
+// the differential oracle on each (digest identity across 1 vs controllers_b
+// front-end controllers, invariant-auditor cleanliness, retry/loss
+// accounting, cross-platform goodput sanity). The first failure is greedily shrunk, serialized as a
 // repro artifact, and the artifact is re-parsed and re-checked to prove it
 // replays to the same failure class; exit code 1.
 //

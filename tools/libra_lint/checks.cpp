@@ -91,6 +91,7 @@ void check_nondeterminism(const std::string& rule_path, const Tokens& toks,
       "clock_gettime", "localtime", "gmtime"};
   static const std::set<std::string> kClocks = {
       "system_clock", "steady_clock", "high_resolution_clock"};
+  static const std::set<std::string> kThreads = {"thread", "jthread", "async"};
   for (size_t i = 0; i < toks.size(); ++i) {
     const Token& t = toks[i];
     if (t.kind != TokKind::kIdent) continue;
@@ -112,6 +113,22 @@ void check_nondeterminism(const std::string& rule_path, const Tokens& toks,
       out->push_back({Check::kNondeterminismSource, rule_path, t.line,
                       "std::random_device in the sim core: use util::Rng "
                       "forked from the run seed",
+                      false,
+                      {}});
+      continue;
+    }
+    // The engine runs on one thread, the event loop, and a thread started
+    // in the sim core would race it. A static member such as
+    // std::thread::hardware_concurrency() starts none.
+    const bool std_qualified =
+        qualified && i > 1 && toks[i - 2].text == "std";
+    const bool scope = i + 1 < toks.size() && toks[i + 1].text == "::";
+    if (kThreads.count(t.text) && std_qualified && !scope) {
+      out->push_back({Check::kNondeterminismSource, rule_path, t.line,
+                      "'std::" + t.text +
+                          "' in the sim core: the engine runs on one "
+                          "thread, the event loop; parallel work needs a "
+                          "reasoned ALLOW",
                       false,
                       {}});
       continue;

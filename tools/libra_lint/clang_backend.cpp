@@ -7,7 +7,11 @@
 //   nondeterminism-source   calls to banned libc/std functions, any
 //                           ::now() on system/steady clocks (including via
 //                           the high_resolution_clock alias), std::random_
-//                           device uses, std::hash<T*> specializations.
+//                           device uses, std::hash<T*> specializations,
+//                           std::thread / std::jthread spelled as a type
+//                           (not as the scope of a static member, as in
+//                           std::thread::hardware_concurrency()), calls to
+//                           std::async.
 //   unordered-iteration     range-for or .begin()/.cbegin() where the
 //                           operand's CANONICAL type is an unordered
 //                           container — catches `auto& m = host.map();`.
@@ -216,6 +220,32 @@ class Matchers {
                      "and must never order or key anything");
         });
 
+    const auto thread_record =
+        am::cxxRecordDecl(am::hasAnyName("::std::thread", "::std::jthread"));
+    add(finder,
+        am::typeLoc(am::loc(am::qualType(am::hasDeclaration(thread_record))),
+                    am::unless(am::hasParent(am::nestedNameSpecifierLoc())))
+            .bind("x"),
+        [this](const MatchFinder::MatchResult& r) {
+          const auto* t = r.Nodes.getNodeAs<clang::TypeLoc>("x");
+          sink_->add(Check::kNondeterminismSource, t->getBeginLoc(),
+                     *r.SourceManager,
+                     "std::thread / std::jthread in the sim core; the engine "
+                     "runs on one thread, the event loop, so parallel work "
+                     "needs a reasoned ALLOW");
+        });
+    add(finder,
+        am::callExpr(am::callee(am::functionDecl(am::hasName("::std::async"))))
+            .bind("x"),
+        [this](const MatchFinder::MatchResult& r) {
+          const auto* e = r.Nodes.getNodeAs<clang::CallExpr>("x");
+          sink_->add(Check::kNondeterminismSource, e->getBeginLoc(),
+                     *r.SourceManager,
+                     "std::async in the sim core; the engine runs on one "
+                     "thread, the event loop, so parallel work needs a "
+                     "reasoned ALLOW");
+        });
+
     // ---- unordered-iteration ----
     add(finder, am::cxxForRangeStmt().bind("x"),
         [this](const MatchFinder::MatchResult& r) {
@@ -299,6 +329,11 @@ class Matchers {
     finder->addMatcher(m, callbacks_.back().get());
   }
   void add(MatchFinder* finder, const am::DeclarationMatcher& m,
+           Callback::Fn fn) {
+    callbacks_.push_back(std::make_unique<Callback>(std::move(fn)));
+    finder->addMatcher(m, callbacks_.back().get());
+  }
+  void add(MatchFinder* finder, const am::TypeLocMatcher& m,
            Callback::Fn fn) {
     callbacks_.push_back(std::make_unique<Callback>(std::move(fn)));
     finder->addMatcher(m, callbacks_.back().get());

@@ -3,9 +3,11 @@
 // the conservation ledger rely on:
 //
 //   nondeterminism-source   no std::rand / std::random_device / wall clocks /
-//                           getenv / pointer-value hashing in the sim core
+//                           getenv / pointer-value hashing / std::thread /
+//                           std::jthread / std::async in the sim core
 //                           (src/sim|core|gen|workload); all randomness flows
-//                           through util::Rng's forked seeded substreams.
+//                           through util::Rng's forked seeded substreams,
+//                           and the engine runs on one thread.
 //   unordered-iteration     no range-for / iterator walks over
 //                           std::unordered_{map,set} anywhere in src/ without
 //                           either a sorted snapshot or an explicit ALLOW —
