@@ -9,11 +9,7 @@
 // machinery; DESIGN.md documents the substitution.
 #pragma once
 
-#include <memory>
-
-#include "baselines/schedulers.h"
 #include "core/libra_policy.h"
-#include "core/window_predictors.h"
 
 namespace libra::baselines {
 
@@ -28,12 +24,6 @@ inline core::LibraPolicyConfig freyr_config() {
   cfg.preemptive_release_on_safeguard = false;
   cfg.runtime_backfill = false;
   return cfg;
-}
-
-inline std::shared_ptr<core::LibraPolicy> make_freyr_policy() {
-  return std::make_shared<core::LibraPolicy>(
-      freyr_config(), std::make_shared<core::EwmaPredictor>(0.3),
-      std::make_shared<HashScheduler>());
 }
 
 }  // namespace libra::baselines

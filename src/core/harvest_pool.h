@@ -175,7 +175,6 @@ class HarvestResourcePool {
   /// Tags the pool with the worker node that owns it, so PoolEvents carry a
   /// node id (the pool itself never needs it). Set once during setup.
   void set_node_hint(sim::NodeId node) { node_hint_ = node; }
-  sim::NodeId node_hint() const { return node_hint_; }
 
   /// Registers (or replaces) a hard cap on `tenant`'s concurrently borrowed
   /// volume from this pool. Enforced at get() time and audited after every

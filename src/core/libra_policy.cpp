@@ -33,33 +33,13 @@ LibraPolicy::LibraPolicy(LibraPolicyConfig cfg, PredictorPtr predictor,
 
 std::shared_ptr<LibraPolicy> LibraPolicy::with_coverage_scheduler(
     LibraPolicyConfig cfg, PredictorPtr predictor) {
-  // Two-phase wiring: the scheduler needs the policy as its status provider.
-  struct LatePolicyProvider final : PoolStatusProvider {
-    const LibraPolicy* policy = nullptr;
-    const PoolStatus& pool_status(NodeId node) const override {
-      static const PoolStatus kEmpty;
-      return policy ? policy->pool_status(node) : kEmpty;
-    }
-    const util::IdBitset* occupied_views() const override {
-      return policy ? policy->occupied_views() : nullptr;
-    }
-  };
-  auto provider = std::make_shared<LatePolicyProvider>();
-  struct ProviderKeepAlive final : SchedulerStrategy {
-    std::shared_ptr<LatePolicyProvider> provider;
-    CoverageScheduler inner;
-    ProviderKeepAlive(std::shared_ptr<LatePolicyProvider> p, double alpha)
-        : provider(std::move(p)), inner(provider.get(), alpha) {}
-    std::string name() const override { return inner.name(); }
-    NodeId select(Invocation& inv, EngineApi& api) override {
-      return inner.select(inv, api);
-    }
-  };
+  // The scheduler reads the policy's snapshots, so it binds the policy as
+  // its status provider once the policy exists.
   auto scheduler =
-      std::make_shared<ProviderKeepAlive>(provider, cfg.coverage_alpha);
+      std::make_shared<CoverageScheduler>(nullptr, cfg.coverage_alpha);
   auto policy = std::make_shared<LibraPolicy>(cfg, std::move(predictor),
                                               scheduler);
-  provider->policy = policy.get();
+  scheduler->bind(policy.get());
   return policy;
 }
 

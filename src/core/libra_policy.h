@@ -40,7 +40,7 @@ struct LibraPolicyConfig {
   /// Never harvest memory below this floor (OOM mitigation #1, §5.1).
   double min_mem_floor = 128.0;
   /// Never harvest CPU below this many cores.
-  double min_cpu_floor = 0.5;
+  static constexpr double min_cpu_floor = 0.5;
   /// Timeliness-aware pool ordering (§5.1 priority); false models Freyr.
   bool timeliness_aware_pool = true;
   /// Memory grants only from entries outliving the borrower's predicted
@@ -51,7 +51,7 @@ struct LibraPolicyConfig {
   bool preemptive_release_on_safeguard = true;
   /// OOM mitigation #3: stop harvesting memory from a function after this
   /// many memory-safeguard strikes.
-  int max_mem_safeguard_strikes = 3;
+  static constexpr int max_mem_safeguard_strikes = 3;
   /// Weight of CPU coverage in the weighted demand coverage (§6.2).
   double coverage_alpha = 0.9;
   /// Runtime backfill: on every health ping, running under-provisioned

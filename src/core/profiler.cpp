@@ -55,18 +55,6 @@ void ProfilerConfig::validate() const {
         std::to_string(profiling_window));
   check_percentile(peak_percentile, "peak_percentile");
   check_percentile(duration_percentile, "duration_percentile");
-  if (accuracy_threshold < 0.0 || accuracy_threshold > 1.0 ||
-      r2_threshold > 1.0)
-    throw std::invalid_argument(
-        "ProfilerConfig: relatedness thresholds outside their ranges");
-  if (profiling_max.cpu <= 0.0 || profiling_max.mem <= 0.0)
-    throw std::invalid_argument(
-        "ProfilerConfig: profiling_max must be positive, got " +
-        profiling_max.to_string());
-  if (mem_class_mb <= 0.0)
-    throw std::invalid_argument(
-        "ProfilerConfig: mem_class_mb must be positive, got " +
-        std::to_string(mem_class_mb));
   if (force_ml && force_histogram)
     throw std::invalid_argument(
         "ProfilerConfig: force_ml and force_histogram are mutually exclusive");

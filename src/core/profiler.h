@@ -35,17 +35,17 @@ struct ProfilerConfig {
   double scale_hi = 100.0;
   double train_fraction = 0.7;  // 7:3 split
   /// Relatedness thresholds on held-out metrics (§8.6 suggests ~0.9).
-  double accuracy_threshold = 0.8;
-  double r2_threshold = 0.8;
+  static constexpr double accuracy_threshold = 0.8;
+  static constexpr double r2_threshold = 0.8;
   /// Histogram profiling window (invocations served at max allocation).
   int profiling_window = 6;
   /// Percentiles for black-box estimation (§4.3.2, after [36]).
   double peak_percentile = 99.0;
   double duration_percentile = 5.0;
   /// Platform-wide maximum allocation used for probing black boxes.
-  sim::Resources profiling_max{8.0, 2048.0};
+  static constexpr sim::Resources profiling_max{8.0, 2048.0};
   /// Memory-peak class width (MB) for the classification formulation.
-  double mem_class_mb = 256.0;
+  static constexpr double mem_class_mb = 256.0;
   /// Force one model family (Fig. 13(a) ablations).
   bool force_ml = false;
   bool force_histogram = false;
@@ -55,8 +55,7 @@ struct ProfilerConfig {
   /// Throws std::invalid_argument on nonsensical configurations instead of
   /// letting them corrupt training downstream: inverted rescale range,
   /// train_fraction outside (0,1), non-positive duplicates/profiling_window,
-  /// percentiles outside [0,100], non-positive profiling_max/mem_class_mb,
-  /// or force_ml together with force_histogram.
+  /// percentiles outside [0,100], or force_ml together with force_histogram.
   void validate() const;
 };
 

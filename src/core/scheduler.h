@@ -75,6 +75,10 @@ class CoverageScheduler final : public SchedulerStrategy {
   std::string name() const override { return "libra-coverage"; }
   sim::NodeId select(sim::Invocation& inv, sim::EngineApi& api) override;
 
+  /// Replaces the status provider. A policy that owns this scheduler is
+  /// also its provider, so it binds itself once it exists.
+  void bind(const PoolStatusProvider* provider) { provider_ = provider; }
+
   double alpha() const { return alpha_; }
   /// The sticky hash the non-accelerable and no-coverage paths fall back to.
   const StickyHashState& sticky() const { return hash_; }

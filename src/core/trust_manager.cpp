@@ -33,7 +33,7 @@ void TrustConfig::validate() const {
     throw std::invalid_argument(
         "TrustConfig: error_quantile = " + std::to_string(error_quantile) +
         " outside [0, 100]");
-  if (margin_min < 0.0 || margin_max <= 0.0 || margin_min >= margin_max)
+  if (margin_min < 0.0 || margin_min >= margin_max)
     throw std::invalid_argument(
         "TrustConfig: margin clamp must satisfy 0 <= margin_min < margin_max, "
         "got [" +

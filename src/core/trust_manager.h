@@ -49,7 +49,7 @@ struct TrustConfig {
   double error_quantile = 95.0;
   /// Harvest-margin clamp and the per-strike widening boost.
   double margin_min = 0.15;
-  double margin_max = 1.0;
+  static constexpr double margin_max = 1.0;
   double margin_strike_boost = 0.25;
   /// Seconds for the strike boost to halve.
   double margin_decay_halflife = 120.0;

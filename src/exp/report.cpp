@@ -9,17 +9,9 @@ namespace libra::exp {
 
 using util::Table;
 
-QuantileEvaluator::QuantileEvaluator(std::vector<double> samples,
-                                     size_t exact_threshold)
-    : count_(samples.size()) {
-  if (count_ > exact_threshold) {
-    sketch_ = std::make_unique<obs::LogHistogram>(
-        obs::LogHistogram::Options{/*min_positive=*/1e-6});
-    for (double x : samples) sketch_->record(x);
-  } else {
-    sorted_ = std::move(samples);
-    std::sort(sorted_.begin(), sorted_.end());
-  }
+QuantileEvaluator::QuantileEvaluator(std::vector<double> samples)
+    : sorted_(std::move(samples)), count_(sorted_.size()) {
+  std::sort(sorted_.begin(), sorted_.end());
 }
 
 QuantileEvaluator::QuantileEvaluator(const obs::LogHistogram& hist)

@@ -16,19 +16,15 @@ namespace libra::exp {
 
 /// Quantile evaluator behind the CDF tables. util::percentile sorts its
 /// input on every call, so a 10-row CDF table used to sort the same sample
-/// vector 10 times per run. This evaluator sorts ONCE and interpolates
-/// exactly (bit-identical to util::percentile) for sample sets up to
-/// `exact_threshold`; beyond the threshold it switches to an
-/// obs::LogHistogram sketch, making huge-run tables O(n) instead of
-/// O(q * n log n). No shipped bench exceeds the default threshold, so table
-/// output is unchanged; the sketch is an escape hatch for very long traces
-/// (negative samples land in the underflow bucket and report as 0).
+/// vector 10 times per run. Over a sample vector this evaluator sorts ONCE
+/// and interpolates exactly (bit-identical to util::percentile). Over an
+/// obs::LogHistogram (streaming runs, where the samples never existed as a
+/// vector) it answers from the sketch: within one growth factor of the
+/// exact value for positive samples; negative samples land in the
+/// underflow bucket and report as 0.
 class QuantileEvaluator {
  public:
-  static constexpr size_t kDefaultExactThreshold = 65536;
-
-  explicit QuantileEvaluator(std::vector<double> samples,
-                             size_t exact_threshold = kDefaultExactThreshold);
+  explicit QuantileEvaluator(std::vector<double> samples);
 
   /// Sketch-mode evaluator over an already-built histogram (streaming runs:
   /// see exp::StreamingCollector). Always answers from the sketch.
@@ -36,8 +32,8 @@ class QuantileEvaluator {
 
   bool empty() const { return count_ == 0; }
   size_t count() const { return count_; }
-  /// True when the sample set crossed the threshold and answers come from
-  /// the log-histogram sketch instead of the sorted exact values.
+  /// True when answers come from the log-histogram sketch instead of the
+  /// sorted exact values.
   bool sketched() const { return sketch_ != nullptr; }
   /// Linear-interpolated quantile, p in [0, 100]. Throws on empty input,
   /// matching util::percentile.

@@ -1,7 +1,5 @@
 #include "exp/streaming_collector.h"
 
-#include <stdexcept>
-
 namespace libra::exp {
 
 namespace {
@@ -16,37 +14,20 @@ obs::LogHistogram::Options sketch_options() {
 }  // namespace
 
 StreamingCollector::StreamingCollector()
-    : latency_(sketch_options()),
-      user_latency_(sketch_options()),
-      slowdown_(sketch_options()) {}
+    : latency_(sketch_options()), user_latency_(sketch_options()) {}
 
 void StreamingCollector::on_record(const sim::InvocationRecord& rec) {
   ++records_;
-  if (rec.lost) ++lost_;
   if (rec.cold_start) ++cold_starts_;
-  oom_events_ += rec.oom_count;
   if (!rec.completed) return;
   ++completed_;
-  ++outcomes_[static_cast<size_t>(rec.outcome)];
   latency_.record(rec.response_latency);
   user_latency_.record(rec.user_latency);
-  slowdown_.record(1.0 - rec.speedup);
-  speedup_stats_.add(rec.speedup);
 }
 
 double StreamingCollector::goodput() const {
   if (records_ == 0) return 1.0;
   return static_cast<double>(completed_) / static_cast<double>(records_);
-}
-
-double StreamingCollector::speedup_quantile(double p) const {
-  if (completed_ == 0)
-    throw std::invalid_argument("StreamingCollector: no completed records");
-  if (p < 0.0 || p > 100.0)
-    throw std::invalid_argument("StreamingCollector: p out of range");
-  // speedup = 1 - slowdown, so the p-th speedup quantile is the (100-p)-th
-  // slowdown quantile reflected back.
-  return 1.0 - slowdown_.percentile(100.0 - p);
 }
 
 }  // namespace libra::exp

@@ -3,15 +3,12 @@
 // CDFs of §8 can no longer be derived after the fact — this collector is the
 // EngineConfig::record_sink that takes their place: it folds every finalized
 // InvocationRecord into obs::LogHistogram sketches and O(1) counters at
-// finalize time, so a 10M-invocation run reports latency/speedup quantiles
-// from a few KB of state instead of a multi-GB record vector.
+// finalize time, so a 10M-invocation run reports latency quantiles from a
+// few KB of state instead of a multi-GB record vector.
 #pragma once
-
-#include <string>
 
 #include "obs/metrics_registry.h"
 #include "sim/metrics.h"
-#include "util/stats.h"
 
 namespace libra::exp {
 
@@ -23,12 +20,7 @@ class StreamingCollector final : public sim::InvocationRecordSink {
 
   long records() const { return records_; }
   long completed() const { return completed_; }
-  long lost() const { return lost_; }
   long cold_starts() const { return cold_starts_; }
-  long oom_events() const { return oom_events_; }
-  long outcome_count(sim::InvOutcome o) const {
-    return outcomes_[static_cast<size_t>(o)];
-  }
   /// Fraction of finalized invocations that completed (1.0 when empty).
   double goodput() const;
 
@@ -36,30 +28,14 @@ class StreamingCollector final : public sim::InvocationRecordSink {
   const obs::LogHistogram& latency() const { return latency_; }
   /// Counterfactual static-allocation latency sketch (Eq. 1 basis).
   const obs::LogHistogram& user_latency() const { return user_latency_; }
-  /// Sketch of (1 - speedup) over completed invocations. Speedup (Eq. 1) is
-  /// <= 1 and can be negative, so the log-bucketed sketch stores the shifted
-  /// non-negative slowdown factor; use speedup_quantile() to read it back in
-  /// speedup terms.
-  const obs::LogHistogram& slowdown() const { return slowdown_; }
-  /// Streaming min/mean/max of the raw (unshifted) speedup samples.
-  const util::Accumulator& speedup_stats() const { return speedup_stats_; }
-
-  /// Approximate speedup quantile, p in [0, 100] (inverted through the
-  /// shifted slowdown sketch). Throws when no invocation completed.
-  double speedup_quantile(double p) const;
 
  private:
   long records_ = 0;
   long completed_ = 0;
-  long lost_ = 0;
   long cold_starts_ = 0;
-  long oom_events_ = 0;
-  long outcomes_[4] = {0, 0, 0, 0};
 
   obs::LogHistogram latency_;
   obs::LogHistogram user_latency_;
-  obs::LogHistogram slowdown_;
-  util::Accumulator speedup_stats_;
 };
 
 }  // namespace libra::exp

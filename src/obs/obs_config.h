@@ -1,8 +1,10 @@
 // Configuration of the observability subsystem (src/obs). Mirrors the
-// InvariantAuditorConfig idiom: a small plain struct with sampling knobs so
-// big traces can dial the cost down, and a master `enabled` switch that
-// collapses every hook to a branch-and-return — the disabled path must stay
-// within 1% of a no-observability build (guarded by bench_micro_overheads).
+// InvariantAuditorConfig idiom: a small plain struct with a series sampling
+// rate and a trace-event cap so big traces can dial the cost down, and a
+// master `enabled` switch that collapses every hook to a branch-and-return —
+// the disabled path must stay within 1% of a no-observability build (guarded
+// by bench_micro_overheads). An enabled session records everything: spans,
+// pool events and policy events.
 #pragma once
 
 #include <cstddef>
@@ -16,13 +18,6 @@ struct ObsConfig {
   /// to chained listeners; replay is bit-identical either way because the
   /// session never mutates simulation state.
   bool enabled = true;
-  /// Per-invocation lifecycle spans (queued -> startup -> running).
-  bool spans = true;
-  /// Pool transaction instants, per-op counters, grant-lifetime histogram
-  /// and pool-depth counter tracks.
-  bool pool_events = true;
-  /// Safeguard-trigger and trust-transition point events.
-  bool policy_events = true;
   /// Time-series samples (pool depth, cluster gauges) are taken on every
   /// n-th opportunity; 1 = every one. Raise for big traces.
   int series_every_n = 1;

@@ -78,7 +78,7 @@ LogHistogram& ObsSession::shard_decision_hist(int shard) {
 }
 
 void ObsSession::ensure_metadata(sim::EngineApi& api) {
-  if (metadata_done_ || !cfg_.spans) return;
+  if (metadata_done_) return;
   metadata_done_ = true;
   trace_.metadata(kControllerPid, "process_name",
                   "{\"name\":\"controller\"}");
@@ -90,7 +90,7 @@ void ObsSession::ensure_metadata(sim::EngineApi& api) {
 
 void ObsSession::open_span(double ts, long long inv, const char* name,
                            std::string args, sim::NodeId node) {
-  if (!cfg_.spans || inv < 0) return;
+  if (inv < 0) return;
   auto& st = span_state_[inv];
   st.open = true;
   st.name = name;
@@ -99,7 +99,7 @@ void ObsSession::open_span(double ts, long long inv, const char* name,
 }
 
 void ObsSession::close_span(double ts, long long inv) {
-  if (!cfg_.spans || inv < 0) return;
+  if (inv < 0) return;
   auto it = span_state_.find(inv);
   if (it == span_state_.end() || !it->second.open) return;
   trace_.end(ts, kControllerPid, inv, it->second.name, "invocation");
@@ -107,7 +107,7 @@ void ObsSession::close_span(double ts, long long inv) {
 }
 
 void ObsSession::close_spans_on_node(double ts, sim::NodeId node) {
-  if (!cfg_.spans || node == sim::kNoNode) return;
+  if (node == sim::kNoNode) return;
   std::vector<long long> victims;
   // LIBRA_LINT_ALLOW(unordered-iteration): collects ids into a vector that is sorted before use
   for (const auto& [id, st] : span_state_)
@@ -164,17 +164,16 @@ void ObsSession::on_engine_event(sim::EngineApi& api,
       // Redispatch mode evicts the invocation (running cleared); classic
       // mode restarts it in place, so the "running" span stays open.
       const bool evicted = ev.inv >= 0 && !api.invocation(ev.inv).running;
-      if (cfg_.spans)
-        trace_.instant(ts, pid_of(ev.node), ev.inv >= 0 ? ev.inv : 0,
-                       ev.what, "engine",
-                       std::string("{\"evicted\":") +
-                           (evicted ? "true" : "false") + "}");
+      trace_.instant(ts, pid_of(ev.node), ev.inv >= 0 ? ev.inv : 0, ev.what,
+                     "engine",
+                     std::string("{\"evicted\":") +
+                         (evicted ? "true" : "false") + "}");
       if (evicted) close_span(ts, ev.inv);
       break;
     }
     case Kind::kPark:
       c_parks_->inc();
-      if (cfg_.spans && ev.inv >= 0)
+      if (ev.inv >= 0)
         trace_.instant(ts, kControllerPid, ev.inv, ev.what, "engine");
       break;
     case Kind::kRequeue:
@@ -182,19 +181,17 @@ void ObsSession::on_engine_event(sim::EngineApi& api,
       open_span(ts, ev.inv, "queued");
       break;
     case Kind::kColdStartFailure:
-      if (cfg_.spans && ev.inv >= 0)
+      if (ev.inv >= 0)
         trace_.instant(ts, pid_of(ev.node), ev.inv, ev.what, "fault");
       break;
     case Kind::kNodeDown:
       c_node_down_->inc();
-      if (cfg_.spans)
-        trace_.instant(ts, pid_of(ev.node), 0, ev.what, "fault");
+      trace_.instant(ts, pid_of(ev.node), 0, ev.what, "fault");
       close_spans_on_node(ts, ev.node);
       break;
     case Kind::kNodeUp:
       c_node_up_->inc();
-      if (cfg_.spans)
-        trace_.instant(ts, pid_of(ev.node), 0, ev.what, "fault");
+      trace_.instant(ts, pid_of(ev.node), 0, ev.what, "fault");
       break;
     case Kind::kHealthPing:
       if (++ping_seq_ % cfg_.series_every_n == 0) {
@@ -212,7 +209,7 @@ void ObsSession::on_engine_event(sim::EngineApi& api,
 
 void ObsSession::on_pool_event(const core::PoolEvent& ev) {
   if (inner_pool_ != nullptr) inner_pool_->on_pool_event(ev);
-  if (!cfg_.enabled || !cfg_.pool_events) return;
+  if (!cfg_.enabled) return;
   last_ts_ = std::max(last_ts_, ev.now);
   const int pid = pid_of(ev.node);
   const char* name = "pool_op";
@@ -252,15 +249,13 @@ void ObsSession::on_pool_event(const core::PoolEvent& ev) {
       break;
     }
   }
-  if (cfg_.spans)
-    trace_.instant(ev.now, pid, 0, name, "pool",
-                   "{\"subject\":" + std::to_string(ev.subject) + "}");
+  trace_.instant(ev.now, pid, 0, name, "pool",
+                 "{\"subject\":" + std::to_string(ev.subject) + "}");
   if (ev.pool != nullptr && ++pool_seq_ % cfg_.series_every_n == 0) {
     const sim::Resources idle = ev.pool->idle_total();
-    if (cfg_.spans)
-      trace_.counter(ev.now, pid, "pool_idle",
-                     "{\"cpu\":" + fmt3(idle.cpu) +
-                         ",\"mem_mb\":" + fmt3(idle.mem) + "}");
+    trace_.counter(ev.now, pid, "pool_idle",
+                   "{\"cpu\":" + fmt3(idle.cpu) +
+                       ",\"mem_mb\":" + fmt3(idle.mem) + "}");
     if (ev.node != sim::kNoNode) {
       const std::string suffix = ".node" + std::to_string(ev.node);
       metrics_.series("pool.idle_cpu" + suffix).sample(ev.now, idle.cpu);
@@ -270,7 +265,7 @@ void ObsSession::on_pool_event(const core::PoolEvent& ev) {
 }
 
 void ObsSession::on_policy_event(const core::PolicyEvent& ev) {
-  if (!cfg_.enabled || !cfg_.policy_events) return;
+  if (!cfg_.enabled) return;
   last_ts_ = std::max(last_ts_, ev.now);
   const char* name = "policy_event";
   switch (ev.kind) {
@@ -287,9 +282,8 @@ void ObsSession::on_policy_event(const core::PolicyEvent& ev) {
       c_trust_promotions_->inc();
       break;
   }
-  if (cfg_.spans)
-    trace_.instant(ev.now, pid_of(ev.node), ev.inv, name, "policy",
-                   "{\"func\":" + std::to_string(ev.func) + "}");
+  trace_.instant(ev.now, pid_of(ev.node), ev.inv, name, "policy",
+                 "{\"func\":" + std::to_string(ev.func) + "}");
 }
 
 void ObsSession::finish(const sim::RunMetrics& metrics) {

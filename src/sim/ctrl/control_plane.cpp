@@ -9,6 +9,14 @@
 
 namespace libra::sim::ctrl {
 
+namespace {
+/// Stands in for a run of dropped deque entries. No invocation has a
+/// negative id, so it never resolves and never matches a dequeued id.
+constexpr InvocationId kDroppedRun = -1;
+/// A deque is not compacted below this size.
+constexpr size_t kMinCompactAt = 64;
+}  // namespace
+
 void ControlPlaneConfig::validate() const {
   if (num_controllers < 1)
     throw std::invalid_argument(
@@ -36,6 +44,8 @@ ControlPlane::ControlPlane(Engine& host)
   if (cfg_.num_controllers > 1) {
     queues_.resize(static_cast<size_t>(cfg_.num_controllers));
     depth_.assign(static_cast<size_t>(cfg_.num_controllers), 0);
+    compact_at_.assign(static_cast<size_t>(cfg_.num_controllers),
+                       kMinCompactAt);
   }
 }
 
@@ -181,11 +191,48 @@ void ControlPlane::on_enqueued(InvocationId id) {
   Invocation* inv = host_.find_invocation(id);
   if (!inv) return;
   const auto c = static_cast<size_t>(inv->controller);
-  queues_[c].push_back(id);
+  push_entry(c, id);
   inv->queued_controller = inv->controller;
   ControllerStats& cs = stats_.controllers[c];
   cs.peak_queue_depth = std::max(cs.peak_queue_depth, ++depth_[c]);
   maybe_steal();
+}
+
+void ControlPlane::push_entry(size_t controller, InvocationId id) {
+  queues_[controller].push_back(id);
+  if (queues_[controller].size() >= compact_at_[controller])
+    compact(controller);
+}
+
+void ControlPlane::compact(size_t controller) {
+  // An entry whose invocation is gone or done can never be stolen, and
+  // its invocation is never queued again. Each run of such entries becomes
+  // one kDroppedRun marker rather than nothing: on_dequeued pops only an
+  // entry at the front, and a dead entry ahead of a live one keeps that
+  // live entry in place (where a later re-enqueue may revive it), so the
+  // marker keeps every pop, and with it every steal, as it was.
+  std::deque<InvocationId>& q = queues_[controller];
+  size_t kept = 0;
+  bool in_dropped_run = false;
+  for (size_t i = 0; i < q.size(); ++i) {
+    const Invocation* inv = host_.find_invocation(q[i]);
+    if (inv != nullptr && !inv->done) {
+      q[kept++] = q[i];
+      in_dropped_run = false;
+    } else if (!in_dropped_run) {
+      q[kept++] = kDroppedRun;
+      in_dropped_run = true;
+    }
+  }
+  q.resize(kept);
+  // Doubling, so the scans cost O(1) per push amortized.
+  compact_at_[controller] = std::max(kMinCompactAt, 2 * kept);
+}
+
+size_t ControlPlane::queued_entries() const {
+  size_t total = 0;
+  for (const auto& q : queues_) total += q.size();
+  return total;
 }
 
 void ControlPlane::on_dequeued(Invocation& inv) {
@@ -194,7 +241,8 @@ void ControlPlane::on_dequeued(Invocation& inv) {
   inv.queued_controller = -1;
   --depth_[c];
   // Fast path: the popped invocation is usually the queue front. Otherwise
-  // the deque entry goes stale and is dropped lazily during stealing.
+  // the deque entry goes stale; a steal pass drops it when it walks past,
+  // compact() once its invocation is done.
   if (!queues_[c].empty() && queues_[c].front() == inv.id)
     queues_[c].pop_front();
 }
@@ -260,7 +308,7 @@ void ControlPlane::maybe_steal() {
       // bit-identical across controller counts.
       inv->queued_controller = thief;
       inv->controller = thief;
-      queues_[static_cast<size_t>(thief)].push_back(id);
+      push_entry(static_cast<size_t>(thief), id);
       --depth_[static_cast<size_t>(victim)];
       ++depth_[static_cast<size_t>(thief)];
       ++moved;

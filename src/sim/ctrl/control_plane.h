@@ -94,6 +94,10 @@ class ControlPlane {
   /// Snapshot for RunMetrics (digest-excluded section).
   const ControlPlaneStats& stats() const { return stats_; }
 
+  /// Entries held across the per-controller steal deques, stale ones
+  /// included: the memory the steal bookkeeping holds.
+  size_t queued_entries() const;
+
  private:
   /// One periodic-gossip timer firing: refresh the whole view, re-arm.
   void gossip_tick(int controller);
@@ -108,6 +112,12 @@ class ControlPlane {
   void deliver_gossip(int controller, NodeId node);
   /// The delivery event of a delayed payload: applies it, frees its slot.
   void deliver_delayed(uint32_t slot);
+  /// Appends to the controller's deque, compacting it once it reaches its
+  /// threshold, so no deque ever holds more than its threshold.
+  void push_entry(size_t controller, InvocationId id);
+  /// Drops the controller's deque entries whose invocation is gone or done
+  /// (DESIGN.md §5k, "Deque compaction") and sets its next threshold.
+  void compact(size_t controller);
 
   Engine& host_;
   ControlPlaneConfig cfg_;
@@ -140,9 +150,12 @@ class ControlPlane {
   // ---- Steal bookkeeping (num_controllers > 1 only) ----
   /// Per-controller admission queues (oldest first). Entries go stale when
   /// an invocation is dequeued or stolen; Invocation::queued_controller is
-  /// the source of truth and stale deque entries are dropped lazily.
+  /// the source of truth. A steal pass drops the stale entries it walks;
+  /// compact() drops those that can never count again.
   std::vector<std::deque<InvocationId>> queues_;
   std::vector<long> depth_;
+  /// Per controller: the deque size at which push_entry compacts it next.
+  std::vector<size_t> compact_at_;
 
   ControlPlaneStats stats_;
 };

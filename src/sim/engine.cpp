@@ -10,7 +10,7 @@
 namespace libra::sim {
 
 Engine::Engine(EngineConfig cfg, std::shared_ptr<Policy> policy)
-    : cfg_(std::move(cfg)), policy_(std::move(policy)), exec_(cfg_.exec) {
+    : cfg_(std::move(cfg)), policy_(std::move(policy)) {
   if (!policy_) throw std::invalid_argument("Engine: null policy");
   // Knob validity (including fault plan/profile) lives on EngineConfig so the
   // scenario fuzzer can use the exact predicate the engine enforces.

@@ -38,9 +38,9 @@
 
 namespace libra::sim {
 
-/// The engine's invocation store: a flat, generation-checked slab keyed by
-/// id (DESIGN.md §5l) — find() is two array loads, recycled slots come back
-/// through a free list, and live-record iteration walks contiguous memory.
+/// The engine's invocation store: a flat slab keyed by id (DESIGN.md §5l)
+/// — find() is two array loads, recycled slots come back through a free
+/// list, and live-record iteration walks contiguous memory.
 using InvocationStore = util::DenseIdMap<InvocationId, Invocation>;
 
 class Engine final : public EngineApi {

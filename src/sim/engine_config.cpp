@@ -45,23 +45,13 @@ void EngineConfig::validate() const {
   if (num_shards < 1)
     throw std::invalid_argument("EngineConfig: num_shards must be >= 1, got " +
                                 std::to_string(num_shards));
-  require_finite_non_negative(frontend_delay, "frontend_delay");
-  require_finite_non_negative(profiler_delay, "profiler_delay");
   require_finite_non_negative(sched_decision_delay, "sched_decision_delay");
-  require_finite_non_negative(pool_op_delay, "pool_op_delay");
-  require_finite_non_negative(oom_restart_penalty, "oom_restart_penalty");
-  require_finite_positive(monitor_interval, "monitor_interval");
-  require_finite_positive(health_ping_interval, "health_ping_interval");
   if (sched_workers != 1)
     throw std::invalid_argument("EngineConfig: sched_workers must be 1, got " +
                                 std::to_string(sched_workers));
-  require_finite_non_negative(retry_backoff_base, "retry_backoff_base");
-  require_finite_non_negative(retry_backoff_cap, "retry_backoff_cap");
   if (max_fault_retries < 0 || max_oom_retries < 0)
     throw std::invalid_argument("EngineConfig: negative retry budget");
   require_finite_positive(placement_timeout, "placement_timeout");
-  require_finite_positive(suspect_after_missed_pings,
-                          "suspect_after_missed_pings");
   require_finite_non_negative(churn_horizon_pad, "churn_horizon_pad");
   require_finite_non_negative(spot_drain_notice, "spot_drain_notice");
   require_finite_non_negative(series_resolution, "series_resolution");

@@ -9,7 +9,6 @@
 #include "sim/audit_hook.h"
 #include "sim/container_pool.h"
 #include "sim/ctrl/ctrl_config.h"
-#include "sim/execution_model.h"
 #include "sim/fault/fault_injector.h"
 #include "sim/types.h"
 
@@ -21,15 +20,16 @@ struct EngineConfig {
   std::vector<Resources> node_capacities;
   int num_shards = 1;
   ContainerPoolConfig container;
-  ExecutionModelConfig exec;
 
-  double frontend_delay = 0.0005;        // request admission
-  double profiler_delay = 0.002;         // §8.6: prediction < 2 ms
+  // Fixed pipeline timings (DESIGN.md §5, "Fixed model parameters").
+  static constexpr double frontend_delay = 0.0005;     // request admission
+  static constexpr double profiler_delay = 0.002;      // §8.6: < 2 ms
+  static constexpr double pool_op_delay = 0.0002;      // harvest pool put/get
+  static constexpr double monitor_interval = 0.1;      // §5.2 monitor window
+  static constexpr double health_ping_interval = 1.0;  // §6.4 status piggyback
+  static constexpr double oom_restart_penalty = 1.0;   // kill + restart cost
+
   double sched_decision_delay = 0.0005;  // simulated per-decision service time
-  double pool_op_delay = 0.0002;         // harvest pool put/get
-  double monitor_interval = 0.1;         // §5.2 monitor window
-  double health_ping_interval = 1.0;     // pool-status piggyback period
-  double oom_restart_penalty = 1.0;      // container kill + restart cost
   /// When true, times each scheduling decision (Policy::select_node) with a
   /// real clock (Fig. 12c).
   bool measure_real_sched_overhead = false;
@@ -55,8 +55,8 @@ struct EngineConfig {
   double spot_drain_notice = 0.0;
   /// Capped exponential backoff before re-dispatching an invocation killed
   /// by a node crash or a failed cold start: base * 2^attempt, <= cap.
-  double retry_backoff_base = 0.1;
-  double retry_backoff_cap = 5.0;
+  static constexpr double retry_backoff_base = 0.1;
+  static constexpr double retry_backoff_cap = 5.0;
   /// Crash / cold-start-failure retries before an invocation is lost.
   int max_fault_retries = 3;
   /// OOM graceful degradation: instead of the classic in-place restart, an
@@ -73,7 +73,7 @@ struct EngineConfig {
   /// the park-until-capacity-frees semantics).
   double placement_timeout = 600.0;
   /// The controller suspects a node after this many silent ping intervals.
-  double suspect_after_missed_pings = 3.0;
+  static constexpr double suspect_after_missed_pings = 3.0;
   /// Sampled churn extends this far past the last trace arrival.
   double churn_horizon_pad = 120.0;
 
@@ -101,7 +101,7 @@ struct EngineConfig {
   /// conservation audits still run).
   EngineAuditHook* audit_hook = nullptr;
 
-  /// Full configuration validity check: cluster shape, pipeline delays,
+  /// Full configuration validity check: cluster shape, the decision delay,
   /// scheduling/fault/streaming knobs (all NaN-proof), plus
   /// fault_plan.validate() and fault_profile.validate(). Throws
   /// std::invalid_argument naming the offending knob. The Engine constructor

@@ -12,8 +12,8 @@ double ExecutionModel::mem_penalty(const Resources& alloc,
   const double ratio = alloc.mem / profile.demand.mem;
   if (ratio >= 1.0) return 1.0;
   if (ratio <= 0.0) return 0.0;
-  const double penalty = std::pow(ratio, cfg_.mem_penalty_gamma);
-  return std::max(cfg_.mem_penalty_floor, penalty);
+  const double penalty = std::pow(ratio, kMemPenaltyGamma);
+  return std::max(kMemPenaltyFloor, penalty);
 }
 
 double ExecutionModel::rate(const Resources& alloc,
@@ -34,15 +34,14 @@ double ExecutionModel::exec_time(const Resources& alloc,
 double ExecutionModel::mem_usage(double progress_fraction,
                                  const DemandProfile& profile) const {
   const double p = std::clamp(progress_fraction, 0.0, 1.0);
-  const double ramp =
-      cfg_.mem_ramp_end <= 0.0 ? 1.0 : std::min(1.0, p / cfg_.mem_ramp_end);
+  const double ramp = std::min(1.0, p / kMemRampEnd);
   // Containers start with a runtime baseline (min_mem) and grow to peak.
   return profile.min_mem + ramp * (profile.demand.mem - profile.min_mem);
 }
 
 double ExecutionModel::cpu_usage(const Resources& alloc,
                                  const DemandProfile& profile) const {
-  return std::min(alloc.cpu, profile.demand.cpu) * cfg_.cpu_duty_cycle;
+  return std::min(alloc.cpu, profile.demand.cpu) * kCpuDutyCycle;
 }
 
 bool ExecutionModel::below_oom_floor(const Resources& alloc,

@@ -16,23 +16,17 @@
 
 namespace libra::sim {
 
-struct ExecutionModelConfig {
-  /// Exponent of the memory penalty curve; 1 = linear degradation.
-  double mem_penalty_gamma = 1.5;
-  /// Lower bound of the memory penalty factor (heavy paging still progresses).
-  double mem_penalty_floor = 0.2;
-  /// Fraction of progress at which memory usage reaches its peak.
-  double mem_ramp_end = 0.6;
-  /// CPU usage duty cycle: real functions don't saturate every core every
-  /// instant; utilization accounting multiplies by this.
-  double cpu_duty_cycle = 1.0;
-};
-
 class ExecutionModel {
  public:
-  explicit ExecutionModel(ExecutionModelConfig cfg = {}) : cfg_(cfg) {}
-
-  const ExecutionModelConfig& config() const { return cfg_; }
+  /// Exponent of the memory penalty curve; 1 = linear degradation.
+  static constexpr double kMemPenaltyGamma = 1.5;
+  /// Lower bound of the memory penalty factor (heavy paging still progresses).
+  static constexpr double kMemPenaltyFloor = 0.2;
+  /// Fraction of progress at which memory usage reaches its peak.
+  static constexpr double kMemRampEnd = 0.6;
+  /// CPU usage duty cycle: the share of its cores a running invocation keeps
+  /// busy; utilization accounting multiplies by this.
+  static constexpr double kCpuDutyCycle = 1.0;
 
   /// Progress rate in core-seconds of work retired per second.
   double rate(const Resources& alloc, const DemandProfile& profile) const;
@@ -56,8 +50,6 @@ class ExecutionModel {
  private:
   double mem_penalty(const Resources& alloc,
                      const DemandProfile& profile) const;
-
-  ExecutionModelConfig cfg_;
 };
 
 }  // namespace libra::sim

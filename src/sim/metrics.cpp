@@ -58,14 +58,6 @@ double RunMetrics::goodput() const {
   return static_cast<double>(n) / static_cast<double>(invocations.size());
 }
 
-double RunMetrics::lost_fraction() const {
-  if (invocations.empty()) return 0.0;
-  size_t n = 0;
-  for (const auto& r : invocations)
-    if (r.lost) ++n;
-  return static_cast<double>(n) / static_cast<double>(invocations.size());
-}
-
 double RunMetrics::mean_recovery_latency() const {
   if (recovery_latencies.empty()) return 0.0;
   double sum = 0.0;

@@ -153,7 +153,6 @@ struct RunMetrics {
   /// Goodput under churn: fraction of invocations that actually completed
   /// (1.0 for an empty run — nothing was lost).
   double goodput() const;
-  double lost_fraction() const;
   double mean_recovery_latency() const;
 };
 

@@ -24,8 +24,9 @@ struct Resources {
   double cpu = 0.0;
   double mem = 0.0;
 
-  Resources() = default;
-  Resources(double cpu_cores, double mem_mb) : cpu(cpu_cores), mem(mem_mb) {}
+  constexpr Resources() = default;
+  constexpr Resources(double cpu_cores, double mem_mb)
+      : cpu(cpu_cores), mem(mem_mb) {}
 
   Resources operator+(const Resources& o) const {
     return {cpu + o.cpu, mem + o.mem};

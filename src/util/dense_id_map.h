@@ -1,9 +1,8 @@
 // Flat, index-addressed replacement for std::unordered_map<Id, V> on the
 // simulator hot paths (DESIGN.md §5l). Values live in a contiguous slot slab;
 // a sliding dense index maps ids to slots, and erased slots are recycled
-// through a free list with a per-slot generation counter — the same
-// slot/generation/free-list idiom EventQueue uses for event handles, applied
-// to keyed records. Lookups are two array loads plus a key compare; no
+// through a free list — the slot/free-list idiom EventQueue uses for event
+// handles, applied to keyed records. Lookups are two array loads; no
 // hashing, no per-node allocation.
 //
 // Contracts mirrored from the unordered_map it replaces:
@@ -37,13 +36,6 @@ namespace libra::util {
 template <typename Key, typename Value>
 class DenseIdMap {
  public:
-  /// Stable reference to a slot at a point in time: resolves to the value
-  /// only while the same key still occupies the slot (generation match).
-  struct Handle {
-    uint32_t slot = 0;
-    uint32_t gen = 0;
-  };
-
   /// Inserts `key`; returns false (and leaves the map unchanged) when the
   /// key is already live. Keys must be >= the current window base — ids
   /// below an already-recycled dense prefix cannot come back.
@@ -63,7 +55,7 @@ class DenseIdMap {
       slots_[slot].live = true;
     } else {
       slot = static_cast<uint32_t>(slots_.size());
-      slots_.push_back(Slot{key, 0, true, std::move(value)});
+      slots_.push_back(Slot{key, true, std::move(value)});
     }
     index_[pos] = slot + 1;
     ++live_;
@@ -99,29 +91,11 @@ class DenseIdMap {
     if (pos >= index_.size() || index_[pos] == 0) return false;
     const uint32_t slot = index_[pos] - 1;
     slots_[slot].live = false;
-    ++slots_[slot].gen;
     free_.push_back(slot);
     index_[pos] = 0;
     --live_;
     if (pos == dead_prefix_) advance_window();
     return true;
-  }
-
-  /// Handle of a live key (generation-stamped), or a null handle (gen
-  /// mismatch guaranteed on resolve) when the key is absent.
-  Handle handle_of(Key key) const {
-    const uint32_t s = slot_of(key);
-    if (s == 0) return Handle{0, kDeadGen};
-    return Handle{s - 1, slots_[s - 1].gen};
-  }
-
-  /// Resolves a handle: nullptr when the slot has since been recycled (the
-  /// generation check) or never existed.
-  Value* resolve(Handle h) {
-    if (h.slot >= slots_.size()) return nullptr;
-    Slot& s = slots_[h.slot];
-    if (!s.live || s.gen != h.gen) return nullptr;
-    return &s.value;
   }
 
   /// Calls f(key, value) for every live entry, in SLOT order — an arbitrary
@@ -148,11 +122,9 @@ class DenseIdMap {
  private:
   struct Slot {
     Key key{};
-    uint32_t gen = 0;
     bool live = false;
     Value value{};
   };
-  static constexpr uint32_t kDeadGen = 0xffffffffu;
 
   uint32_t slot_of(Key key) const {
     if (key < offset_) return 0;

@@ -159,11 +159,6 @@ double StepSeries::peak(double t0, double t1) const {
   return any ? best : 0.0;
 }
 
-double StepSeries::last_time() const {
-  if (times_.empty()) throw std::logic_error("StepSeries: empty");
-  return times_.back();
-}
-
 double StepSeries::last_value() const {
   if (values_.empty()) throw std::logic_error("StepSeries: empty");
   return values_.back();

@@ -97,7 +97,6 @@ class StepSeries {
   double peak(double t0, double t1) const;
 
   bool empty() const { return times_.empty(); }
-  double last_time() const;
   double last_value() const;
 
   const std::vector<double>& times() const { return times_; }

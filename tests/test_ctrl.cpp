@@ -1,7 +1,8 @@
 // Multi-controller control plane tests (src/sim/ctrl, DESIGN.md §5k):
 // config validation, transparent-mode equivalence, gossip staleness windows,
-// bounded divergence under dropped gossip, cross-controller steal determinism
-// and the stale-commit conflict path (reject-and-requeue never loses work).
+// bounded divergence under dropped gossip, cross-controller steal determinism,
+// steal-deque compaction and the stale-commit conflict path
+// (reject-and-requeue never loses work).
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -15,6 +16,7 @@
 #include "exp/digest.h"
 #include "exp/platforms.h"
 #include "exp/runner.h"
+#include "gen/synthetic_source.h"
 #include "sim/engine.h"
 #include "util/audit.h"
 #include "workload/function_catalog.h"
@@ -271,6 +273,71 @@ TEST(CtrlSteal, StealAndQueueCountsArePinned) {
               want[c])
         << "controller " << c;
   }
+}
+
+// Entries left in the steal deques after a stream of `seconds` simulated
+// seconds in perfbench's churn-4ctl shape: Default on 50 jetstream nodes,
+// 4 controllers with 1 s gossip, sampled churn, 200 arrivals/s over a
+// 200-function synthetic catalog. Every retry of a parked invocation
+// re-enqueues it, so stale entries pile up fastest here.
+size_t steal_deque_entries_after(double seconds) {
+  EngineConfig cfg = exp::jetstream_config(50, 4);
+  cfg.retain_records = false;
+  cfg.recycle_records = true;
+  cfg.series_resolution = 1.0;
+  cfg.fault_profile.seed = 20230616;
+  cfg.fault_profile.node_mtbf = 600.0;
+  cfg.fault_profile.node_mttr = 10.0;
+  cfg.control.num_controllers = 4;
+  cfg.control.gossip_period = 1.0;
+  gen::GenConfig g;
+  g.functions = 200;
+  g.seed = 20230616;
+  g.rpm = 200.0 * 60.0;
+  g.duration = seconds;
+  g.diurnal_period = seconds;
+  const auto stream_catalog =
+      std::make_shared<const sim::FunctionCatalog>(gen::synthetic_catalog(g));
+  g.seed = 1;
+  gen::SyntheticSource source(g, stream_catalog);
+  Engine engine(cfg, exp::make_platform(exp::PlatformKind::kDefault,
+                                        stream_catalog));
+  engine.run(source);
+  return engine.control_plane().queued_entries();
+}
+
+TEST(CtrlSteal, DequeEntriesStopGrowingWithTheStream) {
+  // The deques may hold stale entries, but compaction keeps them bounded by
+  // the unfinished work, not by the stream: four times the stream ends with
+  // at most twice the entries (plus the compaction floor per controller).
+  const size_t short_run = steal_deque_entries_after(120.0);
+  const size_t long_run = steal_deque_entries_after(480.0);
+  EXPECT_GT(short_run, 0u);
+  EXPECT_LE(long_run, 2 * short_run + 64 * 4)
+      << "120 s ended with " << short_run << " entries, 480 s with "
+      << long_run;
+}
+
+TEST(CtrlSteal, CompactionLeavesEveryStealWhereItWas) {
+  // A burst on a churning cluster with recycling, and two controllers that
+  // steal on every enqueue: parked invocations re-enqueue behind dead
+  // entries, so compaction runs with live entries queued behind them. The
+  // counts are those of the uncompacted deques; dropping each run of dead
+  // entries without leaving a marker steals 34 here instead.
+  EngineConfig cfg = exp::multi_node_config();
+  cfg.control.num_controllers = 2;
+  cfg.control.steal_watermark = 0;
+  cfg.control.steal_batch = 1;
+  cfg.recycle_records = true;
+  cfg.fault_profile.seed = 102;
+  cfg.fault_profile.node_mtbf = 30.0;
+  cfg.fault_profile.node_mttr = 5.0;
+  const RunMetrics m = exp::run_experiment(
+      cfg, exp::make_platform(exp::PlatformKind::kDefault, catalog()),
+      workload::burst_trace(*catalog(), 600, 2));
+  EXPECT_EQ(exp::run_metrics_digest(m), 0x81f76faa7c68a2f8ULL);
+  EXPECT_EQ(m.control.total_stolen, 35);
+  EXPECT_EQ(m.control.steal_batches, 35);
 }
 
 // ------------------------------------------------------- stale-view conflicts

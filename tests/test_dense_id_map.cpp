@@ -1,8 +1,8 @@
 // DenseIdMap unit tests (DESIGN.md §5l): the flat slot-slab store behind the
 // engine's invocation records. Covers the unordered_map contracts it mirrors
 // (duplicate refusal, at() throwing, find() on dead ids), slot recycling with
-// value-buffer reuse, generation-stamped handles, and the sliding window that
-// keeps streaming runs O(live) instead of O(total ids).
+// value-buffer reuse, and the sliding window that keeps streaming runs
+// O(live) instead of O(total ids).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -62,28 +62,6 @@ TEST(DenseIdMap, ErasedSlotIsRecycledLifoWithValueReuse) {
   EXPECT_EQ(m.at(5), "five");
   EXPECT_EQ(m.at(0), "zero");
   EXPECT_EQ(m.at(2), "two");
-}
-
-TEST(DenseIdMap, HandleResolvesUntilSlotIsRecycled) {
-  Map m;
-  EXPECT_TRUE(m.insert(10, "ten"));
-  const Map::Handle h = m.handle_of(10);
-  ASSERT_NE(m.resolve(h), nullptr);
-  EXPECT_EQ(*m.resolve(h), "ten");
-
-  // Recycle the slot under the handle: generation mismatch, stale handle
-  // resolves to null instead of the new occupant.
-  EXPECT_TRUE(m.erase(10));
-  EXPECT_EQ(m.resolve(h), nullptr);
-  EXPECT_TRUE(m.insert(11, "eleven"));
-  EXPECT_EQ(m.resolve(h), nullptr)
-      << "a handle from the old tenancy must not see the new one";
-  const Map::Handle h2 = m.handle_of(11);
-  ASSERT_NE(m.resolve(h2), nullptr);
-  EXPECT_EQ(*m.resolve(h2), "eleven");
-
-  // Absent keys get a null handle that never resolves.
-  EXPECT_EQ(m.resolve(m.handle_of(999)), nullptr);
 }
 
 TEST(DenseIdMap, ForEachVisitsExactlyTheLiveEntries) {

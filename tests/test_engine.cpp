@@ -53,7 +53,7 @@ TEST(Engine, ExecutionTimeMatchesModelWithoutContention) {
   auto trace = workload::burst_trace(*catalog(), 1, 5);
   EngineConfig cfg = exp::single_node_config();
   Engine engine(cfg, std::make_shared<baselines::DefaultPolicy>());
-  ExecutionModel model(cfg.exec);
+  ExecutionModel model;
   const double expected_exec =
       model.exec_time(trace[0].user_alloc, trace[0].truth);
   workload::MaterializedSource source(trace);

@@ -64,7 +64,7 @@ TEST(Report, QuantileEvaluatorExactPathMatchesUtilPercentile) {
   std::vector<double> xs;
   util::Rng rng(9);
   for (int i = 0; i < 1000; ++i) xs.push_back(rng.uniform(-2.0, 40.0));
-  const exp::QuantileEvaluator eval(xs);  // well under the exact threshold
+  const exp::QuantileEvaluator eval(xs);
   EXPECT_FALSE(eval.sketched());
   EXPECT_EQ(eval.count(), xs.size());
   for (double q : exp::default_quantiles())
@@ -72,12 +72,17 @@ TEST(Report, QuantileEvaluatorExactPathMatchesUtilPercentile) {
   EXPECT_DOUBLE_EQ(eval.quantile(0.0), util::percentile(xs, 0.0));
 }
 
-TEST(Report, QuantileEvaluatorSketchesAboveThreshold) {
+TEST(Report, QuantileEvaluatorSketchesAHistogram) {
   std::vector<double> xs;
   util::Rng rng(11);
-  for (int i = 0; i < 4096; ++i) xs.push_back(rng.uniform(0.01, 30.0));
-  const exp::QuantileEvaluator eval(xs, /*exact_threshold=*/1024);
+  obs::LogHistogram hist(obs::LogHistogram::Options{/*min_positive=*/1e-6});
+  for (int i = 0; i < 4096; ++i) {
+    xs.push_back(rng.uniform(0.01, 30.0));
+    hist.record(xs.back());
+  }
+  const exp::QuantileEvaluator eval(hist);
   EXPECT_TRUE(eval.sketched());
+  EXPECT_EQ(eval.count(), xs.size());
   // Sketch answers are log-bucket approximations: within one growth factor
   // (2x) of the exact value for positive samples.
   for (double q : {50.0, 95.0, 99.0}) {

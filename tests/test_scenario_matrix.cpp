@@ -223,16 +223,16 @@ TEST(ValidationHardening, EngineConfigRejectsNaNAndInf) {
   EXPECT_THROW(nan_notice.validate(), std::invalid_argument);
 
   EngineConfig inf_delay = good;
-  inf_delay.monitor_interval = kInf;
+  inf_delay.sched_decision_delay = kInf;
   EXPECT_THROW(inf_delay.validate(), std::invalid_argument);
 
   EngineConfig nan_cap = good;
   nan_cap.node_capacities = {Resources{kNaN, 8192}};
   EXPECT_THROW(nan_cap.validate(), std::invalid_argument);
 
-  EngineConfig neg_backoff = good;
-  neg_backoff.retry_backoff_base = -0.1;
-  EXPECT_THROW(neg_backoff.validate(), std::invalid_argument);
+  EngineConfig neg_timeout = good;
+  neg_timeout.placement_timeout = -0.1;
+  EXPECT_THROW(neg_timeout.validate(), std::invalid_argument);
 }
 
 TEST(ValidationHardening, FaultPlanRejectsNaNTimesAndInvertedWindows) {

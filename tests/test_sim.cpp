@@ -226,7 +226,7 @@ TEST(ExecutionModel, MemoryPenaltySlowsProgress) {
   EXPECT_GT(squeezed, 0.0);
   // Penalty floor keeps heavy paging from stalling completely.
   const double floored = m.rate({2, 80}, p);
-  EXPECT_GE(floored, full * m.config().mem_penalty_floor * 0.999);
+  EXPECT_GE(floored, full * ExecutionModel::kMemPenaltyFloor * 0.999);
 }
 
 TEST(ExecutionModel, BelowOomFloorStalls) {
