@@ -33,6 +33,9 @@
 //   * the §5h engine events: after warm-up, 10^5 schedule-and-step cycles
 //     with the engine's capture shapes, a tenth of them also cancelling and
 //     re-arming a pending event, make zero heap allocations;
+//   * the §5h FIFO lanes: a monitor-tick-shaped timer that re-arms itself
+//     through a lane costs at most 2x as much over 10,000 pending heap
+//     events as over 10, and does not allocate after warm-up;
 //   * the §5e adaptive harvest margin: after warm-up, 10^5
 //     TrustManager::harvest_margin calls over full error rings make zero
 //     heap allocations.
@@ -1401,6 +1404,116 @@ bool check_engine_event_allocations(exp::BenchArtifact* artifact) {
   return false;
 }
 
+/// Monitor-tick-shaped timers on the engine's queue: kTimers timers share
+/// one FIFO lane and each re-arms itself kCadence after now() when it
+/// fires, as InvocationLifecycle::monitor_tick does, over `heap_pending`
+/// heap events parked far in the future. Every tenth cycle also cancels a
+/// pending timer and re-arms it, the way a finished invocation disarms its
+/// monitor and a new one arms another. More than one timer, or the front
+/// slot alone would keep a heap-scheduled timer off the heap: with four,
+/// scheduling them through schedule() instead reads 3.2x from 10 to 10,000
+/// pending heap events.
+struct LaneTimerFixture {
+  static constexpr int64_t kTimers = 4;
+  static constexpr double kCadence = 0.1;  // EngineConfig::monitor_interval
+  sim::EventQueue queue;
+  const sim::EventQueue::FifoLane lane = queue.add_fifo_lane();
+  std::vector<sim::EventId> armed = std::vector<sim::EventId>(kTimers);
+  long cycles = 0;
+  long far_dispatches = 0;
+
+  explicit LaneTimerFixture(int heap_pending) {
+    for (int i = 0; i < heap_pending; ++i)
+      queue.schedule(1e12 + i, [this] { ++far_dispatches; });
+    for (int64_t id = 0; id < kTimers; ++id) arm(id);
+  }
+  // Queued callbacks hold `this`.
+  LaneTimerFixture(const LaneTimerFixture&) = delete;
+  LaneTimerFixture& operator=(const LaneTimerFixture&) = delete;
+
+  void arm(int64_t id) {
+    armed[static_cast<size_t>(id)] = queue.schedule_fifo(
+        lane, queue.now() + kCadence, [this, id] { arm(id); });
+  }
+  /// One cycle: the lane's head is dispatched and re-arms itself.
+  void cycle() {
+    queue.step();
+    if (++cycles % 10 == 0) {
+      const int64_t id = (cycles / 10) % kTimers;
+      queue.cancel(armed[static_cast<size_t>(id)]);
+      arm(id);
+    }
+  }
+};
+
+/// §5h lane-timer gate: a fixed-cadence timer rides a FIFO lane, so its
+/// schedule and dispatch never touch the heap and cannot grow with it. Per
+/// size, 10^5 warm-up cycles, then the best of 7 reps of 10^5; the cycle
+/// must cost at most 2x as much over 10,000 pending heap events as over
+/// 10, no far-future event may fire, and after warm-up no cycle may
+/// allocate.
+bool check_lane_timer_cost(exp::BenchArtifact* artifact) {
+  constexpr long kCycles = 100000;
+  constexpr int kReps = 7;
+  constexpr int kAttempts = 3;
+  constexpr double kMaxRatio = 2.0;
+  constexpr int kSmall = 10;
+  constexpr int kLarge = 10000;
+  struct Cost {
+    double ns = 0.0;
+    long allocs = 0;
+    long far_dispatches = 0;
+  };
+  auto measure = [&](int heap_pending) {
+    LaneTimerFixture fx(heap_pending);
+    for (long i = 0; i < kCycles; ++i) fx.cycle();
+    Cost c;
+    const long before = t_heap_allocs;
+    c.ns = 1e300;
+    for (int r = 0; r < kReps; ++r) {
+      const auto start = std::chrono::steady_clock::now();
+      for (long i = 0; i < kCycles; ++i) fx.cycle();
+      const auto stop = std::chrono::steady_clock::now();
+      c.ns = std::min(
+          c.ns, std::chrono::duration<double>(stop - start).count() * 1e9 /
+                    kCycles);
+    }
+    c.allocs = t_heap_allocs - before;
+    c.far_dispatches = fx.far_dispatches;
+    return c;
+  };
+  for (int attempt = 1; attempt <= kAttempts; ++attempt) {
+    const Cost small = measure(kSmall);
+    const Cost large = measure(kLarge);
+    const double scale_x = large.ns / small.ns;
+    std::printf(
+        "lane timer gate (attempt %d): %.1f ns per cycle over %d pending "
+        "heap events, %.1f ns over %d (%.2fx); %ld + %ld heap allocations "
+        "after warm-up\n",
+        attempt, small.ns, kSmall, large.ns, kLarge, scale_x, small.allocs,
+        large.allocs);
+    if (small.far_dispatches != 0 || large.far_dispatches != 0) {
+      std::printf("lane timer gate: FAIL (a far-future heap event fired)\n");
+      return false;
+    }
+    if (small.allocs != 0 || large.allocs != 0) {
+      std::printf("lane timer gate: FAIL (a warmed lane cycle allocates)\n");
+      return false;
+    }
+    if (scale_x <= kMaxRatio) {
+      std::printf("lane timer gate: PASS (<= 2x from 10 to 10,000 pending "
+                  "heap events, zero allocations)\n");
+      artifact->add("engine_lane_timer_10_ns", small.ns, "ns");
+      artifact->add("engine_lane_timer_10000_ns", large.ns, "ns");
+      artifact->add("engine_lane_timer_scale_x", scale_x, "ratio", "lower");
+      return true;
+    }
+  }
+  std::printf("lane timer gate: FAIL (a lane cycle over 10,000 pending heap "
+              "events costs > 2x one over 10)\n");
+  return false;
+}
+
 /// §5e zero-allocation gate: Libra+Trust reads the adaptive harvest margin
 /// on every placement, and its p95 needs a copy of the function's error ring
 /// to select in. One warm-up call grows the manager's scratch to a full
@@ -1482,6 +1595,7 @@ int main(int argc, char** argv) {
   const bool pick_ok = check_full_cluster_pick_cost(&artifact);
   const bool coverage_ok = check_coverage_pick_cost(&artifact);
   const bool event_ok = check_engine_event_allocations(&artifact);
+  const bool lane_ok = check_lane_timer_cost(&artifact);
   const bool margin_ok = check_trust_margin_allocations(&artifact);
   if (!json_out.empty()) {
     std::string error;
@@ -1495,7 +1609,7 @@ int main(int argc, char** argv) {
   }
   return obs_ok && ref_ok && store_ok && walk_ok && scan_ok && depth_ok &&
                  sweep_ok && audit_ok && pick_ok && coverage_ok && event_ok &&
-                 margin_ok
+                 lane_ok && margin_ok
              ? 0
              : 1;
 }

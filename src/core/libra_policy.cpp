@@ -1,6 +1,8 @@
 #include "core/libra_policy.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "core/predictor_fault.h"
 #include "util/log.h"
@@ -96,6 +98,19 @@ void LibraPolicy::emit_policy_event(PolicyEventKind kind,
       PolicyEvent{kind, inv.func, inv.id, inv.node, now});
 }
 
+size_t LibraPolicy::function_index(sim::FunctionId func) {
+  if (func < 0)
+    throw std::out_of_range("LibraPolicy: negative function id " +
+                            std::to_string(func));
+  return static_cast<size_t>(func);
+}
+
+void LibraPolicy::add_mem_strike(sim::FunctionId func) {
+  const size_t f = function_index(func);
+  if (f >= mem_strikes_.size()) mem_strikes_.resize(f + 1, 0);
+  ++mem_strikes_[f];
+}
+
 std::string LibraPolicy::name() const {
   return "libra(" + predictor_->name() + "," + scheduler_->name() + ")";
 }
@@ -105,10 +120,10 @@ void LibraPolicy::predict(Invocation& inv) {
   if (!cfg_.preemptive_release_on_safeguard) {
     // Freyr-style correction: after a safeguard strike, only the NEXT
     // invocation of the function reverts to the user-defined allocation.
-    auto it = suppress_next_.find(inv.func);
-    if (it != suppress_next_.end()) {
+    const size_t f = function_index(inv.func);
+    if (f < suppress_next_.size() && suppress_next_[f]) {
       inv.pred_demand = inv.user_alloc;
-      suppress_next_.erase(it);
+      suppress_next_[f] = 0;
     }
   }
   if (!trust_) return;
@@ -187,11 +202,13 @@ AllocationPlan LibraPolicy::plan_allocation(Invocation& inv, EngineApi& api) {
     // invocation as ordinarily accelerable (pool grants + backfill).
   }
 
+  const size_t f = function_index(inv.func);
   const bool mem_harvest_blocked =
       (profiler_hook_ &&
        profiler_hook_->mem_harvest_disabled(inv.func,
                                             cfg_.max_mem_safeguard_strikes)) ||
-      mem_strikes_[inv.func] >= cfg_.max_mem_safeguard_strikes;
+      (f < mem_strikes_.size() ? mem_strikes_[f] : 0) >=
+          cfg_.max_mem_safeguard_strikes;
 
   // ---- Harvest (per axis where the prediction leaves slack) ----
   // With the trust layer on, the static harvest_headroom is replaced by a
@@ -333,7 +350,7 @@ void LibraPolicy::on_monitor(Invocation& inv, EngineApi& api) {
   inv.was_safeguarded = true;
   emit_policy_event(PolicyEventKind::kSafeguardTrigger, inv, api.now());
   if (mem_trigger) {
-    ++mem_strikes_[inv.func];
+    add_mem_strike(inv.func);
     if (profiler_hook_) profiler_hook_->record_mem_safeguard_strike(inv.func);
   }
   if (trust_ && trust_->record_safeguard(inv.func, api.now())) {
@@ -345,7 +362,9 @@ void LibraPolicy::on_monitor(Invocation& inv, EngineApi& api) {
   } else {
     // Freyr: the current invocation keeps suffering; only the next one is
     // served with the user-defined allocation again (§9).
-    suppress_next_.insert(inv.func);
+    const size_t f = function_index(inv.func);
+    if (f >= suppress_next_.size()) suppress_next_.resize(f + 1, 0);
+    suppress_next_[f] = 1;
   }
 }
 
@@ -431,7 +450,7 @@ void LibraPolicy::on_complete(Invocation& inv, EngineApi& api) {
 
 void LibraPolicy::on_oom(Invocation& inv, EngineApi& api) {
   last_seen_now_ = api.now();
-  ++mem_strikes_[inv.func];
+  add_mem_strike(inv.func);
   if (profiler_hook_) profiler_hook_->record_mem_safeguard_strike(inv.func);
   // An OOM kill is the strongest misprediction signal there is.
   if (trust_ && trust_->record_oom(inv.func, api.now())) {

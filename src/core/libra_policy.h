@@ -12,10 +12,11 @@
 //               safeguard corrects only the *next* invocation (§9)
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/harvest_pool.h"
@@ -226,12 +227,19 @@ class LibraPolicy final : public sim::Policy, public PoolStatusProvider {
   std::vector<PoolStatus> snapshots_;
   /// Bit n set exactly while snapshots_[n] holds an entry (set_snapshot).
   util::IdBitset occupied_;
-  /// Freyr mode: functions whose next invocation must run un-harvested.
-  std::unordered_set<sim::FunctionId> suppress_next_;
+  /// The two safeguard tables below are indexed by function id (catalog
+  /// ids are dense) and grow on the first write for a larger id, like the
+  /// sticky-hash salt table. Throws std::out_of_range on a negative id.
+  static size_t function_index(sim::FunctionId func);
+  /// Freyr mode: 1 for a function whose next invocation must run
+  /// un-harvested.
+  std::vector<uint8_t> suppress_next_;
   /// Profiler hook for per-function memory-strike mitigation (may be null
   /// when the predictor is not the Libra profiler).
   Profiler* profiler_hook_ = nullptr;
-  std::unordered_map<sim::FunctionId, int> mem_strikes_;
+  /// Memory safeguard triggers plus OOM kills, per function.
+  std::vector<int> mem_strikes_;
+  void add_mem_strike(sim::FunctionId func);
   /// Trust circuit breaker + adaptive margins; null unless trust_enabled.
   std::unique_ptr<TrustManager> trust_;
   /// Raw model predictions stashed before quarantine/fallback padding so

@@ -10,7 +10,8 @@ ClusterState::ClusterState(Engine& host)
     : host_(host),
       touched_(host.config().node_capacities.size()),
       capacity_(host.config().node_capacities.size(),
-                host.config().num_shards) {
+                host.config().num_shards),
+      ping_lane_(host.queue().add_fifo_lane()) {
   const EngineConfig& cfg = host_.config();
   nodes_.reserve(cfg.node_capacities.size());
   for (size_t i = 0; i < cfg.node_capacities.size(); ++i) {
@@ -48,8 +49,9 @@ void ClusterState::start_health_pings(SimTime first_arrival) {
                           (static_cast<double>(nid) /
                            static_cast<double>(nodes_.size()));
     last_ping_delivered_[static_cast<size_t>(nid)] = first_arrival + offset;
-    host_.queue().schedule(first_arrival + offset,
-                           [this, nid] { health_ping(nid); });
+    // Node order is time order: the lane fills sorted.
+    host_.queue().schedule_fifo(ping_lane_, first_arrival + offset,
+                                [this, nid] { health_ping(nid); });
   }
 }
 
@@ -99,8 +101,9 @@ void ClusterState::health_ping(NodeId node_id) {
     host_.controller().retry_waiting();
   }
   if (host_.run_live()) {
-    host_.queue().schedule_after(host_.config().health_ping_interval,
-                                 [this, node_id] { health_ping(node_id); });
+    host_.queue().schedule_fifo(
+        ping_lane_, host_.queue().now() + host_.config().health_ping_interval,
+        [this, node_id] { health_ping(node_id); });
   }
   host_.notify_audit(EngineEventKind::kHealthPing, kNoInvocation, node_id);
 }

@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "sim/event_queue.h"
 #include "sim/invocation.h"
 #include "sim/node.h"
 
@@ -102,6 +103,9 @@ class ClusterState {
   CapacityIndex capacity_;
   std::vector<Node> nodes_;
 
+  /// Every ping re-arms one interval after now(), so they share a FIFO
+  /// lane (EventQueue::schedule_fifo) instead of the heap.
+  const EventQueue::FifoLane ping_lane_;
   std::vector<SimTime> last_ping_delivered_;  // controller health view
   std::vector<SimTime> down_since_;           // crash time per down node
   /// Per node: the crash deadline of the last delivered drain notice. The

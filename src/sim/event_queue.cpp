@@ -5,8 +5,10 @@
 
 namespace libra::sim {
 
-EventId EventQueue::schedule_lane(SimTime t, uint64_t lane,
-                                  const Callback& fn) {
+// Forced inline, as is push_entry() in effect: schedule() stays one call,
+// as it was before schedule_fifo() shared these two.
+[[gnu::always_inline]] inline EventQueue::Entry EventQueue::arm(
+    SimTime t, uint64_t lane, const Callback& fn) {
   // A NaN time passes every ordered comparison below and would dispatch
   // before every finite event, setting now() to NaN; +inf would never come.
   if (!std::isfinite(t))
@@ -24,11 +26,14 @@ EventId EventQueue::schedule_lane(SimTime t, uint64_t lane,
   }
   Slot& s = slots_[slot];
   s.fn = fn;
-  const Entry e{t, (lane << 62) | next_seq_++, slot, s.gen};
   ++live_;
+  return Entry{t, (lane << 62) | next_seq_++, slot, s.gen};
+}
+
+inline void EventQueue::push_entry(const Entry& e) {
   if (has_front_) {
     // An entry earlier than the (live) front is earlier than every live
-    // entry; the front it displaces still precedes every heap entry.
+    // heap entry; the front it displaces still precedes every heap entry.
     if (Later{}(front_, e)) {
       heap_.push(front_);
       front_ = e;
@@ -44,7 +49,50 @@ EventId EventQueue::schedule_lane(SimTime t, uint64_t lane,
       heap_.push(e);
     }
   }
-  return (static_cast<EventId>(s.gen) << 32) | (slot + 1);
+}
+
+EventId EventQueue::schedule_keyed(SimTime t, uint64_t lane,
+                                   const Callback& fn) {
+  const Entry e = arm(t, lane, fn);
+  push_entry(e);
+  return handle(e);
+}
+
+EventQueue::FifoLane EventQueue::add_fifo_lane() {
+  lanes_.emplace_back();
+  return static_cast<FifoLane>(lanes_.size() - 1);
+}
+
+EventId EventQueue::schedule_fifo(FifoLane lane, SimTime t,
+                                  const Callback& fn) {
+  if (lane >= lanes_.size())
+    throw std::out_of_range("EventQueue: unknown FIFO lane");
+  const Entry e = arm(t, kNormalLane, fn);
+  Ring& ring = lanes_[lane];
+  // Its seq is the largest yet, so any time no earlier than the tail's
+  // keeps the ring in key order.
+  if (!ring.empty() && e.time < ring.back().time) {
+    push_entry(e);
+    return handle(e);
+  }
+  ring.push_back(e);
+  if (Later{}(lane_min_, e)) {
+    lane_min_ = e;
+    lane_min_lane_ = lane;
+  }
+  return handle(e);
+}
+
+void EventQueue::Ring::push_back(const Entry& e) {
+  if (size_ == buf_.size()) {
+    std::vector<Entry> grown(buf_.empty() ? 8 : 2 * buf_.size());
+    for (size_t i = 0; i < size_; ++i)
+      grown[i] = buf_[(head_ + i) & (buf_.size() - 1)];
+    buf_.swap(grown);
+    head_ = 0;
+  }
+  buf_[(head_ + size_) & (buf_.size() - 1)] = e;
+  ++size_;
 }
 
 void EventQueue::release_slot(uint32_t slot) {
@@ -60,31 +108,61 @@ void EventQueue::cancel(EventId id) {
     return;  // already fired or cancelled (possibly reused since)
   release_slot(slot);
   --live_;
-  // A live front is exactly the event its slot holds.
+  // A live front is exactly the event its slot holds, and so is a live
+  // lane_min_.
   if (has_front_ && front_.slot == slot) has_front_ = false;
-  // A heap entry stays behind; step()/prune_stale() skip it by generation.
+  if (lane_min_.slot == slot) refresh_lane_min();
+  // Any other heap or lane entry stays behind; step(), prune_stale() and
+  // refresh_lane_min() skip it by generation.
 }
 
 void EventQueue::prune_stale() {
   while (!heap_.empty() && stale(heap_.top())) heap_.pop();
 }
 
+void EventQueue::refresh_lane_min() {
+  lane_min_ = kNoLaneEntry;
+  for (FifoLane i = 0; i < lanes_.size(); ++i) {
+    Ring& ring = lanes_[i];
+    while (!ring.empty() && stale(ring.front())) ring.pop_front();
+    if (!ring.empty() && Later{}(lane_min_, ring.front())) {
+      lane_min_ = ring.front();
+      lane_min_lane_ = i;
+    }
+  }
+}
+
 SimTime EventQueue::next_time() {
-  if (has_front_) return front_.time;
-  prune_stale();
-  return heap_.empty() ? std::numeric_limits<SimTime>::infinity()
-                       : heap_.top().time;
+  if (!has_front_) prune_stale();
+  const Entry* main =
+      has_front_ ? &front_ : (heap_.empty() ? nullptr : &heap_.top());
+  // By key, not by time alone: -0.0 and 0.0 tie, and the least key's own
+  // time is the one step() will set now() to.
+  if (main && !Later{}(*main, lane_min_)) return main->time;
+  return lane_min_.time;  // +infinity when the queue is empty
 }
 
 bool EventQueue::step() {
   if (!has_front_) {
     prune_stale();
-    if (heap_.empty()) return false;
-    front_ = heap_.top();
-    heap_.pop();
+    if (!heap_.empty()) {
+      front_ = heap_.top();
+      heap_.pop();
+      has_front_ = true;
+    }
   }
-  has_front_ = false;
-  const Entry next = front_;
+  Entry next;
+  if (has_front_ && !Later{}(front_, lane_min_)) {
+    next = front_;
+    has_front_ = false;
+  } else if (lane_min_.slot != kNoSlot) {
+    // A front left in place still precedes every heap entry.
+    next = lane_min_;
+    lanes_[lane_min_lane_].pop_front();
+    refresh_lane_min();
+  } else {
+    return false;
+  }
   // Copied out first: the callback may schedule into this very slot.
   const Callback fn = slots_[next.slot].fn;
   release_slot(next.slot);

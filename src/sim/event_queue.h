@@ -21,6 +21,12 @@
 //    pushed. Dispatch takes the front when it holds one, else the heap's
 //    top: either way the least live (time, lane, seq) key, which is unique,
 //    so the dispatch order is the heap-only order by construction.
+//  * FIFO lanes. A timer that always re-arms a fixed delay after now()
+//    (the safeguard monitor, the health pings) is scheduled into its own
+//    lane: now() never goes backwards, so the lane's entries arrive already
+//    in key order, and a schedule appends instead of pushing on the heap.
+//    The earliest live lane head is cached; dispatch takes the lesser of it
+//    and the front/heap top — again the least live key.
 #pragma once
 
 #include <cstddef>
@@ -83,7 +89,7 @@ class EventQueue {
   /// with cancel(). Throws std::invalid_argument when `t` is in the past or
   /// not finite (NaN, ±inf), here and in the two forms below.
   EventId schedule(SimTime t, const Callback& fn) {
-    return schedule_lane(t, kNormalLane, fn);
+    return schedule_keyed(t, kNormalLane, fn);
   }
 
   /// Schedules `fn` after a relative delay.
@@ -97,8 +103,22 @@ class EventQueue {
   /// golden digests were captured under, when every trace arrival was
   /// scheduled ahead of every dynamic event and so won every same-time tie.
   EventId schedule_arrival(SimTime t, const Callback& fn) {
-    return schedule_lane(t, kArrivalLane, fn);
+    return schedule_keyed(t, kArrivalLane, fn);
   }
+
+  /// Handle of a FIFO lane (add_fifo_lane()).
+  using FifoLane = uint32_t;
+
+  /// Opens a FIFO lane for a timer whose every schedule lands a fixed delay
+  /// after now(). Its events keep the order schedule() would give them;
+  /// the lane only saves them the heap.
+  FifoLane add_fifo_lane();
+
+  /// Schedules `fn` at absolute time `t` exactly as schedule() would — same
+  /// checks, same throws, same dispatch order — but appends it to `lane`
+  /// when `t` is no earlier than the lane's last entry. An earlier `t`
+  /// falls back to the heap. Throws std::out_of_range on an unknown lane.
+  EventId schedule_fifo(FifoLane lane, SimTime t, const Callback& fn);
 
   /// Cancels a pending event; no-op if already fired or cancelled.
   void cancel(EventId id);
@@ -147,13 +167,48 @@ class EventQueue {
       return a.order > b.order;
     }
   };
+  static constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
+  /// lane_min_ while no lane holds a live entry: later than every entry.
+  static constexpr Entry kNoLaneEntry{
+      std::numeric_limits<SimTime>::infinity(),
+      std::numeric_limits<uint64_t>::max(), kNoSlot, 0};
 
-  EventId schedule_lane(SimTime t, uint64_t lane, const Callback& fn);
+  /// One FIFO lane: a ring of entries in key order. Cancelled entries stay
+  /// until they reach the head, where refresh_lane_min() drops them.
+  class Ring {
+   public:
+    bool empty() const { return size_ == 0; }
+    const Entry& front() const { return buf_[head_]; }
+    const Entry& back() const {
+      return buf_[(head_ + size_ - 1) & (buf_.size() - 1)];
+    }
+    void pop_front() {
+      head_ = (head_ + 1) & (buf_.size() - 1);
+      --size_;
+    }
+    void push_back(const Entry& e);
+
+   private:
+    std::vector<Entry> buf_;  // capacity 0 or a power of two
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
+
+  EventId schedule_keyed(SimTime t, uint64_t lane, const Callback& fn);
+  /// Validates `t`, arms a slot with `fn` and returns its keyed entry.
+  Entry arm(SimTime t, uint64_t lane, const Callback& fn);
+  /// Places a new entry in the front slot or on the heap.
+  void push_entry(const Entry& e);
+  static EventId handle(const Entry& e) {
+    return (static_cast<EventId>(e.gen) << 32) | (e.slot + 1);
+  }
   bool stale(const Entry& e) const { return slots_[e.slot].gen != e.gen; }
   /// Disarms a slot and returns it to the free list.
   void release_slot(uint32_t slot);
   /// Pops cancelled/stale entries off the top of the heap.
   void prune_stale();
+  /// Drops cancelled heads from every lane and re-caches the least head.
+  void refresh_lane_min();
 
   SimTime now_ = 0.0;
   uint64_t next_seq_ = 1;
@@ -165,6 +220,13 @@ class EventQueue {
   Entry front_{};
   bool has_front_ = false;
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::vector<Ring> lanes_;
+  /// The least live entry over all lanes, and the lane whose head it is;
+  /// kNoLaneEntry when no lane holds a live entry. Every lane entry, live
+  /// or cancelled, is at or after it, so a push can only lower it by
+  /// landing in an empty lane; cancel() re-caches it when it cancels it.
+  Entry lane_min_ = kNoLaneEntry;
+  FifoLane lane_min_lane_ = 0;
 };
 
 }  // namespace libra::sim

@@ -10,6 +10,10 @@
 
 namespace libra::sim {
 
+InvocationLifecycle::InvocationLifecycle(Engine& host,
+                                         const ExecutionModel& exec)
+    : host_(host), exec_(exec), monitor_lane_(host.queue().add_fifo_lane()) {}
+
 void InvocationLifecycle::begin_execution(InvocationId id, uint64_t epoch) {
   // Epoch-guarded continuation: a recycled record means a newer epoch
   // already invalidated this event, so a miss is the guard rejection.
@@ -27,8 +31,9 @@ void InvocationLifecycle::begin_execution(InvocationId id, uint64_t epoch) {
   host_.cluster().record_series();
   schedule_progress_events(inv);
   if (host_.policy().wants_monitor(inv)) {
-    inv.monitor_event = host_.queue().schedule_after(
-        host_.config().monitor_interval, [this, id] { monitor_tick(id); });
+    inv.monitor_event = host_.queue().schedule_fifo(
+        monitor_lane_, host_.queue().now() + host_.config().monitor_interval,
+        [this, id] { monitor_tick(id); });
   }
   host_.notify_audit(EngineEventKind::kExecStart, id, inv.node);
 }
@@ -148,8 +153,9 @@ void InvocationLifecycle::monitor_tick(InvocationId id) {
     host_.policy().on_monitor(inv, host_.api());
   }
   if (!inv.done && host_.policy().wants_monitor(inv)) {
-    inv.monitor_event = host_.queue().schedule_after(
-        host_.config().monitor_interval, [this, id] { monitor_tick(id); });
+    inv.monitor_event = host_.queue().schedule_fifo(
+        monitor_lane_, host_.queue().now() + host_.config().monitor_interval,
+        [this, id] { monitor_tick(id); });
   }
   host_.notify_audit(EngineEventKind::kMonitor, id, inv.node);
 }

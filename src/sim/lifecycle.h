@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "sim/event_queue.h"
 #include "sim/execution_model.h"
 #include "sim/invocation.h"
 
@@ -17,8 +18,7 @@ class Engine;
 
 class InvocationLifecycle {
  public:
-  InvocationLifecycle(Engine& host, const ExecutionModel& exec)
-      : host_(host), exec_(exec) {}
+  InvocationLifecycle(Engine& host, const ExecutionModel& exec);
 
   /// Container is up: start (or restart) executing. `epoch` guards against
   /// placements invalidated while the container was starting.
@@ -71,6 +71,9 @@ class InvocationLifecycle {
 
   Engine& host_;
   const ExecutionModel& exec_;
+  /// Every monitor tick fires one monitor_interval after now(), so the
+  /// ticks share a FIFO lane (EventQueue::schedule_fifo), not the heap.
+  const EventQueue::FifoLane monitor_lane_;
   std::vector<InvocationId> finalized_;
 };
 

@@ -16,6 +16,8 @@ struct GoldenCase {
   const char* name;
   uint64_t digest;  // captured from the pre-refactor engine
 };
+// Its bytes are part of every registered test ID (below).
+static_assert(sizeof(GoldenCase) == 16);
 
 // gtest has no printer for GoldenCase, so it describes each instantiation as
 // "GetParam() = 16-byte object <bytes>", and ctest registers that text as
@@ -78,5 +80,15 @@ constexpr auto make_golden_cases() {
 }
 
 inline constexpr auto kGoldenCases = make_golden_cases();
+
+/// The case's name, read from its kGoldenEntries row rather than through
+/// its pointer into the pool: no strlen over the pool, which GCC's
+/// -Wstringop-overread misreads as a read past the pool's end.
+constexpr std::string_view case_name(const GoldenCase& c) {
+  for (const auto& e : kGoldenEntries) {
+    if (c.name == kNamePool.bytes + e.offset) return e.name;
+  }
+  return {};
+}
 
 }  // namespace libra::golden

@@ -8,13 +8,20 @@
 // The operations: schedule, schedule_arrival and schedule_after on a 0.25 s
 // grid (so same-time ties are common), at now(), at now() - 5e-10 (absorbed
 // float noise), at -0.0, and at NaN, ±inf and past times (which must
-// throw); cancel of live, fired, cancelled and never-issued handles; step,
-// run_until and next_time; and callbacks that schedule and cancel further
-// events while they run.
+// throw); schedule_fifo into two FIFO lanes, at the lane's cadence after
+// now() (an append), earlier than the lane's last schedule (the heap
+// fallback), at the edge-case times above and into an unknown lane (which
+// must throw); cancel of live, fired, cancelled and never-issued handles,
+// and of the earliest and of a later live entry of a lane; step, run_until
+// and next_time; and callbacks that schedule and cancel further events
+// while they run, a fired lane event re-arming itself at its cadence the
+// way a monitor tick does. To the model a lane event is a normal event:
+// the lanes may change where an event waits, never when it fires.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <limits>
@@ -35,6 +42,9 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kGrid = 0.25;
+/// Each lane's cadence: lane 0 fires every grid step, lane 1 every three.
+constexpr double kCadence[] = {kGrid, 3 * kGrid};
+constexpr int kLanes = 2;
 
 uint64_t bits(double x) { return std::bit_cast<uint64_t>(x); }
 
@@ -46,6 +56,7 @@ struct ModelEvent {
   uint64_t seq;
   int label;
   EventId id;
+  int fifo;  // the FIFO lane it was scheduled into, or -1; not in the order
 };
 struct ModelOrder {
   bool operator()(const ModelEvent& a, const ModelEvent& b) const {
@@ -86,10 +97,20 @@ class Harness {
   long dispatched() const { return dispatched_; }
   long threw() const { return threw_; }
   long cancels_hit() const { return cancels_hit_; }
+  long fifo_appends() const { return fifo_appends_; }
+  long fifo_fallbacks() const { return fifo_fallbacks_; }
+  long fifo_dispatched() const { return fifo_dispatched_; }
+  long fifo_head_cancels() const { return fifo_head_cancels_; }
+  long fifo_middle_cancels() const { return fifo_middle_cancels_; }
 
  private:
   void reset() {
     q_ = std::make_unique<EventQueue>();
+    for (int l = 0; l < kLanes; ++l) {
+      lanes_[l] = q_->add_fifo_lane();
+      lane_last_[l] = -kInf;
+      lane_ids_[l].clear();
+    }
     pending_.clear();
     live_.clear();
     fired_.clear();
@@ -122,12 +143,22 @@ class Harness {
 
   void random_op() {
     const double r = rng_.uniform();
-    if (r < 0.40) {
+    if (r < 0.28) {
       where_ = "schedule";
       schedule_one();
-    } else if (r < 0.60) {
+    } else if (r < 0.40) {
+      // Up to three at once, as when several invocations start executing
+      // at the same instant and each arms its monitor.
+      where_ = "schedule_fifo";
+      const int lane = static_cast<int>(rng_.uniform_int(0, kLanes - 1));
+      for (int64_t n = rng_.uniform_int(1, 3); n > 0; --n)
+        schedule_fifo_one(lane);
+    } else if (r < 0.53) {
       where_ = "cancel";
       cancel_one();
+    } else if (r < 0.60) {
+      where_ = "cancel lane entry";
+      cancel_lane_entry();
     } else if (r < 0.85) {
       where_ = "step";
       const bool had = !pending_.empty();
@@ -205,9 +236,95 @@ class Harness {
     expect(live_.count(id) == 0, "schedule reissued a live handle");
     if (!valid) return;
     const auto it =
-        pending_.insert(ModelEvent{t, form == 1 ? 0 : 1, seq_++, label, id})
+        pending_
+            .insert(ModelEvent{t, form == 1 ? 0 : 1, seq_++, label, id, -1})
             .first;
     live_[id] = it;
+  }
+
+  /// schedule_fifo into `lane`: mostly at its cadence after now() (the
+  /// timer's own shape, an append), else earlier than the lane's last
+  /// schedule (the heap fallback, unless the lane has drained since), at
+  /// one of pick_time()'s edge cases, or into a lane that does not exist.
+  void schedule_fifo_one(int lane) {
+    double arg;
+    bool bad_lane = false;
+    const double r = rng_.uniform();
+    if (r < 0.55) {
+      arg = now_ + kCadence[lane];
+    } else if (r < 0.80 && lane_last_[lane] > now_) {
+      // On the grid at or after now(), but before the last schedule.
+      const double span = lane_last_[lane] - now_;
+      arg = now_ + std::floor(rng_.uniform() * span / kGrid) * kGrid;
+      if (!(arg < lane_last_[lane])) arg = now_;
+    } else if (r < 0.97) {
+      arg = pick_time();
+    } else {
+      arg = now_ + kCadence[lane];
+      bad_lane = true;
+    }
+    double t = arg;
+    const bool valid = std::isfinite(t) && !(t < now_ - 1e-9);
+    if (valid && t < now_) t = now_;
+    const int label = next_label_++;
+    EventId id = kInvalidEvent;
+    const char* threw = nullptr;
+    try {
+      id = q_->schedule_fifo(
+          bad_lane ? EventQueue::FifoLane{kLanes + 7} : lanes_[lane], arg,
+          [this, label] { fire(label); });
+    } catch (const std::invalid_argument&) {
+      threw = "invalid_argument";
+    } catch (const std::out_of_range&) {
+      threw = "out_of_range";
+    }
+    if (bad_lane) {
+      expect(threw && std::string(threw) == "out_of_range",
+             "an unknown lane was accepted");
+      ++threw_;
+      return;
+    }
+    expect(!threw == valid, valid ? "a valid time threw" : "a bad time was accepted");
+    if (threw) {
+      ++threw_;
+      return;
+    }
+    expect(id != kInvalidEvent, "schedule_fifo returned kInvalidEvent");
+    expect(live_.count(id) == 0, "schedule_fifo reissued a live handle");
+    if (t < lane_last_[lane]) {
+      ++fifo_fallbacks_;
+    } else {
+      ++fifo_appends_;
+      lane_last_[lane] = t;
+    }
+    const auto it =
+        pending_.insert(ModelEvent{t, 1, seq_++, label, id, lane}).first;
+    live_[id] = it;
+    lane_ids_[lane].push_back(id);
+  }
+
+  /// Cancels the earliest live event scheduled into a lane (its head,
+  /// unless it fell back to the heap) or a later one (a middle entry).
+  void cancel_lane_entry() {
+    const int lane = static_cast<int>(rng_.uniform_int(0, kLanes - 1));
+    std::vector<EventId>& ids = lane_ids_[lane];
+    // Forget handles that fired or were cancelled by other operations.
+    std::erase_if(ids, [this](EventId id) { return live_.count(id) == 0; });
+    if (ids.empty()) return;
+    const bool head = ids.size() == 1 || rng_.bernoulli(0.3);
+    const size_t pos =
+        head ? 0
+             : static_cast<size_t>(rng_.uniform_int(
+                   1, static_cast<int64_t>(ids.size()) - 1));
+    const EventId id = ids[pos];
+    ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(pos));
+    ++(head ? fifo_head_cancels_ : fifo_middle_cancels_);
+    q_->cancel(id);
+    const auto it = live_.find(id);
+    ++cancels_hit_;
+    pending_.erase(it->second);
+    live_.erase(it);
+    cancelled_.push_back(id);
   }
 
   EventId pick_handle() {
@@ -295,6 +412,11 @@ class Harness {
     expect(q_->pending() == pending_.size(), "pending() inside a callback");
     if (!ok()) return;
     const std::string outer = where_;
+    if (e.fifo >= 0) ++fifo_dispatched_;
+    if (e.fifo >= 0 && rng_.bernoulli(0.5)) {
+      where_ = outer + " > lane timer re-arms";
+      schedule_fifo_one(e.fifo);
+    }
     if (rng_.bernoulli(0.3)) {
       where_ = outer + " > callback schedule";
       schedule_one();
@@ -309,6 +431,11 @@ class Harness {
   util::Rng rng_;
   const bool probe_next_time_;
   std::unique_ptr<EventQueue> q_;
+  EventQueue::FifoLane lanes_[kLanes] = {};
+  /// Per lane: the latest time scheduled into it since the episode began.
+  double lane_last_[kLanes] = {};
+  /// Per lane: handles scheduled into it, in scheduling order.
+  std::vector<EventId> lane_ids_[kLanes];
 
   // The model.
   std::set<ModelEvent, ModelOrder> pending_;
@@ -324,6 +451,11 @@ class Harness {
   long dispatched_ = 0;
   long threw_ = 0;
   long cancels_hit_ = 0;
+  long fifo_appends_ = 0;
+  long fifo_fallbacks_ = 0;
+  long fifo_dispatched_ = 0;
+  long fifo_head_cancels_ = 0;
+  long fifo_middle_cancels_ = 0;
   std::string where_;
   std::string failure_;
 };
@@ -344,6 +476,13 @@ TEST_P(EventQueueModel, RandomOperationsMatchTheOrderedSetModel) {
     EXPECT_GT(h.dispatched(), 2000);
     EXPECT_GT(h.cancels_hit(), 300);
     EXPECT_GT(h.threw(), 300);
+    // ... and the lanes: appends, fallbacks, lane dispatches, and cancels
+    // of lane heads and of entries behind them.
+    EXPECT_GT(h.fifo_appends(), 1500);
+    EXPECT_GT(h.fifo_fallbacks(), 400);
+    EXPECT_GT(h.fifo_dispatched(), 1500);
+    EXPECT_GT(h.fifo_head_cancels(), 100);
+    EXPECT_GT(h.fifo_middle_cancels(), 100);
   }
 }
 

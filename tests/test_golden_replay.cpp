@@ -53,9 +53,9 @@ class GoldenReplay : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenReplay, OneWorkerMatchesPreRefactorEngine) {
   const auto& c = GetParam();
-  EXPECT_EQ(exp::digest_hex(run_scenario(c.name)),
-            exp::digest_hex(c.digest))
-      << "scenario " << c.name << " diverged from the pre-refactor engine";
+  const std::string name(golden::case_name(c));
+  EXPECT_EQ(exp::digest_hex(run_scenario(name)), exp::digest_hex(c.digest))
+      << "scenario " << name << " diverged from the pre-refactor engine";
 }
 
 // Multi-controller digest identity (DESIGN.md §5k): with pass-through gossip
@@ -65,9 +65,10 @@ TEST_P(GoldenReplay, OneWorkerMatchesPreRefactorEngine) {
 // pre-refactor digests bit-for-bit.
 TEST_P(GoldenReplay, FourControllersOneWorkerMatchPreRefactorEngine) {
   const auto& c = GetParam();
-  EXPECT_EQ(exp::digest_hex(run_scenario(c.name, /*controllers=*/4)),
+  const std::string name(golden::case_name(c));
+  EXPECT_EQ(exp::digest_hex(run_scenario(name, /*controllers=*/4)),
             exp::digest_hex(c.digest))
-      << "scenario " << c.name << " diverged from the pre-refactor engine "
+      << "scenario " << name << " diverged from the pre-refactor engine "
       << "with 4 controllers — catalog sharding, gossip caches or work "
       << "stealing leaked into engine behaviour";
 }
@@ -75,7 +76,7 @@ TEST_P(GoldenReplay, FourControllersOneWorkerMatchPreRefactorEngine) {
 INSTANTIATE_TEST_SUITE_P(AllScenarios, GoldenReplay,
                          ::testing::ValuesIn(golden::kGoldenCases),
                          [](const auto& info) {
-                           return std::string(info.param.name);
+                           return std::string(golden::case_name(info.param));
                          });
 
 // The digest itself must be stable across identical runs (no iteration-order

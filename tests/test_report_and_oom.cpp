@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "baselines/freyr.h"
 #include "baselines/schedulers.h"
@@ -198,6 +199,17 @@ TEST(FreyrSemantics, SafeguardOnlyFixesTheNextInvocation) {
       m.invocations[0].id == 1 ? m.invocations[0] : m.invocations[1];
   EXPECT_EQ(second.pred_demand.cpu, second.user_alloc.cpu);
   EXPECT_EQ(second.pred_demand.mem, second.user_alloc.mem);
+}
+
+TEST(FreyrSemantics, NegativeFunctionIdThrows) {
+  // The safeguard's per-function tables are indexed by function id.
+  auto policy = std::make_shared<core::LibraPolicy>(
+      baselines::freyr_config(), std::make_shared<MaliciousPredictor>(),
+      std::make_shared<baselines::HashScheduler>());
+  sim::Invocation inv;
+  inv.func = -1;
+  inv.user_alloc = {1.0, 512.0};
+  EXPECT_THROW(policy->predict(inv), std::out_of_range);
 }
 
 // ---------------- Event-queue stress property ----------------

@@ -39,23 +39,24 @@ class StreamingGolden : public ::testing::TestWithParam<golden::GoldenCase> {};
 
 TEST_P(StreamingGolden, OneWorkerMatchesGoldenDigest) {
   const auto& c = GetParam();
-  EXPECT_EQ(exp::digest_hex(run_streamed(c.name, false)),
+  const std::string name(golden::case_name(c));
+  EXPECT_EQ(exp::digest_hex(run_streamed(name, false)),
             exp::digest_hex(c.digest))
-      << "the run path diverged from the pinned golden digest for "
-      << c.name;
+      << "the run path diverged from the pinned golden digest for " << name;
 }
 
 TEST_P(StreamingGolden, RecyclingPreservesGoldenDigest) {
   const auto& c = GetParam();
-  EXPECT_EQ(exp::digest_hex(run_streamed(c.name, true)),
+  const std::string name(golden::case_name(c));
+  EXPECT_EQ(exp::digest_hex(run_streamed(name, true)),
             exp::digest_hex(c.digest))
-      << "record recycling perturbed the replay for " << c.name;
+      << "record recycling perturbed the replay for " << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllScenarios, StreamingGolden,
                          ::testing::ValuesIn(golden::kGoldenCases),
                          [](const auto& info) {
-                           return std::string(info.param.name);
+                           return std::string(golden::case_name(info.param));
                          });
 
 // ---------------- sink mode (retain_records off) ----------------
