@@ -1,15 +1,19 @@
 #include "exp/cli.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
+#include <system_error>
 
 namespace libra::exp {
 
 namespace {
 
 /// Matches "--flag value" and "--flag=value"; advances *i past a consumed
-/// separate value argument.
+/// separate value argument. Throws std::invalid_argument when the flag is
+/// the last argument and so has no value.
 bool take_value(int argc, char** argv, int* i, const char* flag,
                 std::string* out) {
   const char* arg = argv[*i];
@@ -19,11 +23,29 @@ bool take_value(int argc, char** argv, int* i, const char* flag,
     *out = arg + flag_len + 1;
     return true;
   }
-  if (arg[flag_len] == '\0' && *i + 1 < argc) {
-    *out = argv[++*i];
-    return true;
-  }
-  return false;
+  if (arg[flag_len] != '\0') return false;
+  if (*i + 1 >= argc)
+    throw std::invalid_argument(std::string(flag) + ": missing value");
+  *out = argv[++*i];
+  return true;
+}
+
+/// The whole of `value` as a T: base-10 digits for an integer (a leading
+/// '-' only when T is signed), or a fixed, scientific, inf or nan float.
+/// Throws std::invalid_argument naming `flag` on anything else — trailing
+/// text included — and on a value T cannot hold.
+template <typename T>
+T parse_value(const char* flag, const std::string& value) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec == std::errc::result_out_of_range)
+    throw std::invalid_argument(std::string(flag) + ": '" + value +
+                                "' is out of range");
+  if (ec != std::errc() || ptr != end)
+    throw std::invalid_argument(std::string(flag) + ": malformed value '" +
+                                value + "'");
+  return out;
 }
 
 }  // namespace
@@ -45,24 +67,24 @@ CliOptions parse_cli(int argc, char** argv) {
     } else if (take_value(argc, argv, &i, "--trace-ndjson", &value)) {
       opt.trace_ndjson = value;
     } else if (take_value(argc, argv, &i, "--obs-every-n", &value)) {
-      const long n = std::strtol(value.c_str(), nullptr, 10);
-      if (n >= 1) opt.obs_every_n = static_cast<int>(n);
+      opt.obs_every_n = parse_value<int>("--obs-every-n", value);
+      if (opt.obs_every_n < 1)
+        throw std::invalid_argument("--obs-every-n: must be >= 1, got " +
+                                    value);
     } else if (take_value(argc, argv, &i, "--gen-functions", &value)) {
-      // Bad values are passed through verbatim: GenConfig::validate()
-      // rejects them with a message naming the knob (silently keeping the
-      // default would mask a typo'd flag).
+      // A well-formed value GenConfig forbids (e.g. 0) is kept verbatim:
+      // GenConfig::validate() rejects it with a message naming the knob.
       opt.gen = true;
-      opt.gen_cfg.functions =
-          static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
+      opt.gen_cfg.functions = parse_value<int>("--gen-functions", value);
     } else if (take_value(argc, argv, &i, "--gen-rpm", &value)) {
       opt.gen = true;
-      opt.gen_cfg.rpm = std::strtod(value.c_str(), nullptr);
+      opt.gen_cfg.rpm = parse_value<double>("--gen-rpm", value);
     } else if (take_value(argc, argv, &i, "--gen-seed", &value)) {
       opt.gen = true;
-      opt.gen_cfg.seed = std::strtoull(value.c_str(), nullptr, 10);
+      opt.gen_cfg.seed = parse_value<uint64_t>("--gen-seed", value);
     } else if (take_value(argc, argv, &i, "--gen-minutes", &value)) {
       opt.gen = true;
-      opt.gen_cfg.duration = std::strtod(value.c_str(), nullptr) * 60.0;
+      opt.gen_cfg.duration = parse_value<double>("--gen-minutes", value) * 60.0;
     } else if (take_value(argc, argv, &i, "--json-out", &value)) {
       opt.json_out = value;
     } else {

@@ -63,8 +63,11 @@ struct CliOptions {
   }
 };
 
-/// Parses the shared flags out of argv; never exits. Malformed values for a
-/// recognized flag (e.g. --obs-every-n 0) fall back to the default.
+/// Parses the shared flags out of argv; never exits. Throws
+/// std::invalid_argument naming the flag when a recognized flag's value is
+/// missing, malformed (trailing text included), out of range for its type,
+/// or an --obs-every-n below 1. A well-formed --gen-* value that GenConfig
+/// forbids (e.g. --gen-rpm 0 or inf) is kept for gen_config() to reject.
 CliOptions parse_cli(int argc, char** argv);
 
 /// Usage text for the shared flags (callers prepend their own).

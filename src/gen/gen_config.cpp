@@ -6,47 +6,47 @@
 
 namespace libra::gen {
 
+namespace {
+
+/// The error for a double knob that is NaN, infinite or outside `rule`.
+std::invalid_argument bad_knob(const char* knob, const char* rule,
+                               double value) {
+  return std::invalid_argument(std::string("GenConfig: ") + knob +
+                               " must be finite and " + rule + ", got " +
+                               std::to_string(value));
+}
+
+}  // namespace
+
 void GenConfig::validate() const {
+  // Every double knob must be finite as well as in range: an infinite rate
+  // or window sizes the stream without bound.
   if (functions < 1)
     throw std::invalid_argument("GenConfig: functions must be >= 1, got " +
                                 std::to_string(functions));
-  if (!(rpm > 0.0))
-    throw std::invalid_argument("GenConfig: rpm must be > 0, got " +
-                                std::to_string(rpm));
-  if (!(duration > 0.0))
-    throw std::invalid_argument("GenConfig: duration must be > 0, got " +
-                                std::to_string(duration));
-  if (!(zipf_s >= 0.0))
-    throw std::invalid_argument("GenConfig: zipf_s must be >= 0, got " +
-                                std::to_string(zipf_s));
-  if (!(diurnal_amplitude >= 0.0) || diurnal_amplitude >= 1.0)
-    throw std::invalid_argument(
-        "GenConfig: diurnal_amplitude must be in [0, 1), got " +
-        std::to_string(diurnal_amplitude));
-  if (!(diurnal_period > 0.0))
-    throw std::invalid_argument("GenConfig: diurnal_period must be > 0, got " +
-                                std::to_string(diurnal_period));
+  if (!(std::isfinite(rpm) && rpm > 0.0)) throw bad_knob("rpm", "> 0", rpm);
+  if (!(std::isfinite(duration) && duration > 0.0))
+    throw bad_knob("duration", "> 0", duration);
+  if (!(std::isfinite(zipf_s) && zipf_s >= 0.0))
+    throw bad_knob("zipf_s", ">= 0", zipf_s);
+  if (!(diurnal_amplitude >= 0.0 && diurnal_amplitude < 1.0))
+    throw bad_knob("diurnal_amplitude", "in [0, 1)", diurnal_amplitude);
+  if (!(std::isfinite(diurnal_period) && diurnal_period > 0.0))
+    throw bad_knob("diurnal_period", "> 0", diurnal_period);
   if (!std::isfinite(diurnal_phase))
     throw std::invalid_argument("GenConfig: diurnal_phase must be finite");
-  if (!(burst_episodes_per_min >= 0.0))
-    throw std::invalid_argument(
-        "GenConfig: burst_episodes_per_min must be >= 0, got " +
-        std::to_string(burst_episodes_per_min));
+  if (!(std::isfinite(burst_episodes_per_min) && burst_episodes_per_min >= 0.0))
+    throw bad_knob("burst_episodes_per_min", ">= 0", burst_episodes_per_min);
   if (burst_episodes_per_min > 0.0) {
-    if (!(burst_size_mean >= 1.0))
-      throw std::invalid_argument(
-          "GenConfig: burst_size_mean must be >= 1 when episodes are "
-          "enabled, got " +
-          std::to_string(burst_size_mean));
-    if (!(burst_spacing > 0.0))
-      throw std::invalid_argument(
-          "GenConfig: burst_spacing must be > 0 when episodes are enabled, "
-          "got " +
-          std::to_string(burst_spacing));
+    if (!(std::isfinite(burst_size_mean) && burst_size_mean >= 1.0))
+      throw bad_knob("burst_size_mean", ">= 1 when episodes are enabled",
+                     burst_size_mean);
+    if (!(std::isfinite(burst_spacing) && burst_spacing > 0.0))
+      throw bad_knob("burst_spacing", "> 0 when episodes are enabled",
+                     burst_spacing);
   }
-  if (!(mean_work > 0.0))
-    throw std::invalid_argument("GenConfig: mean_work must be > 0, got " +
-                                std::to_string(mean_work));
+  if (!(std::isfinite(mean_work) && mean_work > 0.0))
+    throw bad_knob("mean_work", "> 0", mean_work);
 }
 
 size_t GenConfig::expected_invocations() const {

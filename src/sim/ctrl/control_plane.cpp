@@ -2,20 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <stdexcept>
 #include <utility>
 
 #include "sim/engine.h"
+#include "sim/sharded_controller.h"
+#include "util/audit.h"
 
 namespace libra::sim::ctrl {
-
-namespace {
-/// Stands in for a run of dropped deque entries. No invocation has a
-/// negative id, so it never resolves and never matches a dequeued id.
-constexpr InvocationId kDroppedRun = -1;
-/// A deque is not compacted below this size.
-constexpr size_t kMinCompactAt = 64;
-}  // namespace
 
 void ControlPlaneConfig::validate() const {
   if (num_controllers < 1)
@@ -41,12 +36,8 @@ ControlPlane::ControlPlane(Engine& host)
                  cfg_.gossip_fanout == 0 && fp.gossip_drop_prob == 0.0 &&
                  fp.gossip_delay_prob == 0.0;
   stats_.controllers.resize(static_cast<size_t>(cfg_.num_controllers));
-  if (cfg_.num_controllers > 1) {
-    queues_.resize(static_cast<size_t>(cfg_.num_controllers));
+  if (cfg_.num_controllers > 1)
     depth_.assign(static_cast<size_t>(cfg_.num_controllers), 0);
-    compact_at_.assign(static_cast<size_t>(cfg_.num_controllers),
-                       kMinCompactAt);
-  }
 }
 
 void ControlPlane::start(SimTime first_arrival) {
@@ -186,65 +177,18 @@ void ControlPlane::on_admit(Invocation& inv) {
   ++stats_.controllers[static_cast<size_t>(inv.controller)].admitted;
 }
 
-void ControlPlane::on_enqueued(InvocationId id) {
+void ControlPlane::on_enqueued(const Invocation& inv) {
   if (cfg_.num_controllers <= 1) return;
-  Invocation* inv = host_.find_invocation(id);
-  if (!inv) return;
-  const auto c = static_cast<size_t>(inv->controller);
-  push_entry(c, id);
-  inv->queued_controller = inv->controller;
+  const auto c = static_cast<size_t>(inv.controller);
   ControllerStats& cs = stats_.controllers[c];
   cs.peak_queue_depth = std::max(cs.peak_queue_depth, ++depth_[c]);
   maybe_steal();
 }
 
-void ControlPlane::push_entry(size_t controller, InvocationId id) {
-  queues_[controller].push_back(id);
-  if (queues_[controller].size() >= compact_at_[controller])
-    compact(controller);
-}
-
-void ControlPlane::compact(size_t controller) {
-  // An entry whose invocation is gone or done can never be stolen, and
-  // its invocation is never queued again. Each run of such entries becomes
-  // one kDroppedRun marker rather than nothing: on_dequeued pops only an
-  // entry at the front, and a dead entry ahead of a live one keeps that
-  // live entry in place (where a later re-enqueue may revive it), so the
-  // marker keeps every pop, and with it every steal, as it was.
-  std::deque<InvocationId>& q = queues_[controller];
-  size_t kept = 0;
-  bool in_dropped_run = false;
-  for (size_t i = 0; i < q.size(); ++i) {
-    const Invocation* inv = host_.find_invocation(q[i]);
-    if (inv != nullptr && !inv->done) {
-      q[kept++] = q[i];
-      in_dropped_run = false;
-    } else if (!in_dropped_run) {
-      q[kept++] = kDroppedRun;
-      in_dropped_run = true;
-    }
-  }
-  q.resize(kept);
-  // Doubling, so the scans cost O(1) per push amortized.
-  compact_at_[controller] = std::max(kMinCompactAt, 2 * kept);
-}
-
-size_t ControlPlane::queued_entries() const {
-  size_t total = 0;
-  for (const auto& q : queues_) total += q.size();
-  return total;
-}
-
-void ControlPlane::on_dequeued(Invocation& inv) {
-  if (cfg_.num_controllers <= 1 || inv.queued_controller < 0) return;
-  const auto c = static_cast<size_t>(inv.queued_controller);
-  inv.queued_controller = -1;
-  --depth_[c];
-  // Fast path: the popped invocation is usually the queue front. Otherwise
-  // the deque entry goes stale; a steal pass drops it when it walks past,
-  // compact() once its invocation is done.
-  if (!queues_[c].empty() && queues_[c].front() == inv.id)
-    queues_[c].pop_front();
+void ControlPlane::on_dequeued(const Invocation& inv) {
+  // A queued invocation's owner is the controller whose depth counts it: a
+  // steal moves both together.
+  if (cfg_.num_controllers > 1) --depth_[static_cast<size_t>(inv.controller)];
 }
 
 void ControlPlane::on_decision(const Invocation& inv, NodeId first_choice,
@@ -295,25 +239,37 @@ void ControlPlane::maybe_steal() {
         depth_[static_cast<size_t>(victim)] - depth_[static_cast<size_t>(thief)];
     const long quota = std::min<long>(cfg_.steal_batch, diff / 2);
     if (quota <= 0) return;
-    std::deque<InvocationId>& vq = queues_[static_cast<size_t>(victim)];
+    // The victim's oldest queued invocations are the first of its own that
+    // the decision barriers will reach: each barrier pops the front of
+    // every shard it batches, so read the shard queues position-major —
+    // position 0 of shards 0..S-1, then position 1, and so on.
+    const std::vector<std::deque<InvocationId>>& queues =
+        host_.controller().shard_queues();
     long moved = 0;
-    while (moved < quota && !vq.empty()) {
-      const InvocationId id = vq.front();
-      vq.pop_front();
-      Invocation* inv = host_.find_invocation(id);
-      if (!inv || inv->queued_controller != victim) continue;  // stale entry
-      // Re-stamp ONLY the owning controller: which cached view the decision
-      // reads and where it is attributed. The engine-level shard, the queue
-      // position and every event time are untouched, so RunMetrics stay
-      // bit-identical across controller counts.
-      inv->queued_controller = thief;
-      inv->controller = thief;
-      push_entry(static_cast<size_t>(thief), id);
-      --depth_[static_cast<size_t>(victim)];
-      ++depth_[static_cast<size_t>(thief)];
-      ++moved;
+    for (size_t pos = 0; moved < quota; ++pos) {
+      bool any = false;
+      for (const std::deque<InvocationId>& q : queues) {
+        if (pos >= q.size()) continue;
+        any = true;
+        Invocation& inv = host_.invocation(q[pos]);
+        if (inv.controller != victim) continue;
+        // Re-stamp ONLY the owning controller: which cached view the
+        // decision reads and where it is attributed. The engine-level
+        // shard, the queue position and every event time are untouched, so
+        // RunMetrics stay bit-identical across controller counts.
+        inv.controller = thief;
+        if (++moved == quota) break;
+      }
+      if (!any) break;
     }
-    if (moved == 0) return;  // victim queue was all stale entries
+    LIBRA_AUDIT_CHECK(moved == quota,
+                      "controller " << victim << " counts " << deepest
+                                    << " queued invocations, but a steal of "
+                                    << quota << " found only " << moved
+                                    << " in the shard queues");
+    if (moved == 0) return;  // reached only past a suppressed audit failure
+    depth_[static_cast<size_t>(victim)] -= moved;
+    depth_[static_cast<size_t>(thief)] += moved;
     stats_.controllers[static_cast<size_t>(thief)].steals_in += moved;
     stats_.controllers[static_cast<size_t>(victim)].steals_out += moved;
     ++stats_.steal_batches;

@@ -16,13 +16,15 @@
 //
 // Cross-controller stealing: when a controller's queue exceeds the
 // watermark, idle controllers steal batches of its oldest queued
-// invocations in ascending controller-id order. Stealing re-stamps only the
-// owning controller (which cache a decision reads and where it is
-// attributed), never the engine-level shard or any event timing.
+// invocations in ascending controller-id order. The shard queues are the
+// only queue order: a controller's queue is the invocations in them that it
+// owns, and the control plane keeps just a depth per controller. Stealing
+// re-stamps only the owning controller (which cache a decision reads and
+// where it is attributed), never the engine-level shard or any event
+// timing.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "core/pool_status.h"
@@ -58,16 +60,19 @@ class ControlPlane {
   // ---- ShardedController hooks ----
   /// Stamps the owning controller (func % num_controllers) at admission.
   void on_admit(Invocation& inv);
-  /// Queue-depth tracking for the steal heuristic; paired per invocation.
-  void on_enqueued(InvocationId id);
+  /// `inv` joined a shard queue: counts it in its owner's depth, then runs a
+  /// steal pass. Paired with on_dequeued per invocation.
+  void on_enqueued(const Invocation& inv);
   /// The decision barrier popped `inv` off its shard queue (it resolved the
   /// record once and hands it over).
-  void on_dequeued(Invocation& inv);
+  void on_dequeued(const Invocation& inv);
   /// One committed scheduling decision: attribution, conflict counting
   /// (first_choice != kNoNode but ground truth rejected it) and a staleness
   /// sample of the view the choice was made from.
   void on_decision(const Invocation& inv, NodeId first_choice, bool placed);
-  /// End-of-barrier steal pass (also run after every enqueue).
+  /// End-of-barrier steal pass (also run after every enqueue). A batch
+  /// re-stamps the victim's first invocations in the shard queues, read
+  /// position-major: the order the decision barriers will reach them.
   void maybe_steal();
 
   // ---- ClusterState hooks ----
@@ -94,10 +99,6 @@ class ControlPlane {
   /// Snapshot for RunMetrics (digest-excluded section).
   const ControlPlaneStats& stats() const { return stats_; }
 
-  /// Entries held across the per-controller steal deques, stale ones
-  /// included: the memory the steal bookkeeping holds.
-  size_t queued_entries() const;
-
  private:
   /// One periodic-gossip timer firing: refresh the whole view, re-arm.
   void gossip_tick(int controller);
@@ -112,12 +113,6 @@ class ControlPlane {
   void deliver_gossip(int controller, NodeId node);
   /// The delivery event of a delayed payload: applies it, frees its slot.
   void deliver_delayed(uint32_t slot);
-  /// Appends to the controller's deque, compacting it once it reaches its
-  /// threshold, so no deque ever holds more than its threshold.
-  void push_entry(size_t controller, InvocationId id);
-  /// Drops the controller's deque entries whose invocation is gone or done
-  /// (DESIGN.md §5k, "Deque compaction") and sets its next threshold.
-  void compact(size_t controller);
 
   Engine& host_;
   ControlPlaneConfig cfg_;
@@ -147,15 +142,9 @@ class ControlPlane {
   /// Pass-through fan-out rotation cursor.
   int fanout_cursor_ = 0;
 
-  // ---- Steal bookkeeping (num_controllers > 1 only) ----
-  /// Per-controller admission queues (oldest first). Entries go stale when
-  /// an invocation is dequeued or stolen; Invocation::queued_controller is
-  /// the source of truth. A steal pass drops the stale entries it walks;
-  /// compact() drops those that can never count again.
-  std::vector<std::deque<InvocationId>> queues_;
+  /// depth_[c]: the shard-queue entries whose invocation controller c owns
+  /// (num_controllers > 1 only; the steal bookkeeping).
   std::vector<long> depth_;
-  /// Per controller: the deque size at which push_entry compacts it next.
-  std::vector<size_t> compact_at_;
 
   ControlPlaneStats stats_;
 };

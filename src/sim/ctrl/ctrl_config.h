@@ -32,8 +32,10 @@ struct ControlPlaneConfig {
   /// Work stealing: a controller whose admission queue is deeper than
   /// `steal_watermark` is a victim; idle controllers (empty queue), visited
   /// in ascending controller-id order, each take up to `steal_batch` of the
-  /// victim's oldest queued invocations — capped at half the depth
-  /// difference, so a steal pass always strictly rebalances and terminates.
+  /// victim's oldest queued invocations — the first of them the decision
+  /// barriers will reach (DESIGN.md §5k, "Steal order") — capped at half
+  /// the depth difference, so a steal pass always strictly rebalances and
+  /// terminates.
   /// Stealing re-stamps only the owning controller (cache attribution),
   /// never the engine-level shard or any event timing — RunMetrics stay
   /// bit-identical across controller counts.

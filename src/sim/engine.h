@@ -101,9 +101,6 @@ class Engine final : public EngineApi {
     return lifecycle_->finalized_ids();
   }
 
-  /// White-box access for the control-plane tests (read-only).
-  const ctrl::ControlPlane& control_plane() const { return *ctrlplane_; }
-
   /// Test hook modelling a terminal path that skips teardown: loses the
   /// invocation in place, leaving its reservation, placed-list entry and
   /// pool entries behind. Audit tests call it from an audit hook.

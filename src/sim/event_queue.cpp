@@ -5,7 +5,7 @@
 
 namespace libra::sim {
 
-// Forced inline, as is push_entry() in effect: schedule() stays one call,
+// Forced inline, as is place_entry() in effect: schedule() stays one call,
 // as it was before schedule_fifo() shared these two.
 [[gnu::always_inline]] inline EventQueue::Entry EventQueue::arm(
     SimTime t, uint64_t lane, const Callback& fn) {
@@ -30,7 +30,7 @@ namespace libra::sim {
   return Entry{t, (lane << 62) | next_seq_++, slot, s.gen};
 }
 
-inline void EventQueue::push_entry(const Entry& e) {
+inline void EventQueue::place_entry(const Entry& e) {
   if (has_front_) {
     // An entry earlier than the (live) front is earlier than every live
     // heap entry; the front it displaces still precedes every heap entry.
@@ -54,7 +54,7 @@ inline void EventQueue::push_entry(const Entry& e) {
 EventId EventQueue::schedule_keyed(SimTime t, uint64_t lane,
                                    const Callback& fn) {
   const Entry e = arm(t, lane, fn);
-  push_entry(e);
+  place_entry(e);
   return handle(e);
 }
 
@@ -72,7 +72,7 @@ EventId EventQueue::schedule_fifo(FifoLane lane, SimTime t,
   // Its seq is the largest yet, so any time no earlier than the tail's
   // keeps the ring in key order.
   if (!ring.empty() && e.time < ring.back().time) {
-    push_entry(e);
+    place_entry(e);
     return handle(e);
   }
   ring.push_back(e);

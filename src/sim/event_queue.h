@@ -198,7 +198,7 @@ class EventQueue {
   /// Validates `t`, arms a slot with `fn` and returns its keyed entry.
   Entry arm(SimTime t, uint64_t lane, const Callback& fn);
   /// Places a new entry in the front slot or on the heap.
-  void push_entry(const Entry& e);
+  void place_entry(const Entry& e);
   static EventId handle(const Entry& e) {
     return (static_cast<EventId>(e.gen) << 32) | (e.slot + 1);
   }

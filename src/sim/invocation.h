@@ -63,12 +63,10 @@ struct Invocation {
   /// Owning front-end controller (src/sim/ctrl): stamped `func % N` at
   /// admission, re-stamped when an idle controller steals the invocation.
   /// Selects which cached pool view the scheduler reads and where decisions
-  /// are attributed; never affects shard assignment or event timing.
+  /// are attributed; never affects shard assignment or event timing. While
+  /// the invocation waits in a shard queue it also names the controller
+  /// whose queue depth counts it.
   int controller = 0;
-  /// The controller whose admission queue holds the invocation, -1 while it
-  /// is in none: the control plane's steal bookkeeping (set on enqueue,
-  /// cleared on dequeue, moved by a steal; num_controllers > 1 only).
-  int queued_controller = -1;
   bool cold_start = false;
 
   // ---- Execution state (owned by the engine) ----

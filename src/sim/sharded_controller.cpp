@@ -66,7 +66,7 @@ void ShardedController::admit(InvocationId id) {
     return;
   }
   shard_queues_[static_cast<size_t>(v.shard)].push_back(id);
-  host_.control().on_enqueued(id);
+  host_.control().on_enqueued(v);
   pump(v.shard);
 }
 
@@ -75,7 +75,7 @@ void ShardedController::requeue_after_fault(InvocationId id) {
   if (inv.done) return;
   inv.t_sched_enqueue = host_.queue().now();  // timeout restarts per attempt
   shard_queues_[static_cast<size_t>(inv.shard)].push_back(id);
-  host_.control().on_enqueued(id);
+  host_.control().on_enqueued(inv);
   pump(inv.shard);
   host_.notify_audit(EngineEventKind::kRequeue, id);
 }
@@ -87,7 +87,7 @@ void ShardedController::retry_waiting() {
   for (auto it = parked.rbegin(); it != parked.rend(); ++it) {
     const Invocation& inv = host_.invocation(*it);
     shard_queues_[static_cast<size_t>(inv.shard)].push_front(*it);
-    host_.control().on_enqueued(*it);
+    host_.control().on_enqueued(inv);
   }
   parked.clear();
   for (ShardId s = 0; s < host_.config().num_shards; ++s) pump(s);

@@ -39,6 +39,12 @@ class ShardedController {
   /// Declares parked invocations lost once they exceed placement_timeout.
   void expire_overdue_waiting();
 
+  /// The per-shard FIFO queues, front first: the order each shard's
+  /// decision barriers will pop them (read by the control plane's steals).
+  const std::vector<std::deque<InvocationId>>& shard_queues() const {
+    return shard_queues_;
+  }
+
  private:
   /// Registers the shard for its next decision slot (max(now, busy_until))
   /// unless it is already registered or has nothing queued. Joins the batch

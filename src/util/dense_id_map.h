@@ -44,8 +44,11 @@ class DenseIdMap {
       throw std::invalid_argument(
           "DenseIdMap: id below the recycled window base");
     const size_t pos = static_cast<size_t>(key - offset_);
+    if (pos < index_.size() && index_[pos] != 0) return false;
+    // The new id leads the live ones when all are dead or it comes first;
+    // a window that missed it would slide past it, or never slide at all.
+    if (dead_prefix_ == index_.size() || pos < dead_prefix_) dead_prefix_ = pos;
     if (pos >= index_.size()) index_.resize(pos + 1, 0);
-    if (index_[pos] != 0) return false;
     uint32_t slot;
     if (!free_.empty()) {
       slot = free_.back();

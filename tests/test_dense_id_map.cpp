@@ -102,6 +102,26 @@ TEST(DenseIdMap, WindowSlidesPastDeadPrefixAndRefusesRebasedIds) {
   const int64_t next = 3000;
   EXPECT_TRUE(m.insert(next, "fresh"));
   EXPECT_EQ(m.at(next), "fresh");
+
+  // A stream whose first id is above the base slides too.
+  Map late;
+  for (int64_t id = 7; id < 3007; ++id) {
+    EXPECT_TRUE(late.insert(id, "v"));
+    EXPECT_TRUE(late.erase(id));
+  }
+  EXPECT_GT(late.window_base(), 7);
+
+  // An id put back inside the dead prefix is live: no later slide drops it.
+  Map back;
+  for (int64_t id = 0; id < 2000; ++id) EXPECT_TRUE(back.insert(id, "v"));
+  for (int64_t id = 0; id < 1500; ++id) EXPECT_TRUE(back.erase(id));
+  const int64_t base = back.window_base();
+  ASSERT_GT(base, 0);
+  EXPECT_TRUE(back.insert(base + 100, "back"));
+  for (int64_t id = 2000; id < 4000; ++id) EXPECT_TRUE(back.insert(id, "v"));
+  for (int64_t id = 1500; id < 4000; ++id) EXPECT_TRUE(back.erase(id));
+  ASSERT_NE(back.find(base + 100), nullptr);
+  EXPECT_EQ(back.at(base + 100), "back");
 }
 
 TEST(DenseIdMap, InterleavedChurnKeepsSlabBoundedByPeakLive) {

@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exp/cli.h"
@@ -277,6 +279,21 @@ TEST(GenConfig, ValidateRejectsBadKnobs) {
   bad([](gen::GenConfig& c) { c.burst_episodes_per_min = -2.0; });
   bad([](gen::GenConfig& c) { c.burst_spacing = 0.0; });
   bad([](gen::GenConfig& c) { c.mean_work = 0.0; });
+  // In range but not finite: every double knob must reject inf and NaN.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double v : {kInf, -kInf, kNaN}) {
+    bad([v](gen::GenConfig& c) { c.rpm = v; });
+    bad([v](gen::GenConfig& c) { c.duration = v; });
+    bad([v](gen::GenConfig& c) { c.zipf_s = v; });
+    bad([v](gen::GenConfig& c) { c.diurnal_amplitude = v; });
+    bad([v](gen::GenConfig& c) { c.diurnal_period = v; });
+    bad([v](gen::GenConfig& c) { c.diurnal_phase = v; });
+    bad([v](gen::GenConfig& c) { c.burst_episodes_per_min = v; });
+    bad([v](gen::GenConfig& c) { c.burst_size_mean = v; });
+    bad([v](gen::GenConfig& c) { c.burst_spacing = v; });
+    bad([v](gen::GenConfig& c) { c.mean_work = v; });
+  }
   gen::GenConfig ok;
   EXPECT_NO_THROW(ok.validate());
 }
@@ -302,6 +319,59 @@ TEST(GenConfig, CliFlagsRoundTripAndBadValuesReachValidate) {
   const char* neg[] = {"bench", "--gen-minutes", "-1"};
   EXPECT_THROW(exp::parse_cli(3, const_cast<char**>(neg)).gen_config(),
                std::invalid_argument);
+  // Well-formed but not finite: parse_cli keeps it, validate() rejects it
+  // (an infinite rate or window used to size the stream without bound).
+  for (const char* flag : {"--gen-rpm", "--gen-minutes"})
+    for (const char* value : {"inf", "-inf", "nan"}) {
+      const char* argv[] = {"bench", flag, value};
+      auto o = exp::parse_cli(3, const_cast<char**>(argv));
+      EXPECT_THROW(o.gen_config(), std::invalid_argument)
+          << flag << " " << value;
+    }
+  // 1e307 minutes is finite, but not once converted to seconds.
+  const char* huge[] = {"bench", "--gen-minutes", "1e307"};
+  EXPECT_THROW(exp::parse_cli(3, const_cast<char**>(huge)).gen_config(),
+               std::invalid_argument);
+
+  // Malformed or out of range for the field's type: parse_cli itself
+  // rejects the value, naming the flag, instead of truncating, wrapping or
+  // zeroing it.
+  const auto rejected = [](const char* flag, const char* value) {
+    const char* argv[] = {"bench", flag, value};
+    try {
+      exp::parse_cli(3, const_cast<char**>(argv));
+      ADD_FAILURE() << flag << " " << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+  };
+  rejected("--gen-functions", "4294967297");  // used to narrow to 1
+  rejected("--gen-functions", "12abc");       // used to read as 12
+  rejected("--gen-functions", "");
+  rejected("--gen-functions", "2.5");
+  rejected("--gen-seed", "-1");  // used to wrap to 2^64 - 1
+  rejected("--gen-seed", "abc");  // used to read as 0
+  rejected("--gen-seed", "18446744073709551616");
+  rejected("--gen-seed", " 7");
+  rejected("--gen-rpm", "1200rpm");
+  rejected("--gen-rpm", "1e400");
+  rejected("--gen-minutes", "two");
+  // The same value through the --flag=value spelling, and a flag with no
+  // value at all.
+  const char* eq[] = {"bench", "--gen-functions=12abc"};
+  EXPECT_THROW(exp::parse_cli(2, const_cast<char**>(eq)),
+               std::invalid_argument);
+  const char* last[] = {"bench", "--gen-rpm"};
+  EXPECT_THROW(exp::parse_cli(2, const_cast<char**>(last)),
+               std::invalid_argument);
+
+  // The edges of each type still parse.
+  const char* edges[] = {"bench", "--gen-functions", "2147483647",
+                         "--gen-seed", "18446744073709551615"};
+  const auto e = exp::parse_cli(5, const_cast<char**>(edges));
+  EXPECT_EQ(e.gen_cfg.functions, 2147483647);
+  EXPECT_EQ(e.gen_cfg.seed, 18446744073709551615ULL);
 }
 
 // ---------------- MaterializedSource adapter ----------------

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -564,6 +565,27 @@ TEST(ObsCli, ParsesSharedFlagsAndPassesUnknownsThrough) {
   const obs::ObsConfig cfg3 = exp::obs_config_from(opt3);
   EXPECT_TRUE(cfg3.enabled);
   EXPECT_EQ(cfg3.ndjson_path, "/tmp/t.ndjson");
+}
+
+TEST(ObsCli, RejectsABadSamplingRateByName) {
+  // A bad --obs-every-n used to be ignored silently, leaving the default.
+  for (const char* arg :
+       {"--obs-every-n=0", "--obs-every-n=-3", "--obs-every-n=abc",
+        "--obs-every-n=4x", "--obs-every-n=", "--obs-every-n=99999999999",
+        "--obs-every-n"}) {
+    const char* argv[] = {"bench", arg};
+    try {
+      exp::parse_cli(2, const_cast<char**>(argv));
+      ADD_FAILURE() << arg << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--obs-every-n"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const char* ok[] = {"bench", "--obs-every-n", "2147483647"};
+  EXPECT_EQ(exp::parse_cli(3, const_cast<char**>(ok)).obs_every_n,
+            2147483647);
 }
 
 }  // namespace
