@@ -41,11 +41,8 @@ sim::RunMetrics run_config(const core::LibraPolicyConfig& cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const exp::CliOptions cli = exp::parse_cli(argc, argv);
-  if (cli.help) {
-    std::cout << "bench_ablation_design [options]\n" << exp::cli_usage();
-    return 0;
-  }
+  const exp::CliOptions cli =
+      exp::parse_cli_or_exit(argc, argv, "bench_ablation_design");
 
   auto catalog = std::make_shared<const sim::FunctionCatalog>(
       workload::sebs_catalog());

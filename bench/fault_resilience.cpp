@@ -44,11 +44,8 @@ sim::EngineConfig faulty_config(const ChurnLevel& level) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const exp::CliOptions cli = exp::parse_cli(argc, argv);
-  if (cli.help) {
-    std::cout << "bench_fault_resilience [options]\n" << exp::cli_usage();
-    return 0;
-  }
+  const exp::CliOptions cli =
+      exp::parse_cli_or_exit(argc, argv, "bench_fault_resilience");
   auto catalog = std::make_shared<const sim::FunctionCatalog>(
       workload::sebs_catalog());
   const auto trace = workload::multi_trace(

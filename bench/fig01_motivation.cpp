@@ -32,11 +32,8 @@ sim::InputSpec vp_input_with_cpu(const sim::FunctionModel& vp,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const exp::CliOptions cli = exp::parse_cli(argc, argv);
-  if (cli.help) {
-    std::cout << "bench_fig01_motivation [options]\n" << exp::cli_usage();
-    return 0;
-  }
+  const exp::CliOptions cli =
+      exp::parse_cli_or_exit(argc, argv, "bench_fig01_motivation");
 
   const auto catalog = workload::sebs_catalog();
   const auto& dh = catalog.at(4);

@@ -18,11 +18,8 @@
 using namespace libra;
 
 int main(int argc, char** argv) {
-  const exp::CliOptions cli = exp::parse_cli(argc, argv);
-  if (cli.help) {
-    std::cout << "bench_fig06_harvest_cdf [options]\n" << exp::cli_usage();
-    return 0;
-  }
+  const exp::CliOptions cli =
+      exp::parse_cli_or_exit(argc, argv, "bench_fig06_harvest_cdf");
 
   auto catalog = std::make_shared<const sim::FunctionCatalog>(
       workload::sebs_catalog());

@@ -38,11 +38,8 @@ const char* outcome_name(sim::InvOutcome o) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const exp::CliOptions cli = exp::parse_cli(argc, argv);
-  if (cli.help) {
-    std::cout << "bench_fig08_invocations [options]\n" << exp::cli_usage();
-    return 0;
-  }
+  const exp::CliOptions cli =
+      exp::parse_cli_or_exit(argc, argv, "bench_fig08_invocations");
 
   auto catalog = std::make_shared<const sim::FunctionCatalog>(
       workload::sebs_catalog());

@@ -47,11 +47,8 @@ double p99_gain(const exp::NamedRun& base, const exp::NamedRun& libra) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const exp::CliOptions cli = exp::parse_cli(argc, argv);
-  if (cli.help) {
-    std::cout << "bench_fig13_sensitivity [options]\n" << exp::cli_usage();
-    return 0;
-  }
+  const exp::CliOptions cli =
+      exp::parse_cli_or_exit(argc, argv, "bench_fig13_sensitivity");
 
   util::print_banner(std::cout,
                      "Figure 13 — model ablation & input-size sensitivity");

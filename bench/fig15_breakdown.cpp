@@ -20,11 +20,8 @@ using namespace libra;
 using util::Table;
 
 int main(int argc, char** argv) {
-  const exp::CliOptions cli = exp::parse_cli(argc, argv);
-  if (cli.help) {
-    std::cout << "bench_fig15_breakdown [options]\n" << exp::cli_usage();
-    return 0;
-  }
+  const exp::CliOptions cli =
+      exp::parse_cli_or_exit(argc, argv, "bench_fig15_breakdown");
 
   auto catalog = std::make_shared<const sim::FunctionCatalog>(
       workload::sebs_catalog());

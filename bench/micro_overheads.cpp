@@ -6,8 +6,6 @@
 // prediction < 2 ms).
 //
 // After the google-benchmark suite, main() runs hard gates:
-//   * the pool put/get cycle with a *disabled* ObsSession attached must stay
-//     within 1% of the listener-free baseline (DESIGN.md §5f);
 //   * the §5k const-ref pool-status read must not cost more than the
 //     per-decision copy it replaced;
 //   * the §5l flat hot-path layouts must beat in-bench replicas of the
@@ -122,28 +120,6 @@ void BM_PoolPutGet(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PoolPutGet);
-
-void BM_PoolPutGetDisabledObs(benchmark::State& state) {
-  // Same cycle with a disabled observability session attached: the listener
-  // dispatch is one virtual call that returns after a flag test.
-  core::HarvestResourcePool pool;
-  obs::ObsConfig cfg;
-  cfg.enabled = false;
-  obs::ObsSession obs(cfg);
-  pool.set_event_listener(&obs);
-  sim::SimTime now = 0;
-  int64_t id = 0;
-  for (auto _ : state) {
-    now += 0.001;
-    pool.put(id, {2, 256}, now + 10, now);
-    auto grants = pool.get({1, 128}, id + 1000000, now);
-    benchmark::DoNotOptimize(grants);
-    pool.preempt_source(id, now);
-    ++id;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PoolPutGetDisabledObs);
 
 void BM_PoolPutGetEnabledObs(benchmark::State& state) {
   // Full tracing on (spans + counters + histograms) — the price of a live
@@ -434,8 +410,7 @@ struct AuditorSweepFixture {
   /// the run's end.
   void event() {
     auditor.on_engine_event(
-        api,
-        sim::EngineEvent{sim::EngineEventKind::kMonitor, "test", ++event_id});
+        api, sim::EngineEvent{sim::EngineEventKind::kMonitor, ++event_id});
   }
 };
 
@@ -521,68 +496,6 @@ void BM_CdfQuantilesEvaluator(benchmark::State& state) {
 }
 BENCHMARK(BM_CdfQuantilesEvaluator)->Arg(4096)->Arg(65536)->Arg(262144);
 
-/// One timed pool put/get/preempt cycle burst; returns seconds per cycle.
-double time_pool_cycles(core::HarvestResourcePool& pool, int cycles) {
-  sim::SimTime now = 0;
-  const auto start = std::chrono::steady_clock::now();
-  for (int64_t id = 0; id < cycles; ++id) {
-    now += 0.001;
-    pool.put(id, {2, 256}, now + 10, now);
-    auto grants = pool.get({1, 128}, id + 1000000, now);
-    benchmark::DoNotOptimize(grants);
-    pool.preempt_source(id, now);
-  }
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(stop - start).count() / cycles;
-}
-
-/// Best-of-reps cycle time with an optional listener attached.
-double best_cycle_time(core::PoolEventListener* listener, int cycles,
-                       int reps) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    core::HarvestResourcePool pool;
-    pool.set_event_listener(listener);
-    best = std::min(best, time_pool_cycles(pool, cycles));
-  }
-  return best;
-}
-
-/// The observability contract: a disabled ObsSession on the pool hot path
-/// costs <= 1% over no listener at all. Best-of-N timings with retries damp
-/// scheduler noise; returns true when the gate holds.
-bool check_disabled_obs_overhead(exp::BenchArtifact* artifact) {
-  constexpr int kCycles = 200000;
-  constexpr int kReps = 5;
-  constexpr double kMaxRelative = 0.01;
-  // Sub-nanosecond absolute floor: below this the difference is timer
-  // granularity, not dispatch cost.
-  constexpr double kAbsFloorSec = 5e-10;
-
-  obs::ObsConfig cfg;
-  cfg.enabled = false;
-  obs::ObsSession disabled(cfg);
-
-  for (int attempt = 1; attempt <= 3; ++attempt) {
-    const double base = best_cycle_time(nullptr, kCycles, kReps);
-    const double with_obs = best_cycle_time(&disabled, kCycles, kReps);
-    const double overhead = with_obs - base;
-    const double relative = overhead / base;
-    std::printf(
-        "disabled-obs overhead gate (attempt %d): base %.1f ns/cycle, "
-        "disabled obs %.1f ns/cycle, overhead %.2f%%\n",
-        attempt, base * 1e9, with_obs * 1e9, relative * 100.0);
-    if (overhead <= kAbsFloorSec || relative <= kMaxRelative) {
-      std::printf("disabled-obs overhead gate: PASS (<= 1%%)\n");
-      artifact->add("pool_put_get_ns", base * 1e9, "ns");
-      artifact->add("pool_put_get_disabled_obs_ns", with_obs * 1e9, "ns");
-      return true;
-    }
-  }
-  std::printf("disabled-obs overhead gate: FAIL (> 1%% over baseline)\n");
-  return false;
-}
-
 /// Seconds per pool-status read over `reads` reads; `copy` selects the
 /// pre-§5k copying read, else the const-ref read the scheduler uses now.
 double time_status_reads(const core::PoolStatus& source, int reads,
@@ -604,7 +517,7 @@ double time_status_reads(const core::PoolStatus& source, int reads,
 
 /// The §5k hot-path contract: the const-ref PoolStatus read must never cost
 /// more than the per-decision copy it replaced (5% headroom for timer
-/// noise). Best-of-N with retries, like the disabled-obs gate.
+/// noise). Best-of-N with retries damp scheduler noise.
 bool check_pool_status_ref_overhead(exp::BenchArtifact* artifact) {
   constexpr int kReads = 100000;
   constexpr int kReps = 5;
@@ -1525,12 +1438,12 @@ bool check_trust_margin_allocations(exp::BenchArtifact* artifact) {
   constexpr long kCalls = 100000;
   constexpr int kReps = 5;
   constexpr int kFunctions = 64;
-  const core::TrustConfig cfg;
-  core::TrustManager trust(cfg);
+  constexpr int kWindow = core::TrustConfig::error_window;
+  core::TrustManager trust;
   // Clean samples in [0, 0.48], below the 0.5 strike threshold, so every
   // function stays trusted and its ring fills.
   for (int f = 0; f < kFunctions; ++f)
-    for (int i = 0; i < cfg.error_window; ++i)
+    for (int i = 0; i < kWindow; ++i)
       trust.record_completion(f, 0.005 * ((f * 31 + i * 17) % 97), 1.0);
   double sink = trust.harvest_margin(0, 2.0);
   const long before = t_heap_allocs;
@@ -1550,7 +1463,7 @@ bool check_trust_margin_allocations(exp::BenchArtifact* artifact) {
   std::printf(
       "trust margin gate: %ld heap allocations over %ld warmed calls (%d "
       "functions, %d-sample rings), %.1f ns/call\n",
-      allocs, kCalls * (kReps + 1), kFunctions, cfg.error_window, best * 1e9);
+      allocs, kCalls * (kReps + 1), kFunctions, kWindow, best * 1e9);
   artifact->add("trust_margin_ns", best * 1e9, "ns");
   if (allocs == 0) {
     std::printf("trust margin gate: PASS (zero allocations)\n");
@@ -1584,7 +1497,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   exp::BenchArtifact artifact;
-  const bool obs_ok = check_disabled_obs_overhead(&artifact);
   const bool ref_ok = check_pool_status_ref_overhead(&artifact);
   const bool store_ok = check_flat_record_store_speedup(&artifact);
   const bool walk_ok = check_flat_entry_walk_speedup(&artifact);
@@ -1607,9 +1519,9 @@ int main(int argc, char** argv) {
     std::printf("merged %zu perf rows into %s\n", artifact.rows.size(),
                 json_out.c_str());
   }
-  return obs_ok && ref_ok && store_ok && walk_ok && scan_ok && depth_ok &&
-                 sweep_ok && audit_ok && pick_ok && coverage_ok && event_ok &&
-                 lane_ok && margin_ok
+  return ref_ok && store_ok && walk_ok && scan_ok && depth_ok && sweep_ok &&
+                 audit_ok && pick_ok && coverage_ok && event_ok && lane_ok &&
+                 margin_ok
              ? 0
              : 1;
 }

@@ -89,11 +89,8 @@ bool violates(const sim::RunMetrics& m, double p99_fault_free) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const exp::CliOptions cli = exp::parse_cli(argc, argv);
-  if (cli.help) {
-    std::cout << "bench_misprediction [options]\n" << exp::cli_usage();
-    return 0;
-  }
+  const exp::CliOptions cli =
+      exp::parse_cli_or_exit(argc, argv, "bench_misprediction");
   const bool smoke = cli.smoke;
   auto catalog = std::make_shared<const sim::FunctionCatalog>(
       workload::sebs_catalog());

@@ -116,11 +116,8 @@ void write_json(const std::string& path, const std::vector<Cell>& cells) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const exp::CliOptions cli = exp::parse_cli(argc, argv);
-  if (cli.help) {
-    std::cout << "bench_multi_controller [options]\n" << exp::cli_usage();
-    return 0;
-  }
+  const exp::CliOptions cli =
+      exp::parse_cli_or_exit(argc, argv, "bench_multi_controller");
 
   auto catalog = std::make_shared<const sim::FunctionCatalog>(
       workload::sebs_catalog());

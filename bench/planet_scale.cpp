@@ -89,17 +89,8 @@ std::string ns_per_decision(const ScaleResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  exp::CliOptions cli;
-  try {
-    cli = exp::parse_cli(argc, argv);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "invalid option: " << e.what() << "\n\n" << exp::cli_usage();
-    return 2;
-  }
-  if (cli.help) {
-    std::cout << "bench_planet_scale [options]\n" << exp::cli_usage();
-    return 0;
-  }
+  const exp::CliOptions cli =
+      exp::parse_cli_or_exit(argc, argv, "bench_planet_scale");
 
   const int nodes = cli.smoke ? 50 : 1000;
   // At full scale the binding constraint is the scheduling plane, not the

@@ -114,11 +114,8 @@ std::shared_ptr<sim::Policy> build_platform(exp::PlatformKind kind,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const exp::CliOptions cli = exp::parse_cli(argc, argv);
-  if (cli.help) {
-    std::cout << "bench_storm_matrix [options]\n" << exp::cli_usage();
-    return 0;
-  }
+  const exp::CliOptions cli =
+      exp::parse_cli_or_exit(argc, argv, "bench_storm_matrix");
   auto catalog = std::make_shared<const sim::FunctionCatalog>(
       workload::sebs_catalog());
   auto trace =

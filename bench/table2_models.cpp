@@ -78,11 +78,8 @@ std::string cell(const ModelScores& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const exp::CliOptions cli = exp::parse_cli(argc, argv);
-  if (cli.help) {
-    std::cout << "bench_table2_models [options]\n" << exp::cli_usage();
-    return 0;
-  }
+  const exp::CliOptions cli =
+      exp::parse_cli_or_exit(argc, argv, "bench_table2_models");
 
   const auto catalog = workload::sebs_catalog();
   util::print_banner(std::cout,

@@ -159,7 +159,7 @@ void InvariantAuditor::on_engine_event(sim::EngineApi& api,
   const bool sampled = sample_due(ev.id);
   switch (ev.kind) {
     case sim::EngineEventKind::kRunEnd:
-      sweep(api, ev.what);
+      sweep(api, sim::engine_event_name(ev.kind));
       return;
     case sim::EngineEventKind::kRecycle:
       check_recycle(api, ev.inv, sampled);
@@ -168,11 +168,11 @@ void InvariantAuditor::on_engine_event(sim::EngineApi& api,
       break;
   }
   if (stats_.engine_events % kFullSweepPeriod == 0) {
-    sweep(api, ev.what);
+    sweep(api, sim::engine_event_name(ev.kind));
     return;
   }
   collect(api);
-  if (sampled) check_marked(api, ev.what);
+  if (sampled) check_marked(api, sim::engine_event_name(ev.kind));
 }
 
 void InvariantAuditor::collect(sim::EngineApi& api) {

@@ -421,18 +421,6 @@ HarvestResourcePool::IdleIntegrals HarvestResourcePool::idle_integrals(
   return {idle_cpu_secs_, idle_mem_secs_};
 }
 
-double HarvestResourcePool::idle_cpu_core_seconds(SimTime now) const {
-  util::MutexLock lock(mu_);
-  accrue_idle_locked(now);
-  return idle_cpu_secs_;
-}
-
-double HarvestResourcePool::idle_mem_mb_seconds(SimTime now) const {
-  util::MutexLock lock(mu_);
-  accrue_idle_locked(now);
-  return idle_mem_secs_;
-}
-
 void HarvestResourcePool::debug_state(DebugState& out) const {
   util::MutexLock lock(mu_);
   out.entries.clear();

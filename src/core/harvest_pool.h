@@ -63,10 +63,8 @@ class HarvestResourcePool {
     int tenant = 0;
   };
 
-  /// Both Fig. 10 idle-time integrals read under ONE lock acquisition. The
-  /// per-axis getters below each lock separately, so a concurrent put/get
-  /// between the two reads can tear the pair; consumers that need a
-  /// consistent (cpu, mem) observation must use this.
+  /// Both Fig. 10 idle-time integrals, read under one lock acquisition so a
+  /// concurrent put/get cannot tear the (cpu, mem) pair.
   struct IdleIntegrals {
     double cpu_core_seconds = 0.0;
     double mem_mb_seconds = 0.0;
@@ -122,8 +120,6 @@ class HarvestResourcePool {
 
   // ---- Fig. 10 idle-time accounting ----
   IdleIntegrals idle_integrals(sim::SimTime now) const LIBRA_EXCLUDES(mu_);
-  double idle_cpu_core_seconds(sim::SimTime now) const LIBRA_EXCLUDES(mu_);
-  double idle_mem_mb_seconds(sim::SimTime now) const LIBRA_EXCLUDES(mu_);
 
   // ---- Correctness / audit machinery ----
 

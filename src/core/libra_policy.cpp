@@ -30,7 +30,7 @@ LibraPolicy::LibraPolicy(LibraPolicyConfig cfg, PredictorPtr predictor,
     if (auto* faulty = dynamic_cast<FaultyPredictor*>(predictor_.get()))
       profiler_hook_ = dynamic_cast<Profiler*>(&faulty->inner());
   }
-  if (cfg_.trust_enabled) trust_ = std::make_unique<TrustManager>(cfg_.trust);
+  if (cfg_.trust_enabled) trust_ = std::make_unique<TrustManager>();
 }
 
 std::shared_ptr<LibraPolicy> LibraPolicy::with_coverage_scheduler(
@@ -554,7 +554,6 @@ void LibraPolicy::on_drain_notice(NodeId node, sim::SimTime deadline,
                                   EngineApi& api) {
   last_seen_now_ = api.now();
   (void)deadline;
-  if (!cfg_.honor_drain_notice) return;
   // Graceful harvest pull-back (§5.1 timeliness under spot reclamation): the
   // node announced its departure, so every idle entry leaves the pool and
   // every outstanding grant is revoked from its still-running borrower

@@ -68,17 +68,11 @@ struct LibraPolicyConfig {
   ///  - the static harvest_headroom is replaced by a per-function margin
   ///    tracking the p95 relative under-prediction of the live model.
   bool trust_enabled = false;
-  TrustConfig trust;
   /// Per-tenant caps on concurrently borrowed pool volume, applied to every
   /// per-node pool at creation (enforced by HarvestResourcePool::get and
   /// audited after every pool mutation). Empty = no quotas, single-tenant
   /// behaviour unchanged.
   std::map<int, sim::Resources> tenant_quotas;
-  /// React to spot drain notices (Policy::on_drain_notice) by preemptively
-  /// pulling the departing node's pool inventory back. False models a
-  /// platform without the hook: it keeps lending from the doomed pool until
-  /// the crash lands and loses it (the negative scenario-matrix tests).
-  bool honor_drain_notice = true;
 };
 
 class LibraPolicy final : public sim::Policy, public PoolStatusProvider {

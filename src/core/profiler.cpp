@@ -6,7 +6,6 @@
 #include <exception>
 #include <limits>
 #include <stdexcept>
-#include <string>
 #include <system_error>
 #include <thread>
 
@@ -27,34 +26,9 @@ namespace {
 /// stays a small constant rather than following the machine.
 constexpr size_t kMaxTrainingWorkers = 4;
 
-void check_percentile(double p, const char* what) {
-  if (p < 0.0 || p > 100.0)
-    throw std::invalid_argument(std::string("ProfilerConfig: ") + what + " = " +
-                                std::to_string(p) + " outside [0, 100]");
-}
-
 }  // namespace
 
 void ProfilerConfig::validate() const {
-  if (duplicates < 2)
-    throw std::invalid_argument(
-        "ProfilerConfig: duplicates must be >= 2 to split train/test, got " +
-        std::to_string(duplicates));
-  if (scale_lo <= 0.0 || scale_hi <= 0.0 || scale_lo >= scale_hi)
-    throw std::invalid_argument(
-        "ProfilerConfig: rescale range must satisfy 0 < scale_lo < scale_hi, "
-        "got [" +
-        std::to_string(scale_lo) + ", " + std::to_string(scale_hi) + "]");
-  if (train_fraction <= 0.0 || train_fraction >= 1.0)
-    throw std::invalid_argument(
-        "ProfilerConfig: train_fraction must be inside (0, 1), got " +
-        std::to_string(train_fraction));
-  if (profiling_window <= 0)
-    throw std::invalid_argument(
-        "ProfilerConfig: profiling_window must be positive, got " +
-        std::to_string(profiling_window));
-  check_percentile(peak_percentile, "peak_percentile");
-  check_percentile(duration_percentile, "duration_percentile");
   if (force_ml && force_histogram)
     throw std::invalid_argument(
         "ProfilerConfig: force_ml and force_histogram are mutually exclusive");
@@ -106,7 +80,7 @@ void Profiler::train_function(FunctionId func, const InputSpec& first_input,
   const auto dur_split = ml::split_dataset(dur_data, cfg_.train_fraction,
                                            split_rng);
 
-  ml::ForestOptions fopt = cfg_.forest;
+  ml::ForestOptions fopt;
   fopt.seed = rng.next_u64();
   // Regression on near-flat curves is noise-dominated; modest leaves keep
   // the forest from memorizing pilot noise.

@@ -29,19 +29,19 @@ namespace libra::core {
 
 struct ProfilerConfig {
   /// Workload duplicator fan-out (paper: "maximum of 100 times").
-  int duplicates = 100;
+  static constexpr int duplicates = 100;
   /// Log-uniform rescale factor range applied to the first input's size.
-  double scale_lo = 0.2;
-  double scale_hi = 100.0;
-  double train_fraction = 0.7;  // 7:3 split
+  static constexpr double scale_lo = 0.2;
+  static constexpr double scale_hi = 100.0;
+  static constexpr double train_fraction = 0.7;  // 7:3 split
   /// Relatedness thresholds on held-out metrics (§8.6 suggests ~0.9).
   static constexpr double accuracy_threshold = 0.8;
   static constexpr double r2_threshold = 0.8;
   /// Histogram profiling window (invocations served at max allocation).
-  int profiling_window = 6;
+  static constexpr int profiling_window = 6;
   /// Percentiles for black-box estimation (§4.3.2, after [36]).
-  double peak_percentile = 99.0;
-  double duration_percentile = 5.0;
+  static constexpr double peak_percentile = 99.0;
+  static constexpr double duration_percentile = 5.0;
   /// Platform-wide maximum allocation used for probing black boxes.
   static constexpr sim::Resources profiling_max{8.0, 2048.0};
   /// Memory-peak class width (MB) for the classification formulation.
@@ -49,15 +49,24 @@ struct ProfilerConfig {
   /// Force one model family (Fig. 13(a) ablations).
   bool force_ml = false;
   bool force_histogram = false;
-  ml::ForestOptions forest;
   uint64_t seed = 1234;
 
-  /// Throws std::invalid_argument on nonsensical configurations instead of
-  /// letting them corrupt training downstream: inverted rescale range,
-  /// train_fraction outside (0,1), non-positive duplicates/profiling_window,
-  /// percentiles outside [0,100], or force_ml together with force_histogram.
+  /// Throws std::invalid_argument when force_ml and force_histogram are both
+  /// set.
   void validate() const;
 };
+
+static_assert(ProfilerConfig::duplicates >= 2,
+              "the duplicator needs two samples to split train/test");
+static_assert(0.0 < ProfilerConfig::scale_lo &&
+              ProfilerConfig::scale_lo < ProfilerConfig::scale_hi);
+static_assert(0.0 < ProfilerConfig::train_fraction &&
+              ProfilerConfig::train_fraction < 1.0);
+static_assert(ProfilerConfig::profiling_window > 0);
+static_assert(ProfilerConfig::peak_percentile >= 0.0 &&
+              ProfilerConfig::peak_percentile <= 100.0 &&
+              ProfilerConfig::duration_percentile >= 0.0 &&
+              ProfilerConfig::duration_percentile <= 100.0);
 
 /// The three size-related models of one function (§4.3.1): RF classifiers
 /// for the CPU and memory peak classes, an RF regressor for execution time.

@@ -2,53 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
-#include <string>
 
 namespace libra::core {
 
 using sim::FunctionId;
 using sim::SimTime;
-
-void TrustConfig::validate() const {
-  if (demote_strikes < 1)
-    throw std::invalid_argument("TrustConfig: demote_strikes must be >= 1, got " +
-                                std::to_string(demote_strikes));
-  if (probation_clean < 1)
-    throw std::invalid_argument(
-        "TrustConfig: probation_clean must be >= 1, got " +
-        std::to_string(probation_clean));
-  if (open_cooldown <= 0.0)
-    throw std::invalid_argument(
-        "TrustConfig: open_cooldown must be positive, got " +
-        std::to_string(open_cooldown));
-  if (error_strike_threshold <= 0.0)
-    throw std::invalid_argument(
-        "TrustConfig: error_strike_threshold must be positive, got " +
-        std::to_string(error_strike_threshold));
-  if (error_window < 1)
-    throw std::invalid_argument("TrustConfig: error_window must be >= 1, got " +
-                                std::to_string(error_window));
-  if (error_quantile < 0.0 || error_quantile > 100.0)
-    throw std::invalid_argument(
-        "TrustConfig: error_quantile = " + std::to_string(error_quantile) +
-        " outside [0, 100]");
-  if (margin_min < 0.0 || margin_min >= margin_max)
-    throw std::invalid_argument(
-        "TrustConfig: margin clamp must satisfy 0 <= margin_min < margin_max, "
-        "got [" +
-        std::to_string(margin_min) + ", " + std::to_string(margin_max) + "]");
-  if (margin_strike_boost < 0.0)
-    throw std::invalid_argument(
-        "TrustConfig: margin_strike_boost must be non-negative, got " +
-        std::to_string(margin_strike_boost));
-  if (margin_decay_halflife <= 0.0)
-    throw std::invalid_argument(
-        "TrustConfig: margin_decay_halflife must be positive, got " +
-        std::to_string(margin_decay_halflife));
-}
-
-TrustManager::TrustManager(TrustConfig cfg) : cfg_(cfg) { cfg_.validate(); }
 
 TrustState TrustManager::effective_state(const FuncTrust& s,
                                          SimTime now) const {

@@ -35,34 +35,40 @@ enum class TrustState { kClosed, kHalfOpen, kOpen };
 struct TrustConfig {
   /// Strikes (safeguard trigger, OOM kill, gross completion error) before a
   /// CLOSED function is demoted to quarantine.
-  int demote_strikes = 3;
+  static constexpr int demote_strikes = 3;
   /// Clean completions on probation before re-promotion to CLOSED.
-  int probation_clean = 4;
+  static constexpr int probation_clean = 4;
   /// Seconds a function stays quarantined before probation starts.
-  double open_cooldown = 60.0;
+  static constexpr double open_cooldown = 60.0;
   /// Relative under-prediction ((observed - predicted) / predicted) above
   /// which a completion counts as a strike rather than a clean sample.
-  double error_strike_threshold = 0.5;
+  static constexpr double error_strike_threshold = 0.5;
   /// Ring size of the streaming error-quantile tracker.
-  int error_window = 64;
+  static constexpr int error_window = 64;
   /// Quantile of the error window used as the base harvest margin (p95).
-  double error_quantile = 95.0;
+  static constexpr double error_quantile = 95.0;
   /// Harvest-margin clamp and the per-strike widening boost.
-  double margin_min = 0.15;
+  static constexpr double margin_min = 0.15;
   static constexpr double margin_max = 1.0;
-  double margin_strike_boost = 0.25;
+  static constexpr double margin_strike_boost = 0.25;
   /// Seconds for the strike boost to halve.
-  double margin_decay_halflife = 120.0;
-
-  /// Throws std::invalid_argument on nonsensical knobs (non-positive
-  /// thresholds/windows, inverted margin clamp, quantile outside [0,100]).
-  void validate() const;
+  static constexpr double margin_decay_halflife = 120.0;
 };
+
+static_assert(TrustConfig::demote_strikes >= 1 &&
+              TrustConfig::probation_clean >= 1 &&
+              TrustConfig::error_window >= 1);
+static_assert(TrustConfig::open_cooldown > 0.0 &&
+              TrustConfig::error_strike_threshold > 0.0 &&
+              TrustConfig::margin_decay_halflife > 0.0 &&
+              TrustConfig::margin_strike_boost >= 0.0);
+static_assert(TrustConfig::error_quantile >= 0.0 &&
+              TrustConfig::error_quantile <= 100.0);
+static_assert(0.0 <= TrustConfig::margin_min &&
+              TrustConfig::margin_min < TrustConfig::margin_max);
 
 class TrustManager {
  public:
-  explicit TrustManager(TrustConfig cfg);
-
   /// The safeguard fired for an invocation of `func`. Returns true when this
   /// strike demoted the function to quarantine (caller must then enforce the
   /// no-pool-entries-from-quarantined-functions invariant).
@@ -103,8 +109,6 @@ class TrustManager {
   /// Functions whose effective state at `now` is quarantine.
   long quarantined_count(sim::SimTime now) const;
 
-  const TrustConfig& config() const { return cfg_; }
-
   /// Test-only (corrupt_for_audit_test idiom): forces `func` straight into
   /// quarantine WITHOUT the policy-side harvest pullback, seeding exactly the
   /// violation the invariant auditor's quarantine sweep must catch.
@@ -134,7 +138,7 @@ class TrustManager {
   bool strike(sim::FunctionId func, sim::SimTime now);
   double decayed_boost(const FuncTrust& s, sim::SimTime now) const;
 
-  const TrustConfig cfg_;
+  static constexpr TrustConfig cfg_{};
   std::unordered_map<sim::FunctionId, FuncTrust> functions_;
   /// harvest_margin's copy of one error ring for nth_element, reused by
   /// every call (the manager takes no lock, see the header comment).

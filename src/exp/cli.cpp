@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <stdexcept>
@@ -94,6 +95,23 @@ CliOptions parse_cli(int argc, char** argv) {
   return opt;
 }
 
+CliOptions parse_cli_or_exit(int argc, char** argv, const char* program) {
+  CliOptions opt;
+  try {
+    opt = parse_cli(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << program << ": " << e.what() << "\n\n"
+              << program << " [options]\n"
+              << cli_usage();
+    std::exit(2);
+  }
+  if (opt.help) {
+    std::cout << program << " [options]\n" << cli_usage();
+    std::exit(0);
+  }
+  return opt;
+}
+
 std::string cli_usage() {
   return "  --smoke              reduced workload for CI smoke runs\n"
          "  --obs                enable observability (summary to stdout)\n"
@@ -113,14 +131,13 @@ std::string cli_usage() {
 
 obs::ObsConfig obs_config_from(const CliOptions& opt) {
   obs::ObsConfig cfg;
-  cfg.enabled = opt.obs_requested();
   cfg.series_every_n = opt.obs_every_n;
   cfg.ndjson_path = opt.trace_ndjson;
   return cfg;
 }
 
 bool export_obs(const obs::ObsSession& session, const CliOptions& opt) {
-  if (!opt.obs_requested() || !session.enabled()) return true;
+  if (!opt.obs_requested()) return true;
   bool ok = true;
   if (!opt.trace_ndjson.empty())
     std::cout << "streamed " << session.trace().streamed()

@@ -19,6 +19,9 @@
 //                        two such artifacts; CI gates on the diff)
 //   -h / --help          print usage for these shared flags
 //
+// A bench's main() calls parse_cli_or_exit, which prints the usage and
+// exits 0 on --help, or exits 2 with the message on a bad flag.
+//
 // Unrecognized arguments are passed through in `extra` (order preserved) so
 // google-benchmark binaries can forward --benchmark_* flags untouched.
 #pragma once
@@ -50,7 +53,7 @@ struct CliOptions {
   /// Unrecognized argv entries, in order (argv[0] excluded).
   std::vector<std::string> extra;
 
-  /// Whether an ObsSession should be enabled for this run.
+  /// Whether this run should build an ObsSession.
   bool obs_requested() const {
     return obs || !trace_out.empty() || !trace_ndjson.empty();
   }
@@ -70,10 +73,16 @@ struct CliOptions {
 /// forbids (e.g. --gen-rpm 0 or inf) is kept for gen_config() to reject.
 CliOptions parse_cli(int argc, char** argv);
 
+/// parse_cli for a bench's main(). On --help it prints "<program>
+/// [options]" and the usage to stdout and exits 0; on a flag parse_cli
+/// rejects it prints the message and the usage to stderr and exits 2.
+CliOptions parse_cli_or_exit(int argc, char** argv, const char* program);
+
 /// Usage text for the shared flags (callers prepend their own).
 std::string cli_usage();
 
-/// ObsConfig matching the parsed options (enabled iff obs_requested()).
+/// ObsConfig matching the parsed options; a bench builds a session from it
+/// only when obs_requested().
 obs::ObsConfig obs_config_from(const CliOptions& opt);
 
 /// Writes <trace_out>.trace.json and <trace_out>.csv plus a summary to

@@ -71,7 +71,7 @@ sim::RunMetrics run_experiment(const sim::EngineConfig& cfg,
   if (obs != nullptr) {
     // The session interposes in front of whatever hook/listener is already
     // installed and forwards every event, so the auditor sees the run
-    // unchanged whether observability is enabled or not.
+    // unchanged whether observability is on or not.
     obs->chain_engine_hook(run_cfg.audit_hook);
     run_cfg.audit_hook = obs;
     if (libra != nullptr) {

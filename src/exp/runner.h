@@ -41,7 +41,7 @@ sim::RunMetrics run_experiment(const sim::EngineConfig& cfg,
 /// is interposed on the engine-audit, pool-event and policy-event seams; it
 /// forwards every event to the auditor (audit coverage is unchanged) and
 /// never mutates simulation state, so the returned RunMetrics are
-/// bit-identical with obs enabled, disabled, or null. finish() is called on
+/// bit-identical with a session or without one. finish() is called on
 /// the session before returning.
 sim::RunMetrics run_experiment(const sim::EngineConfig& cfg,
                                std::shared_ptr<sim::Policy> policy,

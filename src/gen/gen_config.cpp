@@ -1,6 +1,7 @@
 #include "gen/gen_config.h"
 
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -14,6 +15,23 @@ std::invalid_argument bad_knob(const char* knob, const char* rule,
   return std::invalid_argument(std::string("GenConfig: ") + knob +
                                " must be finite and " + rule + ", got " +
                                std::to_string(value));
+}
+
+/// expected_invocations() casts the expected count to size_t; from 2^53 on a
+/// double no longer holds every integer, and far past it the cast is
+/// undefined.
+constexpr double kMaxExpectedInvocations = 9007199254740992.0;  // 2^53
+
+/// Base arrivals plus the burst contribution, as a double. The burst term
+/// counts only when episodes are on, so an unchecked burst_size_mean never
+/// reaches the sum.
+double expected_count(const GenConfig& cfg) {
+  const double base = cfg.rpm / 60.0 * cfg.duration;
+  const double bursts = cfg.burst_episodes_per_min > 0.0
+                            ? cfg.burst_episodes_per_min / 60.0 *
+                                  cfg.duration * cfg.burst_size_mean
+                            : 0.0;
+  return base + bursts;
 }
 
 }  // namespace
@@ -47,13 +65,18 @@ void GenConfig::validate() const {
   }
   if (!(std::isfinite(mean_work) && mean_work > 0.0))
     throw bad_knob("mean_work", "> 0", mean_work);
+  const double expected = expected_count(*this);
+  if (!(expected < kMaxExpectedInvocations)) {
+    char count[32];
+    std::snprintf(count, sizeof(count), "%g", expected);
+    throw std::invalid_argument(
+        std::string("GenConfig: expected invocation count ") + count +
+        " (rpm / 60 * duration plus bursts) must be < 2^53");
+  }
 }
 
 size_t GenConfig::expected_invocations() const {
-  const double base = rpm / 60.0 * duration;
-  const double bursts =
-      burst_episodes_per_min / 60.0 * duration * burst_size_mean;
-  return static_cast<size_t>(base + bursts);
+  return static_cast<size_t>(expected_count(*this));
 }
 
 }  // namespace libra::gen

@@ -44,10 +44,12 @@ struct GenConfig {
   /// scales are lognormal around this, so the marginal is heavy-tailed.
   double mean_work = 1.0;
 
-  /// Throws std::invalid_argument on the first violated constraint.
+  /// Throws std::invalid_argument on the first violated constraint, and
+  /// when the expected invocation count reaches 2^53.
   void validate() const;
 
   /// Rough expected invocation count (base arrivals + burst contribution).
+  /// Defined for a config that passed validate().
   size_t expected_invocations() const;
 };
 

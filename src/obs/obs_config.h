@@ -1,10 +1,8 @@
 // Configuration of the observability subsystem (src/obs). Mirrors the
 // InvariantAuditorConfig idiom: a small plain struct with a series sampling
-// rate and a trace-event cap so big traces can dial the cost down, and a
-// master `enabled` switch that collapses every hook to a branch-and-return —
-// the disabled path must stay within 1% of a no-observability build (guarded
-// by bench_micro_overheads). An enabled session records everything: spans,
-// pool events and policy events.
+// rate and a trace-event cap so big traces can dial the cost down. There is
+// no off switch: a session records everything (spans, pool events and
+// policy events), and a run without observability passes no session.
 #pragma once
 
 #include <cstddef>
@@ -14,10 +12,6 @@
 namespace libra::obs {
 
 struct ObsConfig {
-  /// Master switch. When false the session records nothing and only forwards
-  /// to chained listeners; replay is bit-identical either way because the
-  /// session never mutates simulation state.
-  bool enabled = true;
   /// Time-series samples (pool depth, cluster gauges) are taken on every
   /// n-th opportunity; 1 = every one. Raise for big traces.
   int series_every_n = 1;

@@ -34,7 +34,6 @@ constexpr size_t kSeriesImportCap = 2048;
 ObsSession::ObsSession(ObsConfig cfg)
     : cfg_(cfg), trace_(cfg.max_trace_events) {
   cfg_.validate();
-  if (!cfg_.enabled) return;
   c_arrivals_ = &metrics_.counter("engine.arrivals");
   c_placements_ = &metrics_.counter("engine.placements");
   c_completions_ = &metrics_.counter("engine.completions");
@@ -122,10 +121,11 @@ void ObsSession::on_engine_event(sim::EngineApi& api,
   if (inner_hook_ != nullptr) inner_hook_->on_engine_event(api, ev);
   // run_end only closes the audit (the auditor's final sweep); it is not a
   // cluster event and must not move the trace's last timestamp.
-  if (!cfg_.enabled || ev.kind == Kind::kRunEnd) return;
+  if (ev.kind == Kind::kRunEnd) return;
   ensure_metadata(api);
   const double ts = api.now();
   last_ts_ = std::max(last_ts_, ts);
+  const char* what = sim::engine_event_name(ev.kind);
 
   switch (ev.kind) {
     case Kind::kArrival:
@@ -164,7 +164,7 @@ void ObsSession::on_engine_event(sim::EngineApi& api,
       // Redispatch mode evicts the invocation (running cleared); classic
       // mode restarts it in place, so the "running" span stays open.
       const bool evicted = ev.inv >= 0 && !api.invocation(ev.inv).running;
-      trace_.instant(ts, pid_of(ev.node), ev.inv >= 0 ? ev.inv : 0, ev.what,
+      trace_.instant(ts, pid_of(ev.node), ev.inv >= 0 ? ev.inv : 0, what,
                      "engine",
                      std::string("{\"evicted\":") +
                          (evicted ? "true" : "false") + "}");
@@ -174,7 +174,7 @@ void ObsSession::on_engine_event(sim::EngineApi& api,
     case Kind::kPark:
       c_parks_->inc();
       if (ev.inv >= 0)
-        trace_.instant(ts, kControllerPid, ev.inv, ev.what, "engine");
+        trace_.instant(ts, kControllerPid, ev.inv, what, "engine");
       break;
     case Kind::kRequeue:
       close_span(ts, ev.inv);
@@ -182,16 +182,16 @@ void ObsSession::on_engine_event(sim::EngineApi& api,
       break;
     case Kind::kColdStartFailure:
       if (ev.inv >= 0)
-        trace_.instant(ts, pid_of(ev.node), ev.inv, ev.what, "fault");
+        trace_.instant(ts, pid_of(ev.node), ev.inv, what, "fault");
       break;
     case Kind::kNodeDown:
       c_node_down_->inc();
-      trace_.instant(ts, pid_of(ev.node), 0, ev.what, "fault");
+      trace_.instant(ts, pid_of(ev.node), 0, what, "fault");
       close_spans_on_node(ts, ev.node);
       break;
     case Kind::kNodeUp:
       c_node_up_->inc();
-      trace_.instant(ts, pid_of(ev.node), 0, ev.what, "fault");
+      trace_.instant(ts, pid_of(ev.node), 0, what, "fault");
       break;
     case Kind::kHealthPing:
       if (++ping_seq_ % cfg_.series_every_n == 0) {
@@ -209,7 +209,6 @@ void ObsSession::on_engine_event(sim::EngineApi& api,
 
 void ObsSession::on_pool_event(const core::PoolEvent& ev) {
   if (inner_pool_ != nullptr) inner_pool_->on_pool_event(ev);
-  if (!cfg_.enabled) return;
   last_ts_ = std::max(last_ts_, ev.now);
   const int pid = pid_of(ev.node);
   const char* name = "pool_op";
@@ -265,7 +264,6 @@ void ObsSession::on_pool_event(const core::PoolEvent& ev) {
 }
 
 void ObsSession::on_policy_event(const core::PolicyEvent& ev) {
-  if (!cfg_.enabled) return;
   last_ts_ = std::max(last_ts_, ev.now);
   const char* name = "policy_event";
   switch (ev.kind) {
@@ -287,7 +285,6 @@ void ObsSession::on_policy_event(const core::PolicyEvent& ev) {
 }
 
 void ObsSession::finish(const sim::RunMetrics& metrics) {
-  if (!cfg_.enabled) return;
   const double end_ts = std::max(last_ts_, metrics.makespan_end);
 
   // Close spans of invocations that never reached a terminal engine event

@@ -11,8 +11,8 @@
 //
 // The session is strictly read-only with respect to the simulation: it never
 // mutates engine, policy or pool state and consumes no randomness, so a run
-// is bit-identical with observability enabled, disabled, or absent (asserted
-// by tests/test_obs.cpp). Each seam forwards to an optional chained inner
+// is bit-identical with observability on or absent (asserted by
+// tests/test_obs.cpp). Each seam forwards to an optional chained inner
 // listener (the invariant auditor), so auditing and observability stack.
 //
 // Not thread-safe: attach it to the single-threaded discrete-event engine,
@@ -47,10 +47,9 @@ class ObsSession final : public sim::EngineAuditHook,
   explicit ObsSession(ObsConfig cfg = {});
 
   const ObsConfig& config() const { return cfg_; }
-  bool enabled() const { return cfg_.enabled; }
 
   /// Chains the invariant auditor (or any other hook/listener) behind this
-  /// session; it keeps observing every event, enabled or not.
+  /// session; it keeps observing every event.
   void chain_engine_hook(sim::EngineAuditHook* inner) { inner_hook_ = inner; }
   void chain_pool_listener(core::PoolEventListener* inner) {
     inner_pool_ = inner;
@@ -112,7 +111,7 @@ class ObsSession final : public sim::EngineAuditHook,
   double last_ts_ = 0.0;
   bool metadata_done_ = false;
 
-  // Hot-path metric handles, resolved once (null when disabled).
+  // Hot-path metric handles, resolved once at construction.
   Counter* c_arrivals_ = nullptr;
   Counter* c_placements_ = nullptr;
   Counter* c_completions_ = nullptr;

@@ -3,10 +3,9 @@
 // cannot depend on either layer, so it only knows this interface: after fully
 // dispatching an event it hands the hook a view of itself plus a small
 // structured description of what happened. The description carries an enum
-// kind, so an observer dispatches with a switch and never compares strings,
-// and the kind's name (engine_event_name), which diagnostics and traces
-// print. Production runs leave the hook unset — the cost is a null check per
-// event.
+// kind, so an observer dispatches with a switch and never compares strings;
+// diagnostics and traces print the kind's name (engine_event_name).
+// Production runs leave the hook unset — the cost is a null check per event.
 #pragma once
 
 #include <cstdint>
@@ -58,16 +57,14 @@ constexpr const char* engine_event_name(EngineEventKind kind) {
   return "unknown";
 }
 
-/// One fully dispatched engine event. Observers dispatch on `kind`; `what`
-/// is its name (the engine always passes engine_event_name(kind)), which
-/// only labels diagnostics and traces. `id` is the engine's global dispatch
-/// counter (matches the audit-context stamp in diagnostics). The subject
-/// fields identify which invocation / node the event was about, when that is
-/// meaningful — observability consumers stamp spans and point events with
-/// them; the auditor ignores them.
+/// One fully dispatched engine event. Observers dispatch on `kind` and label
+/// diagnostics and traces with engine_event_name(kind). `id` is the engine's
+/// global dispatch counter (matches the audit-context stamp in diagnostics).
+/// The subject fields identify which invocation / node the event was about,
+/// when that is meaningful — observability consumers stamp spans and point
+/// events with them; the auditor ignores them.
 struct EngineEvent {
   EngineEventKind kind = EngineEventKind::kArrival;
-  const char* what = "";
   long id = 0;
   /// Subject invocation, or kNoInvocation for cluster-level events
   /// (health_ping, node_down, node_up).

@@ -20,8 +20,8 @@ namespace libra::sim {
 struct ContainerPoolConfig {
   static constexpr double cold_start_delay = 0.5;   // create a fresh container
   static constexpr double warm_start_delay = 0.02;  // unpause a warm one
-  double keep_alive = 600.0;       // idle container retention window
-  int max_warm_per_function = 8;   // cap on retained paused containers
+  static constexpr int max_warm_per_function = 8;  // paused containers kept
+  double keep_alive = 600.0;  // idle container retention window
 };
 
 class ContainerPool {

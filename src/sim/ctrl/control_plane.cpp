@@ -25,8 +25,6 @@ void ControlPlaneConfig::validate() const {
   if (steal_watermark < 0)
     throw std::invalid_argument(
         "ControlPlaneConfig: steal_watermark must be >= 0");
-  if (steal_batch < 1)
-    throw std::invalid_argument("ControlPlaneConfig: steal_batch must be >= 1");
 }
 
 ControlPlane::ControlPlane(Engine& host)

@@ -40,11 +40,13 @@ struct ControlPlaneConfig {
   /// never the engine-level shard or any event timing — RunMetrics stay
   /// bit-identical across controller counts.
   long steal_watermark = 8;
-  int steal_batch = 4;
+  static constexpr int steal_batch = 4;
 
   /// Throws std::invalid_argument naming the offending knob (NaN-proof,
   /// same contract as EngineConfig::validate which calls this).
   void validate() const;
 };
+
+static_assert(ControlPlaneConfig::steal_batch >= 1);
 
 }  // namespace libra::sim::ctrl

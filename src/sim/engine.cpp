@@ -38,8 +38,7 @@ void Engine::notify_audit(EngineEventKind kind, InvocationId inv,
   util::audit::set_context(audit_event_id_, now());
   if (cfg_.audit_hook)
     cfg_.audit_hook->on_engine_event(
-        *this, EngineEvent{kind, engine_event_name(kind), audit_event_id_,
-                           inv, node_id});
+        *this, EngineEvent{kind, audit_event_id_, inv, node_id});
   // The marks describe what this event (and any unaudited work since the
   // previous one) changed; the hook has consumed them.
   cluster_->clear_touched();
@@ -182,17 +181,15 @@ RunMetrics Engine::finish_run() {
 }
 
 void Engine::on_arrival(InvocationId id) {
-  Invocation& inv = invocation(id);
-  inv.t_frontend_done = now() + cfg_.frontend_delay;
-  queue_.schedule(inv.t_frontend_done, [this, id] { on_profiled(id); });
+  queue_.schedule(now() + cfg_.frontend_delay, [this, id] { on_profiled(id); });
   notify_audit(EngineEventKind::kArrival, id);
 }
 
 void Engine::on_profiled(InvocationId id) {
   Invocation& inv = invocation(id);
   policy_->predict(inv);
-  inv.t_profiler_done = now() + cfg_.profiler_delay;
-  queue_.schedule(inv.t_profiler_done, [this, id] { controller_->admit(id); });
+  queue_.schedule(now() + cfg_.profiler_delay,
+                  [this, id] { controller_->admit(id); });
 }
 
 }  // namespace libra::sim

@@ -45,12 +45,9 @@ void EngineConfig::validate() const {
   if (num_shards < 1)
     throw std::invalid_argument("EngineConfig: num_shards must be >= 1, got " +
                                 std::to_string(num_shards));
-  require_finite_non_negative(sched_decision_delay, "sched_decision_delay");
   if (sched_workers != 1)
     throw std::invalid_argument("EngineConfig: sched_workers must be 1, got " +
                                 std::to_string(sched_workers));
-  if (max_fault_retries < 0 || max_oom_retries < 0)
-    throw std::invalid_argument("EngineConfig: negative retry budget");
   require_finite_positive(placement_timeout, "placement_timeout");
   require_finite_non_negative(churn_horizon_pad, "churn_horizon_pad");
   require_finite_non_negative(spot_drain_notice, "spot_drain_notice");

@@ -28,8 +28,9 @@ struct EngineConfig {
   static constexpr double monitor_interval = 0.1;      // §5.2 monitor window
   static constexpr double health_ping_interval = 1.0;  // §6.4 status piggyback
   static constexpr double oom_restart_penalty = 1.0;   // kill + restart cost
+  /// Simulated service time of one scheduling decision on a shard.
+  static constexpr double sched_decision_delay = 0.0005;
 
-  double sched_decision_delay = 0.0005;  // simulated per-decision service time
   /// When true, times each scheduling decision (Policy::select_node) with a
   /// real clock (Fig. 12c).
   bool measure_real_sched_overhead = false;
@@ -58,7 +59,7 @@ struct EngineConfig {
   static constexpr double retry_backoff_base = 0.1;
   static constexpr double retry_backoff_cap = 5.0;
   /// Crash / cold-start-failure retries before an invocation is lost.
-  int max_fault_retries = 3;
+  static constexpr int max_fault_retries = 3;
   /// OOM graceful degradation: instead of the classic in-place restart, an
   /// OOM-killed invocation is torn off its node and re-dispatched with
   /// capped backoff at its full user allocation (inv.oom_protected), its
@@ -67,7 +68,7 @@ struct EngineConfig {
   bool oom_redispatch = false;
   /// OOM re-dispatches before the invocation is lost (a budget deliberately
   /// separate from max_fault_retries: churn-kills must not consume it).
-  int max_oom_retries = 3;
+  static constexpr int max_oom_retries = 3;
   /// Parked invocations unplaceable for this long are declared lost.
   /// Only enforced while fault injection is active (failure-free runs keep
   /// the park-until-capacity-frees semantics).
@@ -101,12 +102,16 @@ struct EngineConfig {
   /// conservation audits still run).
   EngineAuditHook* audit_hook = nullptr;
 
-  /// Full configuration validity check: cluster shape, the decision delay,
+  /// Full configuration validity check: cluster shape,
   /// scheduling/fault/streaming knobs (all NaN-proof), plus
   /// fault_plan.validate() and fault_profile.validate(). Throws
   /// std::invalid_argument naming the offending knob. The Engine constructor
   /// calls this; the scenario fuzzer uses it as its validity predicate.
   void validate() const;
 };
+
+static_assert(EngineConfig::sched_decision_delay >= 0.0);
+static_assert(EngineConfig::max_fault_retries >= 0 &&
+              EngineConfig::max_oom_retries >= 0);
 
 }  // namespace libra::sim

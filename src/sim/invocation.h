@@ -97,8 +97,6 @@ struct Invocation {
   bool usage_contrib_present = false;
 
   // ---- Lifecycle timestamps (Fig. 15 breakdown) ----
-  SimTime t_frontend_done = 0.0;
-  SimTime t_profiler_done = 0.0;
   SimTime t_sched_enqueue = 0.0;
   SimTime t_sched_done = 0.0;
   SimTime t_pool_done = 0.0;
@@ -110,8 +108,6 @@ struct Invocation {
   bool was_accelerated = false;  // it ever held borrowed resources
   bool was_safeguarded = false;  // safeguard fired for it
   int oom_count = 0;
-  /// Placement attempts that parked (no node could hold the reservation).
-  int park_count = 0;
 
   // ---- Fault/resilience state (src/sim/fault) ----
   /// Terminal loss: killed by node churn with the retry budget exhausted, or

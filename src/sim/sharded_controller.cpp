@@ -208,7 +208,6 @@ void ShardedController::commit_one(Invocation& inv) {
     // Reject-and-requeue: stale-view conflicts park the invocation (counted
     // per owning controller), never silently over-commit ground truth.
     host_.control().on_decision(inv, first_choice, /*placed=*/false);
-    ++inv.park_count;
     waiting_.push_back(id);
     host_.notify_audit(EngineEventKind::kPark, id);
     return;

@@ -402,9 +402,13 @@ class AuditorChecks : public ::testing::Test {
     return cfg;
   }
 
-  /// Diagnostic details raised by one full sweep.
+  /// Diagnostic details raised by one full sweep, labelled "monitor" like
+  /// the incremental check below.
   std::vector<std::string> sweep() {
-    return capture([this] { auditor_.sweep(api_, "test"); });
+    return capture([this] {
+      auditor_.sweep(api_,
+                     sim::engine_event_name(sim::EngineEventKind::kMonitor));
+    });
   }
   /// Diagnostic details raised by the incremental check of one sampled
   /// engine event that touched `touched` and finalized `finalized`.
@@ -417,7 +421,7 @@ class AuditorChecks : public ::testing::Test {
     // the run's end; its name labels the diagnostics like sweep()'s.
     auto details = capture([this] {
       auditor_.on_engine_event(
-          api_, sim::EngineEvent{sim::EngineEventKind::kMonitor, "test", 0});
+          api_, sim::EngineEvent{sim::EngineEventKind::kMonitor, 0});
     });
     api_.touched_.clear();
     api_.finalized_.clear();
@@ -429,7 +433,7 @@ class AuditorChecks : public ::testing::Test {
     return capture([this, id] {
       auditor_.on_engine_event(
           api_,
-          sim::EngineEvent{sim::EngineEventKind::kRecycle, "recycle", 0, id});
+          sim::EngineEvent{sim::EngineEventKind::kRecycle, 0, id});
     });
   }
 
@@ -482,7 +486,7 @@ TEST(InvariantAuditor, SamplingFollowsTheIdsAcrossGaps) {
   long want = 0;
   for (const long id : {1, 2, 5, 6, 7, 9, 10, 11, 15, 23, 25, 26, 40, 3, 4, 5}) {
     auditor.on_engine_event(
-        api, sim::EngineEvent{sim::EngineEventKind::kMonitor, "test", id});
+        api, sim::EngineEvent{sim::EngineEventKind::kMonitor, id});
     want += id % 5 == 0 ? 1 : 0;
   }
   EXPECT_EQ(want, 6);
@@ -623,7 +627,7 @@ TEST_F(AuditorChecks, SweepChecksPoolConservation) {
   ASSERT_TRUE(Silent(sweep()));
   ASSERT_TRUE(Silent(check({0})));
   policy_->pool(0).corrupt_for_audit_test(1, {0.5, 0.0});  // no pool event
-  const std::string want = "test: conservation violated for source 1";
+  const std::string want = "monitor: conservation violated for source 1";
   EXPECT_TRUE(Mentions(check({0}), want));
   EXPECT_TRUE(Mentions(sweep(), want));
 }
@@ -635,7 +639,7 @@ TEST_F(AuditorChecks, UnsortedPoolEntriesFire) {
   ASSERT_TRUE(Silent(check({0})));
   policy_->pool(0).corrupt_order_for_audit_test();
   const std::string want =
-      "test: pool entries out of order: source 1 follows source 5";
+      "monitor: pool entries out of order: source 1 follows source 5";
   EXPECT_TRUE(Mentions(check({0}), want));
   EXPECT_TRUE(Mentions(sweep(), want));
 }
@@ -645,7 +649,7 @@ TEST_F(AuditorChecks, GrantWithoutSourceEntryFires) {
   ASSERT_TRUE(Silent(check({0})));
   policy_->pool(0).orphan_grants_for_audit_test(1);
   const std::string want =
-      "test: outstanding grant references source 1 with no pool entry";
+      "monitor: outstanding grant references source 1 with no pool entry";
   EXPECT_TRUE(Mentions(check({0}), want));
   EXPECT_TRUE(Mentions(sweep(), want));
 }
@@ -655,7 +659,8 @@ TEST_F(AuditorChecks, NegativeGrantFires) {
   ASSERT_TRUE(Silent(check({0})));
   // Ledger bumped in lockstep: conservation holds, only the sign is wrong.
   policy_->pool(0).corrupt_tenant_for_audit_test(1, 3, 0, {-0.25, 0.0});
-  const std::string want = "test: negative grant from source 1 to borrower 3";
+  const std::string want =
+      "monitor: negative grant from source 1 to borrower 3";
   EXPECT_TRUE(Mentions(check({0}), want));
   EXPECT_TRUE(Mentions(sweep(), want));
 }
@@ -763,8 +768,8 @@ class MarkProbe final : public sim::EngineAuditHook {
       ++changed_;
       if (std::find(touched.begin(), touched.end(), node.id()) ==
           touched.end())
-        misses_.push_back(std::string(ev.what) + " (event " +
-                          std::to_string(ev.id) + "): node " +
+        misses_.push_back(std::string(sim::engine_event_name(ev.kind)) +
+                          " (event " + std::to_string(ev.id) + "): node " +
                           std::to_string(node.id()));
       prev = std::move(now);
     }
@@ -919,9 +924,9 @@ class PlacedProbe final : public sim::EngineAuditHook {
     for (const auto& node : api.nodes()) {
       ++compared_;
       if (api.placed_on(node.id()) != expected_[static_cast<size_t>(node.id())])
-        mismatches_.push_back(std::string(ev.what) + " (event " +
-                              std::to_string(ev.id) + "): node " +
-                              std::to_string(node.id()));
+        mismatches_.push_back(std::string(sim::engine_event_name(ev.kind)) +
+                              " (event " + std::to_string(ev.id) +
+                              "): node " + std::to_string(node.id()));
     }
     auditor_.on_engine_event(api, ev);
   }
@@ -1134,7 +1139,7 @@ class DifferentialLeg final : public sim::EngineAuditHook {
       planted_at_ = ev.id;
     recording_ = true;
     if (full_sweep_)
-      auditor_.sweep(api, ev.what);
+      auditor_.sweep(api, sim::engine_event_name(ev.kind));
     else
       auditor_.on_engine_event(api, ev);
     recording_ = false;

@@ -76,10 +76,6 @@ TEST(CtrlConfig, RejectsBadKnobs) {
   c.steal_watermark = -1;
   EXPECT_THROW(c.validate(), std::invalid_argument);
 
-  c = ControlPlaneConfig{};
-  c.steal_batch = 0;
-  EXPECT_THROW(c.validate(), std::invalid_argument);
-
   EXPECT_NO_THROW(ControlPlaneConfig{}.validate());
 }
 
@@ -209,7 +205,6 @@ TEST(CtrlSteal, AggressiveStealingStaysDigestIdentical) {
   EngineConfig stealy = base;
   stealy.control.num_controllers = 4;
   stealy.control.steal_watermark = 0;
-  stealy.control.steal_batch = 2;
   auto mb = run_libra_burst(base);
   auto ms = run_libra_burst(stealy);
   EXPECT_EQ(exp::run_metrics_digest(mb), exp::run_metrics_digest(ms));
@@ -232,7 +227,6 @@ TEST(CtrlSteal, AttributionMovesToTheThief) {
   EngineConfig cfg = exp::multi_node_config();
   cfg.control.num_controllers = 4;
   cfg.control.steal_watermark = 0;
-  cfg.control.steal_batch = 4;
   auto m = run_libra_burst(cfg);
   // With eager stealing some controller must have executed work it did not
   // admit (or vice versa) — attribution follows the steal.
@@ -245,24 +239,24 @@ TEST(CtrlSteal, AttributionMovesToTheThief) {
 TEST(CtrlSteal, StealAndQueueCountsArePinned) {
   // Eager stealing over periodic gossip. A steal takes the victim's first
   // invocations in the shard queues, read position-major (DESIGN.md §5k,
-  // "Steal order"); that rule decides every count below.
+  // "Steal order"); that rule and the batch of
+  // ControlPlaneConfig::steal_batch (4) decide every count below.
   EngineConfig cfg = exp::multi_node_config();
   cfg.control.num_controllers = 4;
   cfg.control.steal_watermark = 0;
-  cfg.control.steal_batch = 2;
   cfg.control.gossip_period = 1.0;
   const RunMetrics m = run_libra_burst(cfg);
   EXPECT_EQ(exp::run_metrics_digest(m), 0x85243c1d4be5d5a6ULL);
-  EXPECT_EQ(m.control.steal_batches, 7);
-  EXPECT_EQ(m.control.total_stolen, 9);
+  EXPECT_EQ(m.control.steal_batches, 8);
+  EXPECT_EQ(m.control.total_stolen, 11);
   struct Counts {
     long admitted, decisions, conflicts, steals_in, steals_out, peak_depth;
     bool operator==(const Counts&) const = default;
   };
   const std::vector<Counts> want = {{48, 2050, 0, 1, 5, 48},
-                                    {48, 1832, 0, 3, 1, 48},
-                                    {32, 1277, 0, 1, 2, 32},
-                                    {32, 1358, 0, 4, 1, 32}};
+                                    {48, 1960, 0, 4, 2, 48},
+                                    {32, 1148, 0, 2, 3, 32},
+                                    {32, 1359, 0, 4, 1, 32}};
   ASSERT_EQ(m.control.controllers.size(), want.size());
   for (size_t c = 0; c < want.size(); ++c) {
     const auto& got = m.control.controllers[c];
@@ -282,7 +276,6 @@ TEST(CtrlSteal, StealsOnAChurningClusterArePinned) {
   EngineConfig cfg = exp::multi_node_config();
   cfg.control.num_controllers = 2;
   cfg.control.steal_watermark = 0;
-  cfg.control.steal_batch = 1;
   cfg.recycle_records = true;
   cfg.fault_profile.seed = 102;
   cfg.fault_profile.node_mtbf = 30.0;
@@ -292,7 +285,7 @@ TEST(CtrlSteal, StealsOnAChurningClusterArePinned) {
       workload::burst_trace(*catalog(), 600, 2));
   EXPECT_EQ(exp::run_metrics_digest(m), 0x81f76faa7c68a2f8ULL);
   EXPECT_EQ(m.control.total_stolen, 75);
-  EXPECT_EQ(m.control.steal_batches, 75);
+  EXPECT_EQ(m.control.steal_batches, 46);
 }
 
 // ------------------------------------------------------- stale-view conflicts

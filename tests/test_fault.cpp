@@ -101,11 +101,6 @@ TEST(EngineValidation, RejectsBadConfigurations) {
   badcap.node_capacities = {Resources{0, 8192}};
   EXPECT_THROW(Engine(badcap, policy), std::invalid_argument);
 
-  EngineConfig badretry;
-  badretry.node_capacities = {Resources{8, 8192}};
-  badretry.max_fault_retries = -1;
-  EXPECT_THROW(Engine(badretry, policy), std::invalid_argument);
-
   EngineConfig badplan;
   badplan.node_capacities = {Resources{8, 8192}};
   badplan.fault_plan.outages.push_back({/*node=*/3, 1.0, 2.0});
@@ -478,7 +473,6 @@ TEST(ChurnIntegration, RetryBudgetExhaustionLosesInvocations) {
   EngineConfig cfg = exp::single_node_config();
   cfg.fault_plan.outages.push_back({0, /*down_at=*/0.7, /*up_at=*/kNever});
   cfg.placement_timeout = 5.0;
-  cfg.max_fault_retries = 1;
   Engine engine(cfg, std::make_shared<baselines::DefaultPolicy>());
   workload::MaterializedSource source(workload::burst_trace(*catalog(), 5, 31));
   auto m = engine.run(source);

@@ -294,6 +294,18 @@ TEST(GenConfig, ValidateRejectsBadKnobs) {
     bad([v](gen::GenConfig& c) { c.burst_spacing = v; });
     bad([v](gen::GenConfig& c) { c.mean_work = v; });
   }
+  // Finite, but the expected count (1e21 at rpm 1e20) is past 2^53, where
+  // expected_invocations() could not hold it.
+  bad([](gen::GenConfig& c) { c.rpm = 1e20; });
+  bad([](gen::GenConfig& c) { c.duration = 1e20; });
+  gen::GenConfig huge;
+  huge.rpm = 1e20;
+  try {
+    huge.validate();
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("1e+21"), std::string::npos)
+        << e.what();
+  }
   gen::GenConfig ok;
   EXPECT_NO_THROW(ok.validate());
 }
@@ -372,6 +384,26 @@ TEST(GenConfig, CliFlagsRoundTripAndBadValuesReachValidate) {
   const auto e = exp::parse_cli(5, const_cast<char**>(edges));
   EXPECT_EQ(e.gen_cfg.functions, 2147483647);
   EXPECT_EQ(e.gen_cfg.seed, 18446744073709551615ULL);
+}
+
+// parse_cli_or_exit is what every bench's main() calls: --help exits 0, a
+// flag parse_cli rejects exits 2 with the message and the usage on stderr.
+TEST(BenchCliDeathTest, HelpExitsZero) {
+  const char* argv[] = {"bench", "--help"};
+  EXPECT_EXIT(exp::parse_cli_or_exit(2, const_cast<char**>(argv), "bench_x"),
+              ::testing::ExitedWithCode(0), "");
+}
+
+TEST(BenchCliDeathTest, BadFlagExitsTwoWithMessageAndUsage) {
+  const char* argv[] = {"bench", "--gen-seed", "abc"};
+  EXPECT_EXIT(exp::parse_cli_or_exit(3, const_cast<char**>(argv), "bench_x"),
+              ::testing::ExitedWithCode(2),
+              "--gen-seed: malformed value 'abc'.*bench_x \\[options\\]"
+              ".*--gen-functions N");
+  // A good command line comes back parsed.
+  const char* good[] = {"bench", "--smoke"};
+  EXPECT_TRUE(
+      exp::parse_cli_or_exit(2, const_cast<char**>(good), "bench_x").smoke);
 }
 
 // ---------------- MaterializedSource adapter ----------------

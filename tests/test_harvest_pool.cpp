@@ -135,11 +135,12 @@ TEST(HarvestPool, IdleTimeIntegralsAccrue) {
   HarvestResourcePool pool;
   pool.put(1, {2, 100}, 100.0, /*now=*/0.0);
   // 2 cores idle for 10 seconds.
-  EXPECT_NEAR(pool.idle_cpu_core_seconds(10.0), 20.0, 1e-9);
-  EXPECT_NEAR(pool.idle_mem_mb_seconds(10.0), 1000.0, 1e-9);
+  const auto at10 = pool.idle_integrals(10.0);
+  EXPECT_NEAR(at10.cpu_core_seconds, 20.0, 1e-9);
+  EXPECT_NEAR(at10.mem_mb_seconds, 1000.0, 1e-9);
   // Borrow everything: idle accrual stops.
   pool.get({2, 100}, 9, 10.0);
-  EXPECT_NEAR(pool.idle_cpu_core_seconds(30.0), 20.0, 1e-9);
+  EXPECT_NEAR(pool.idle_integrals(30.0).cpu_core_seconds, 20.0, 1e-9);
 }
 
 TEST(HarvestPool, MergingPutsAccumulateAndKeepLaterExpiry) {
@@ -204,8 +205,7 @@ TEST(HarvestPool, IdleIntegralsAreMonotoneUnderInterleavedOps) {
   HarvestResourcePool pool;
   double last_cpu = 0.0, last_mem = 0.0;
   auto check = [&](double now) {
-    const double cpu = pool.idle_cpu_core_seconds(now);
-    const double mem = pool.idle_mem_mb_seconds(now);
+    const auto [cpu, mem] = pool.idle_integrals(now);
     EXPECT_GE(cpu, last_cpu - 1e-12);
     EXPECT_GE(mem, last_mem - 1e-12);
     last_cpu = cpu;

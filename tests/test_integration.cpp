@@ -128,11 +128,11 @@ TEST(Shape, StrongScalingMoreNodesFasterCompletion) {
 
 TEST(Shape, MoreSchedulerShardsReduceSchedulingDelay) {
   // §8.5: decentralized sharding exists to keep decisions off the critical
-  // path; with a serialized decision time, 4 shards must beat 1 on queueing.
+  // path; with a serialized decision time (EngineConfig::
+  // sched_decision_delay, 0.5 ms), 4 shards must beat 1 on queueing.
   auto trace = workload::burst_trace(*catalog(), 500, 9);
   auto run_with_shards = [&](int shards) {
-    auto cfg = exp::jetstream_config(20, shards);
-    cfg.sched_decision_delay = 0.005;  // exaggerate to expose the effect
+    const auto cfg = exp::jetstream_config(20, shards);
     auto policy = exp::make_scheduler_platform(exp::SchedulerKind::kCoverage,
                                                catalog());
     auto m = exp::run_experiment(cfg, policy, trace);

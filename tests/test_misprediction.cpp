@@ -230,61 +230,24 @@ TEST(PredictorOutage, HistogramFallbackServesDuringOutageAndMlRecovers) {
 // ---------------- Config validation (satellite) ----------------
 
 TEST(ProfilerConfigValidation, RejectsNonsensicalKnobs) {
-  auto throws = [](auto mutate) {
-    core::ProfilerConfig cfg;
-    mutate(cfg);
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  };
-  throws([](core::ProfilerConfig& c) { c.scale_lo = c.scale_hi; });
-  throws([](core::ProfilerConfig& c) { c.scale_lo = 5.0; c.scale_hi = 1.0; });
-  throws([](core::ProfilerConfig& c) { c.train_fraction = 0.0; });
-  throws([](core::ProfilerConfig& c) { c.train_fraction = 1.0; });
-  throws([](core::ProfilerConfig& c) { c.profiling_window = 0; });
-  throws([](core::ProfilerConfig& c) { c.peak_percentile = 101.0; });
-  throws([](core::ProfilerConfig& c) { c.duration_percentile = -1.0; });
-  throws([](core::ProfilerConfig& c) { c.duplicates = 1; });
-  throws([](core::ProfilerConfig& c) {
-    c.force_ml = true;
-    c.force_histogram = true;
-  });
+  core::ProfilerConfig bad;
+  bad.force_ml = true;
+  bad.force_histogram = true;
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
   EXPECT_NO_THROW(core::ProfilerConfig{}.validate());
   // The constructor enforces it too.
-  core::ProfilerConfig bad;
-  bad.train_fraction = 2.0;
   EXPECT_THROW(core::Profiler(bad, catalog()), std::invalid_argument);
-}
-
-TEST(TrustConfigValidation, RejectsNonsensicalKnobs) {
-  auto throws = [](auto mutate) {
-    TrustConfig cfg;
-    mutate(cfg);
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  };
-  throws([](TrustConfig& c) { c.demote_strikes = 0; });
-  throws([](TrustConfig& c) { c.probation_clean = 0; });
-  throws([](TrustConfig& c) { c.open_cooldown = 0.0; });
-  throws([](TrustConfig& c) { c.error_strike_threshold = -0.5; });
-  throws([](TrustConfig& c) { c.error_window = 0; });
-  throws([](TrustConfig& c) { c.error_quantile = 101.0; });
-  throws([](TrustConfig& c) { c.margin_min = c.margin_max; });
-  throws([](TrustConfig& c) { c.margin_strike_boost = -1.0; });
-  throws([](TrustConfig& c) { c.margin_decay_halflife = 0.0; });
-  EXPECT_NO_THROW(TrustConfig{}.validate());
-  // LibraPolicy surfaces the error at construction.
-  core::LibraPolicyConfig pcfg;
-  pcfg.trust_enabled = true;
-  pcfg.trust.margin_min = 2.0;
-  EXPECT_THROW(core::LibraPolicy(pcfg, std::make_shared<ConstPredictor>(),
-                                 std::make_shared<baselines::HashScheduler>()),
-               std::invalid_argument);
 }
 
 // ---------------- TrustManager state machine ----------------
 
+// TrustConfig's values are constants: 3 strikes demote, 4 clean completions
+// re-promote, quarantine lasts 60 s, a strike's margin boost of 0.25 halves
+// every 120 s, and the margin starts at 0.15.
+
 TEST(TrustManager, DemotesAfterConfiguredStrikes) {
-  TrustConfig cfg;
-  cfg.demote_strikes = 3;
-  TrustManager trust(cfg);
+  static_assert(TrustConfig::demote_strikes == 3);
+  TrustManager trust;
   EXPECT_EQ(trust.state(7, 0.0), TrustState::kClosed);
   EXPECT_FALSE(trust.record_safeguard(7, 1.0));
   EXPECT_FALSE(trust.record_oom(7, 2.0));
@@ -297,63 +260,59 @@ TEST(TrustManager, DemotesAfterConfiguredStrikes) {
 }
 
 TEST(TrustManager, CooldownMovesToProbationAndCleanStreakPromotes) {
-  TrustConfig cfg;
-  cfg.demote_strikes = 1;
-  cfg.probation_clean = 2;
-  cfg.open_cooldown = 60.0;
-  TrustManager trust(cfg);
+  static_assert(TrustConfig::open_cooldown == 60.0);
+  static_assert(TrustConfig::probation_clean == 4);
+  TrustManager trust;
+  EXPECT_FALSE(trust.record_oom(7, 8.0));
+  EXPECT_FALSE(trust.record_oom(7, 9.0));
   EXPECT_TRUE(trust.record_oom(7, 10.0));
   EXPECT_EQ(trust.state(7, 10.0), TrustState::kOpen);
   EXPECT_EQ(trust.state(7, 69.0), TrustState::kOpen);      // still cooling
   EXPECT_EQ(trust.state(7, 70.0), TrustState::kHalfOpen);  // probation
   EXPECT_FALSE(trust.quarantined(7, 70.0));
-  EXPECT_FALSE(trust.record_completion(7, 0.0, 71.0));
-  EXPECT_EQ(trust.state(7, 71.5), TrustState::kHalfOpen);
-  EXPECT_FALSE(trust.record_completion(7, 0.1, 72.0));  // second clean
-  EXPECT_EQ(trust.state(7, 72.5), TrustState::kClosed);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(trust.record_completion(7, 0.1, 71.0 + i));
+    EXPECT_EQ(trust.state(7, 71.5 + i), TrustState::kHalfOpen);
+  }
+  EXPECT_FALSE(trust.record_completion(7, 0.0, 74.0));  // fourth clean
+  EXPECT_EQ(trust.state(7, 74.5), TrustState::kClosed);
   EXPECT_EQ(trust.promotions(), 1);
 }
 
 TEST(TrustManager, StrikeOnProbationReopensImmediately) {
-  TrustConfig cfg;
-  cfg.demote_strikes = 2;
-  cfg.open_cooldown = 10.0;
-  TrustManager trust(cfg);
+  TrustManager trust;
   trust.record_oom(7, 0.0);
-  EXPECT_TRUE(trust.record_oom(7, 1.0));      // demoted
-  EXPECT_EQ(trust.state(7, 12.0), TrustState::kHalfOpen);
-  EXPECT_TRUE(trust.record_safeguard(7, 12.0));  // one strike re-opens
-  EXPECT_TRUE(trust.quarantined(7, 12.0));
+  trust.record_oom(7, 0.5);
+  EXPECT_TRUE(trust.record_oom(7, 1.0));  // demoted
+  EXPECT_EQ(trust.state(7, 62.0), TrustState::kHalfOpen);
+  EXPECT_TRUE(trust.record_safeguard(7, 62.0));  // one strike re-opens
+  EXPECT_TRUE(trust.quarantined(7, 62.0));
   EXPECT_EQ(trust.demotions(), 2);
 }
 
 TEST(TrustManager, GrossCompletionErrorStrikes) {
-  TrustConfig cfg;
-  cfg.demote_strikes = 1;
-  cfg.error_strike_threshold = 0.5;
-  TrustManager trust(cfg);
+  static_assert(TrustConfig::error_strike_threshold == 0.5);
+  TrustManager trust;
   EXPECT_FALSE(trust.record_completion(7, 0.4, 1.0));  // under threshold
-  EXPECT_TRUE(trust.record_completion(7, 0.9, 2.0));   // gross error demotes
+  EXPECT_FALSE(trust.record_completion(7, 0.9, 2.0));  // gross: strike 1
+  EXPECT_FALSE(trust.record_completion(7, 0.9, 3.0));  // strike 2
+  EXPECT_TRUE(trust.record_completion(7, 0.9, 4.0));   // strike 3 demotes
 }
 
 TEST(TrustManager, MarginWidensOnStrikeAndDecaysBack) {
-  TrustConfig cfg;
-  cfg.margin_min = 0.15;
-  cfg.margin_strike_boost = 0.25;
-  cfg.margin_decay_halflife = 100.0;
-  TrustManager trust(cfg);
-  EXPECT_DOUBLE_EQ(trust.harvest_margin(7, 0.0), cfg.margin_min);
+  static_assert(TrustConfig::margin_min == 0.15);
+  static_assert(TrustConfig::margin_strike_boost == 0.25);
+  static_assert(TrustConfig::margin_decay_halflife == 120.0);
+  TrustManager trust;
+  EXPECT_DOUBLE_EQ(trust.harvest_margin(7, 0.0), TrustConfig::margin_min);
   trust.record_safeguard(7, 0.0);
   EXPECT_NEAR(trust.harvest_margin(7, 0.0), 0.40, 1e-9);
-  EXPECT_NEAR(trust.harvest_margin(7, 100.0), 0.275, 1e-9);  // one half-life
-  EXPECT_NEAR(trust.harvest_margin(7, 2000.0), cfg.margin_min, 1e-6);
+  EXPECT_NEAR(trust.harvest_margin(7, 120.0), 0.275, 1e-9);  // one half-life
+  EXPECT_NEAR(trust.harvest_margin(7, 3000.0), TrustConfig::margin_min, 1e-6);
 }
 
 TEST(TrustManager, MarginTracksErrorQuantile) {
-  TrustConfig cfg;
-  cfg.margin_min = 0.15;
-  cfg.error_strike_threshold = 0.5;
-  TrustManager trust(cfg);
+  TrustManager trust;
   // Persistent ~40% under-prediction: clean samples (no strikes), but the
   // p95 error tracker must widen the harvest margin accordingly.
   for (int i = 0; i < 32; ++i)
@@ -377,7 +336,10 @@ class MaliciousPredictor final : public core::DemandPredictor {
   void observe(const core::Observation&) override {}
 };
 
-sim::RunMetrics run_oom_scenario(bool redispatch, int max_oom_retries) {
+/// `user_mem_below_floor` gives every invocation a user memory allocation
+/// below its OOM floor, so even the full-allocation re-dispatch OOMs.
+sim::RunMetrics run_oom_scenario(bool redispatch,
+                                 bool user_mem_below_floor = false) {
   core::LibraPolicyConfig cfg;
   cfg.safeguard_enabled = false;  // nothing rescues the container early
   cfg.min_mem_floor = 8.0;        // allow harvesting below the OOM floor
@@ -385,14 +347,15 @@ sim::RunMetrics run_oom_scenario(bool redispatch, int max_oom_retries) {
       cfg, std::make_shared<MaliciousPredictor>(),
       std::make_shared<baselines::HashScheduler>());
   auto trace = workload::burst_trace(*catalog(), 6, 11);
+  if (user_mem_below_floor)
+    for (auto& inv : trace) inv.user_alloc.mem = inv.truth.min_mem / 2.0;
   auto engine_cfg = exp::single_node_config();
   engine_cfg.oom_redispatch = redispatch;
-  engine_cfg.max_oom_retries = max_oom_retries;
   return exp::run_experiment(engine_cfg, policy, std::move(trace));
 }
 
 TEST(OomGracefulDegradation, RedispatchRescuesAtFullUserAllocation) {
-  auto m = run_oom_scenario(/*redispatch=*/true, /*max_oom_retries=*/3);
+  auto m = run_oom_scenario(/*redispatch=*/true);
   EXPECT_GT(m.oom_events, 0);
   EXPECT_GT(m.oom_retries, 0);
   EXPECT_EQ(m.oom_terminal_losses, 0);
@@ -408,11 +371,15 @@ TEST(OomGracefulDegradation, RedispatchRescuesAtFullUserAllocation) {
 }
 
 TEST(OomGracefulDegradation, ExhaustedBudgetIsTerminalLoss) {
-  auto m = run_oom_scenario(/*redispatch=*/true, /*max_oom_retries=*/0);
+  // Every re-dispatch OOMs again, so each invocation spends the whole
+  // budget of max_oom_retries and is then lost.
+  auto m = run_oom_scenario(/*redispatch=*/true,
+                            /*user_mem_below_floor=*/true);
   EXPECT_GT(m.oom_events, 0);
   EXPECT_GT(m.oom_terminal_losses, 0);
   EXPECT_EQ(m.oom_terminal_losses, m.lost_invocations);  // no churn here
-  EXPECT_EQ(m.oom_retries, 0);
+  EXPECT_EQ(m.oom_retries,
+            sim::EngineConfig::max_oom_retries * m.oom_terminal_losses);
   EXPECT_EQ(m.incomplete, 0);
   long lost_records = 0;
   for (const auto& rec : m.invocations) {
@@ -423,7 +390,7 @@ TEST(OomGracefulDegradation, ExhaustedBudgetIsTerminalLoss) {
 }
 
 TEST(OomGracefulDegradation, DefaultOffKeepsInPlaceRestartSemantics) {
-  auto m = run_oom_scenario(/*redispatch=*/false, /*max_oom_retries=*/3);
+  auto m = run_oom_scenario(/*redispatch=*/false);
   EXPECT_GT(m.oom_events, 0);
   EXPECT_EQ(m.oom_retries, 0);  // classic in-place restarts, no re-dispatch
   EXPECT_EQ(m.lost_invocations, 0);
@@ -477,8 +444,6 @@ TEST(TrustEndToEnd, StormReplayIsBitIdentical) {
 TEST(TrustEndToEnd, QuarantinedFunctionServedPaddedWithoutHarvest) {
   core::LibraPolicyConfig cfg;
   cfg.trust_enabled = true;
-  cfg.trust.demote_strikes = 1;
-  cfg.trust.open_cooldown = 1000.0;
   auto predictor = std::make_shared<ConstPredictor>();
   core::LibraPolicy policy(cfg, predictor,
                            std::make_shared<baselines::HashScheduler>());
@@ -575,7 +540,7 @@ TEST(QuarantineInvariant, PoolEntryFromQuarantinedFunctionFires) {
     // Healthy: the source's function is trusted, the sweep stays silent.
     AuditCapture capture;
     auditor.on_engine_event(
-        api, sim::EngineEvent{sim::EngineEventKind::kMonitor, "test", 0});
+        api, sim::EngineEvent{sim::EngineEventKind::kMonitor, 0});
     EXPECT_FALSE(capture.fired());
   }
   // Seed the violation: quarantine func 7 WITHOUT the policy-side pullback.
@@ -583,7 +548,7 @@ TEST(QuarantineInvariant, PoolEntryFromQuarantinedFunctionFires) {
   {
     AuditCapture capture;
     auditor.on_engine_event(
-        api, sim::EngineEvent{sim::EngineEventKind::kMonitor, "test", 0});
+        api, sim::EngineEvent{sim::EngineEventKind::kMonitor, 0});
     ASSERT_TRUE(capture.fired());
     EXPECT_NE(capture.diags()[0].detail.find("QUARANTINED"),
               std::string::npos)

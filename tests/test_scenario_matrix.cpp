@@ -1,7 +1,7 @@
-// Scenario-matrix extension tests: spot drain notices (honored vs ignored),
-// budget-free drain evictions (satellite of the retry-budget edge fix),
-// per-tenant harvest quotas, and the hardened NaN/inf-aware validation of
-// EngineConfig / FaultPlan / FaultProfile.
+// Scenario-matrix extension tests: spot drain notices (the policy pulls its
+// harvests back), budget-free drain evictions (satellite of the retry-budget
+// edge fix), per-tenant harvest quotas, and the hardened NaN/inf-aware
+// validation of EngineConfig / FaultPlan / FaultProfile.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -42,27 +42,33 @@ std::shared_ptr<const sim::FunctionCatalog> catalog() {
   return cat;
 }
 
-std::shared_ptr<LibraPolicy> make_libra(bool honor_drain_notice) {
-  LibraPolicyConfig cfg;
-  cfg.honor_drain_notice = honor_drain_notice;
+std::shared_ptr<LibraPolicy> make_libra() {
   return LibraPolicy::with_coverage_scheduler(
-      cfg, exp::make_libra_profiler(catalog(), exp::PlatformTuning{}));
+      LibraPolicyConfig{},
+      exp::make_libra_profiler(catalog(), exp::PlatformTuning{}));
 }
 
-/// Records the owning policy's node-0 pool entry count at the moment the
-/// drain notice has been fully processed (policy hook + migration done).
+/// Records the owning policy's node-0 pool entry count just before the drain
+/// notice (at the end of the last engine event ahead of it) and at the moment
+/// the notice has been fully processed (policy hook + migration done).
 class DrainProbe final : public sim::EngineAuditHook {
  public:
   explicit DrainProbe(LibraPolicy* policy) : policy_(policy) {}
   void on_engine_event(sim::EngineApi&, const sim::EngineEvent& ev) override {
-    if (ev.kind == sim::EngineEventKind::kDrainNotice && ev.node == 0)
-      entries_at_notice_ =
-          static_cast<long>(policy_->pool(0).entry_count());
+    const long entries = static_cast<long>(policy_->pool(0).entry_count());
+    if (ev.kind == sim::EngineEventKind::kDrainNotice && ev.node == 0) {
+      entries_before_notice_ = last_entries_;
+      entries_at_notice_ = entries;
+    }
+    last_entries_ = entries;
   }
+  long entries_before_notice() const { return entries_before_notice_; }
   long entries_at_notice() const { return entries_at_notice_; }
 
  private:
   LibraPolicy* policy_;
+  long last_entries_ = 0;
+  long entries_before_notice_ = -1;
   long entries_at_notice_ = -1;
 };
 
@@ -87,14 +93,17 @@ RunMetrics run_spot(std::shared_ptr<LibraPolicy> policy, bool spot,
 // ------------------------------------------------------- spot drain notices
 
 TEST(SpotDrain, HonoredNoticePullsHarvestsBackAndEvictsBudgetFree) {
-  auto policy = make_libra(/*honor_drain_notice=*/true);
+  auto policy = make_libra();
   DrainProbe probe(policy.get());
   const RunMetrics m = run_spot(policy, /*spot=*/true, /*notice=*/2.0, &probe);
 
   EXPECT_EQ(m.drain_notices, 1);
   EXPECT_GT(m.drain_evictions, 0);
-  // §Policy::on_drain_notice honored: by the end of the notice event the
-  // doomed node's pool holds nothing — everything was preemptively released.
+  // The doomed node's pool was lending when the notice came, so the check
+  // below is not vacuous...
+  EXPECT_GT(probe.entries_before_notice(), 0);
+  // ...and §Policy::on_drain_notice emptied it: by the end of the notice
+  // event everything was preemptively released.
   EXPECT_EQ(probe.entries_at_notice(), 0);
   // Budget-free migration: nothing was charged to the crash-retry budget and
   // nothing was lost — the node emptied gracefully before the crash landed.
@@ -104,23 +113,8 @@ TEST(SpotDrain, HonoredNoticePullsHarvestsBackAndEvictsBudgetFree) {
   EXPECT_DOUBLE_EQ(m.goodput(), 1.0);
 }
 
-TEST(SpotDrain, IgnoredNoticeLeavesPoolExposedUntilCrash) {
-  auto policy = make_libra(/*honor_drain_notice=*/false);
-  DrainProbe probe(policy.get());
-  const RunMetrics m = run_spot(policy, /*spot=*/true, /*notice=*/2.0, &probe);
-
-  // The notice still fires and the node agent still migrates invocations off
-  // (engine-side semantics don't depend on the policy's cooperation)...
-  EXPECT_EQ(m.drain_notices, 1);
-  EXPECT_GT(m.drain_evictions, 0);
-  // ...but a platform without the hook keeps lending from the doomed pool:
-  // its inventory is still there when the notice has been processed, and is
-  // lost to the crash instead of being pulled back gracefully.
-  EXPECT_GT(probe.entries_at_notice(), 0);
-}
-
 TEST(SpotDrain, UnannouncedCrashChargesRetryBudget) {
-  auto policy = make_libra(/*honor_drain_notice=*/true);
+  auto policy = make_libra();
   // Same outage, spot=false: no notice, the crash lands on a full node.
   const RunMetrics m = run_spot(policy, /*spot=*/false, /*notice=*/2.0);
   EXPECT_EQ(m.drain_notices, 0);
@@ -132,7 +126,7 @@ TEST(SpotDrain, UnannouncedCrashChargesRetryBudget) {
 }
 
 TEST(SpotDrain, ZeroNoticeBehavesLikePlainCrash) {
-  auto policy = make_libra(/*honor_drain_notice=*/true);
+  auto policy = make_libra();
   const RunMetrics m = run_spot(policy, /*spot=*/true, /*notice=*/0.0);
   EXPECT_EQ(m.drain_notices, 0);
   EXPECT_EQ(m.drain_evictions, 0);
@@ -222,9 +216,9 @@ TEST(ValidationHardening, EngineConfigRejectsNaNAndInf) {
   nan_notice.spot_drain_notice = kNaN;
   EXPECT_THROW(nan_notice.validate(), std::invalid_argument);
 
-  EngineConfig inf_delay = good;
-  inf_delay.sched_decision_delay = kInf;
-  EXPECT_THROW(inf_delay.validate(), std::invalid_argument);
+  EngineConfig inf_resolution = good;
+  inf_resolution.series_resolution = kInf;
+  EXPECT_THROW(inf_resolution.validate(), std::invalid_argument);
 
   EngineConfig nan_cap = good;
   nan_cap.node_capacities = {Resources{kNaN, 8192}};

@@ -194,11 +194,10 @@ TEST(ContainerPool, PerFunctionIsolation) {
 }
 
 TEST(ContainerPool, MaxWarmCap) {
-  ContainerPoolConfig cfg;
-  cfg.max_warm_per_function = 2;
-  ContainerPool pool(cfg);
-  for (int i = 0; i < 5; ++i) pool.release(1, static_cast<double>(i));
-  EXPECT_EQ(pool.warm_count(1, 5.0), 2);
+  constexpr int kCap = ContainerPoolConfig::max_warm_per_function;
+  ContainerPool pool;
+  for (int i = 0; i < kCap + 3; ++i) pool.release(1, static_cast<double>(i));
+  EXPECT_EQ(pool.warm_count(1, kCap + 3.0), kCap);
 }
 
 // ---------------- ExecutionModel ----------------
